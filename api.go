@@ -9,12 +9,8 @@ import (
 	"cosmodel/internal/coscode"
 	"cosmodel/internal/dist"
 	"cosmodel/internal/experiments"
-	"cosmodel/internal/ingest"
 	"cosmodel/internal/load"
 	"cosmodel/internal/numeric"
-	"cosmodel/internal/obs"
-	"cosmodel/internal/parallel"
-	"cosmodel/internal/retry"
 	"cosmodel/internal/serve"
 	"cosmodel/internal/simstore"
 	"cosmodel/internal/stats"
@@ -37,54 +33,22 @@ type (
 	Options = core.Options
 	// DeviceModel is the backend-tier model of one storage device.
 	DeviceModel = core.DeviceModel
-	// FrontendModel is the proxy-tier M/G/1 model.
-	FrontendModel = core.FrontendModel
 	// FrontendSet is one homogeneous group within a heterogeneous
 	// frontend tier.
 	FrontendSet = core.FrontendSet
 	// SystemModel is the full response-latency model.
 	SystemModel = core.SystemModel
-	// WTAMode selects the accept-waiting model.
-	WTAMode = core.WTAMode
-	// DiskQueueMode selects the multi-process disk approximation.
-	DiskQueueMode = core.DiskQueueMode
-	// CompoundMode selects the extra-data-read count model.
-	CompoundMode = core.CompoundMode
-	// BestFitReport ranks candidate service-time families (Fig. 5).
-	BestFitReport = core.BestFitReport
-	// DeviceDiagnosis is one row of the bottleneck-identification report.
-	DeviceDiagnosis = core.DeviceDiagnosis
-	// CodedSpec describes an (n,k) coded read — stripe width, completion
-	// quorum, and optional hedging delay — consumed by SystemModel's
-	// CodedCDF/CodedQuantile order-statistic predictions.
-	CodedSpec = core.CodedSpec
-	// WriteQuorumSpec describes a w-of-n replicated PUT — replica fan-out
-	// and acknowledgement quorum — consumed by SystemModel's
-	// WriteCDF/WriteQuantile order-statistic predictions.
-	WriteQuorumSpec = core.WriteSpec
+	// CodedSpec is the k-of-n order statistic of a Query: an (n,k) coded
+	// or hedged read, or a w-of-n quorum write with K = w.
+	CodedSpec = coscode.Spec
+	// Query is one latency question for SystemModel.Eval and
+	// SystemModel.Quantile: request class, observed tier and order
+	// statistic. The zero Query is a plain read at the frontend.
+	Query = core.Query
 )
 
-// Order-statistic primitives (internal/coscode): KOfNProbability is the
-// Poisson-binomial tail P(at least k of the n successes), the combinator
-// under every coded-read prediction; ErrBadCodedSpec marks invalid specs.
-var (
-	KOfNProbability = coscode.KOfN
-	ErrBadCodedSpec = coscode.ErrBadSpec
-)
-
-// Model variant constants.
-const (
-	WTAApprox = core.WTAApprox
-	WTANone   = core.WTANone
-	WTAExact  = core.WTAExact
-
-	DiskMM1K = core.DiskMM1K
-	DiskMG1  = core.DiskMG1
-
-	CompoundPoisson   = core.CompoundPoisson
-	CompoundFixed     = core.CompoundFixed
-	CompoundGeometric = core.CompoundGeometric
-)
+// WTANone drops the accept-waiting factor — the paper's noWTA baseline.
+const WTANone = core.WTANone
 
 // Model errors.
 var (
@@ -105,16 +69,8 @@ var (
 	NewHeterogeneousFrontend = core.NewHeterogeneousFrontend
 	// NewSystemModel combines frontend and device models (Eqs. 2-3).
 	NewSystemModel = core.NewSystemModel
-	// FitDeviceProperties fits Gamma disk distributions and degenerate
-	// parse latencies from benchmark samples (Fig. 5 calibration).
-	FitDeviceProperties = core.FitDeviceProperties
-	// CompareFits ranks the four candidate families per operation class.
-	CompareFits = core.CompareFits
 	// MissRatioByThreshold classifies hits/misses by latency threshold.
 	MissRatioByThreshold = core.MissRatioByThreshold
-	// SolveServiceTimes decomposes the overall disk mean into
-	// per-operation means (Section IV-B).
-	SolveServiceTimes = core.SolveServiceTimes
 	// RenderDiagnosis writes the bottleneck-identification report.
 	RenderDiagnosis = core.RenderDiagnosis
 )
@@ -137,14 +93,6 @@ var (
 	MaxAdmissibleRate = core.MaxAdmissibleRate
 	// Headroom returns MaxAdmissibleRate minus the current rate.
 	Headroom = core.Headroom
-	// MaxRateWhere is the underlying monotone bisection.
-	MaxRateWhere = core.MaxRateWhere
-	// MaxAdmissibleRateContext, HeadroomContext and MaxRateWhereContext
-	// are the cancellable variants: the search observes ctx (and the
-	// deployment's Options.EvalTimeout) before every bisection probe.
-	MaxAdmissibleRateContext = core.MaxAdmissibleRateContext
-	HeadroomContext          = core.HeadroomContext
-	MaxRateWhereContext      = core.MaxRateWhereContext
 )
 
 // ---------------------------------------------------------------------------
@@ -154,32 +102,11 @@ type (
 	// ServeConfig configures the SLA-prediction service: device properties,
 	// deployment size, sliding-window span and serving limits.
 	ServeConfig = serve.Config
-	// ServeServer is the HTTP front of the prediction engine.
-	ServeServer = serve.Server
 	// ServeEngine is the concurrent, memoizing prediction engine.
 	ServeEngine = serve.Engine
 	// ServeObservation is one interval of per-device measurements — the
-	// /ingest wire format — and ServeIngestRequest the batch envelope.
-	ServeObservation   = serve.Observation
-	ServeIngestRequest = serve.IngestRequest
-	// ServePrediction is the answer for one SLA bound.
-	ServePrediction = serve.Prediction
-	// ServeAdvice is the /advise admission-control answer.
-	ServeAdvice = serve.Advice
-	// ServeCodedReadSpec is the wire form of an (n,k) coded-read query and
-	// ServeCodedReadBlock the coded section of a /predict answer.
-	ServeCodedReadSpec  = serve.CodedReadSpec
-	ServeCodedReadBlock = serve.CodedReadBlock
-	// ServeWriteSpec is the wire form of a w-of-n PUT quorum query and
-	// ServeWriteBlock the write section of a /predict answer.
-	ServeWriteSpec  = serve.WriteSpec
-	ServeWriteBlock = serve.WriteBlock
-	// ServeTenantStats is one tenant class's windowed rates;
-	// ServeTenantAdvice and ServeTenantShed are the weighted multi-tenant
-	// admission answer and its per-class allocation rows.
-	ServeTenantStats  = serve.TenantStats
-	ServeTenantAdvice = serve.TenantAdvice
-	ServeTenantShed   = serve.TenantShed
+	// /ingest wire format.
+	ServeObservation = serve.Observation
 )
 
 var (
@@ -194,23 +121,14 @@ var (
 // Hardened HTTP serving: slow-client timeouts and graceful drain.
 var (
 	// NewServeHTTPServer wraps a handler in an http.Server with hardened
-	// read/write/idle timeouts (zero ServeHTTPTimeouts = defaults).
+	// read/write/idle timeouts at their defaults.
 	NewServeHTTPServer = func(addr string, h http.Handler) *http.Server {
 		return serve.NewHTTPServer(addr, h, serve.HTTPTimeouts{})
 	}
 	// ListenAndServeGraceful serves until ctx is cancelled, then drains
 	// in-flight requests for up to grace before closing hard.
 	ListenAndServeGraceful = serve.ListenAndServeGraceful
-	// ServeGraceful is the listener-injecting variant (tests, systemd
-	// socket activation).
-	ServeGraceful = serve.ServeGraceful
 )
-
-// ServeHTTPTimeouts are the hardened http.Server limits.
-type ServeHTTPTimeouts = serve.HTTPTimeouts
-
-// DefaultServeHTTPTimeouts returns the production limits.
-var DefaultServeHTTPTimeouts = serve.DefaultHTTPTimeouts
 
 // ---------------------------------------------------------------------------
 // Sharded serving tier (cmd/cosrouter); see internal/cluster.
@@ -220,25 +138,6 @@ type (
 	// tier: shard node URLs, replication factor, ring layout, health
 	// probing, hedging and retry policy.
 	ClusterConfig = cluster.Config
-	// ClusterRouter is the stateless fan-out router in front of shard-mode
-	// cosserve instances.
-	ClusterRouter = cluster.Router
-	// ClusterTopology maps storage devices to replica chains over the
-	// consistent-hash ring.
-	ClusterTopology = cluster.Topology
-	// ClusterPartial is one shard's partial CDF evaluation and
-	// ClusterMerged the exact rate-weighted merge across shards.
-	ClusterPartial = cluster.Partial
-	ClusterMerged  = cluster.Merged
-	// ClusterPredictResponse and ClusterAdviceResponse are the router's
-	// /predict and /advise wire formats (the serve formats plus
-	// degradation metadata).
-	ClusterPredictResponse = cluster.PredictResponse
-	ClusterAdviceResponse  = cluster.AdviceResponse
-	// ShardPartialRequest/Response are the cluster-internal /shard/partial
-	// wire formats served by cosserve -shard.
-	ShardPartialRequest  = serve.PartialRequest
-	ShardPartialResponse = serve.PartialResponse
 )
 
 var (
@@ -247,130 +146,15 @@ var (
 	// DefaultClusterConfig returns routing defaults for a node list and
 	// deployment size.
 	DefaultClusterConfig = cluster.DefaultConfig
-	// NewClusterTopology builds just the device-to-chain mapping.
-	NewClusterTopology = cluster.NewTopology
-	// MergeClusterPartials merges per-shard partial evaluations into the
-	// tier-wide mixture CDF with degradation bounds.
-	MergeClusterPartials = cluster.MergePartials
-	// ErrClusterBadConfig marks invalid router configurations or poisoned
-	// partials; ErrClusterNoQuorum means no shard could answer.
-	ErrClusterBadConfig = cluster.ErrBadConfig
-	ErrClusterNoQuorum  = cluster.ErrNoQuorum
 )
-
-// ---------------------------------------------------------------------------
-// Retrying (internal/retry): capped exponential backoff with jitter.
-
-type (
-	// RetryPolicy is a bounded exponential-backoff-with-jitter retry loop.
-	RetryPolicy = retry.Policy
-)
-
-var (
-	// DefaultRetryPolicy returns the standard 4-attempt policy.
-	DefaultRetryPolicy = retry.DefaultPolicy
-	// RetryPermanent marks an error as not worth retrying; RetryAfter
-	// carries a server-mandated minimum wait (e.g. a Retry-After hint,
-	// parsed by HTTPRetryAfter).
-	RetryPermanent = retry.Permanent
-	RetryAfter     = retry.After
-	HTTPRetryAfter = retry.HTTPRetryAfter
-)
-
-// ---------------------------------------------------------------------------
-// Observability; see internal/obs.
-
-type (
-	// ObsRegistry is a metrics registry with Prometheus text exposition;
-	// ServeEngine.Registry returns the one behind /metrics/prom.
-	ObsRegistry = obs.Registry
-	// ObsLabels attach dimensions to a metric.
-	ObsLabels = obs.Labels
-	// ObsCounter, ObsGauge and ObsHistogram are the metric kinds.
-	ObsCounter   = obs.Counter
-	ObsGauge     = obs.Gauge
-	ObsHistogram = obs.Histogram
-	// EvalEvent is one completed model-evaluation span, delivered to
-	// Options.Observer (op name, expression-graph size, quadrature probes,
-	// wall time, error).
-	EvalEvent = core.EvalEvent
-	// WorkerPool is the shared goroutine pool evaluations run on; assign
-	// one to Options.Pool to share and meter capacity across engines.
-	WorkerPool = parallel.Pool
-)
-
-var (
-	// NewObsRegistry builds an empty metrics registry.
-	NewObsRegistry = obs.NewRegistry
-	// RegisterObsRuntimeMetrics adds go_* runtime gauges to a registry
-	// (ServeConfig.RuntimeMetrics / cosserve -obs-runtime do this for the
-	// serving registry).
-	RegisterObsRuntimeMetrics = obs.RegisterRuntimeMetrics
-	// NewWorkerPool builds a bounded evaluation pool; DefaultWorkerPool
-	// returns the process-wide GOMAXPROCS-sized pool.
-	NewWorkerPool     = parallel.New
-	DefaultWorkerPool = parallel.Default
-)
-
-// ObsContentType is the Content-Type of the Prometheus text exposition
-// served at /metrics/prom.
-const ObsContentType = obs.ContentType
 
 // ---------------------------------------------------------------------------
 // Online calibration and drift detection; see internal/calib.
-
-type (
-	// CalibConfig tunes the streaming estimators, drift detectors and
-	// recalibration policy; assign one to ServeConfig.Calib (or pass the
-	// cosserve -calib flags) to enable the subsystem.
-	CalibConfig = calib.Config
-	// CalibController is the standalone calibration controller for
-	// embedding outside the serving layer.
-	CalibController = calib.Controller
-	// CalibWindowStats is one observation window fed to the controller.
-	CalibWindowStats = calib.WindowStats
-	// CalibStatus and CalibDeviceStatus snapshot the drift state exposed
-	// by /calibration and /metrics.
-	CalibStatus       = calib.Status
-	CalibDeviceStatus = calib.DeviceStatus
-	// PageHinkley and CUSUM are the mean-shift detectors, exported for
-	// reuse on other telemetry streams.
-	PageHinkley = calib.PageHinkley
-	CUSUM       = calib.CUSUM
-	// CalibDeviceState is one device's drift state, delivered to
-	// CalibConfig.OnTransition on every state change.
-	CalibDeviceState = calib.DeviceState
-	// ServeCalibrationResponse is the /calibration endpoint's answer.
-	ServeCalibrationResponse = serve.CalibrationResponse
-	// ServeDistSummary summarizes one served distribution (mean, SCV).
-	ServeDistSummary = serve.DistSummary
-)
-
-// Calibration drift states (CalibConfig.OnTransition, /calibration).
-const (
-	CalibStable        = calib.Stable
-	CalibDrifting      = calib.Drifting
-	CalibRecalibrating = calib.Recalibrating
-)
 
 var (
 	// DefaultCalibConfig returns detector thresholds tuned for windows
 	// carrying on the order of a hundred disk operations per device.
 	DefaultCalibConfig = calib.DefaultConfig
-	// NewCalibController builds a controller around baseline properties
-	// and an apply callback (e.g. ServeEngine.Recalibrate).
-	NewCalibController = calib.New
-	// NewPageHinkley and NewCUSUM build the detectors directly.
-	NewPageHinkley = calib.NewPageHinkley
-	NewCUSUM       = calib.NewCUSUM
-	// ErrCalibBadConfig and ErrCalibBadWindow mark invalid calibration
-	// configurations and malformed observation windows.
-	ErrCalibBadConfig = calib.ErrBadConfig
-	ErrCalibBadWindow = calib.ErrBadWindow
-	// RescaleDeviceProperties shifts fitted distributions to an observed
-	// disk mean while preserving their shape (the recalibration fallback
-	// when drift evidence has no raw service-time samples).
-	RescaleDeviceProperties = core.RescaleDeviceProperties
 )
 
 // ---------------------------------------------------------------------------
@@ -378,42 +162,12 @@ var (
 
 // Distribution types; see internal/dist.
 type (
-	// Distribution is the common interface of all service-time and size
-	// distributions.
-	Distribution = dist.Distribution
-	// Gamma is the paper's disk service-time family.
-	Gamma = dist.Gamma
-	// Exponential, Degenerate, Normal, Lognormal, Uniform and Weibull are
-	// the remaining families.
-	Exponential = dist.Exponential
-	Degenerate  = dist.Degenerate
-	Normal      = dist.Normal
-	Lognormal   = dist.Lognormal
-	Uniform     = dist.Uniform
-	Weibull     = dist.Weibull
-	// Pareto, Erlang and HyperExp extend the family set for what-if
-	// analyses (heavy tails, phase-type services, high-variability
-	// two-moment matches).
-	Pareto   = dist.Pareto
-	Erlang   = dist.Erlang
-	HyperExp = dist.HyperExp
-	// Empirical is the distribution of a recorded sample set.
-	Empirical = dist.Empirical
+	Degenerate = dist.Degenerate
 )
 
 // Distribution constructors and fitting.
 var (
-	NewGammaMeanSCV        = dist.NewGammaMeanSCV
-	NewExponentialMean     = dist.NewExponentialMean
-	NewLognormalMeanMedian = dist.NewLognormalMeanMedian
-	NewEmpirical           = dist.NewEmpirical
-	NewHyperExp            = dist.NewHyperExp
-	NewHyperExpMeanSCV     = dist.NewHyperExpMeanSCV
-	FitPhaseType           = dist.FitPhaseType
-	FitGamma               = dist.FitGamma
-	FitBest                = dist.FitBest
-	KolmogorovSmirnov      = dist.KolmogorovSmirnov
-	ScaleToMean            = dist.ScaleToMean
+	NewGammaMeanSCV = dist.NewGammaMeanSCV
 )
 
 // ---------------------------------------------------------------------------
@@ -422,46 +176,13 @@ var (
 // Inverter performs numerical Laplace-transform inversion.
 type Inverter = numeric.Inverter
 
-// InversionError details one guarded inversion that failed even after
-// every fallback inverter; it wraps ErrNumerical.
-type InversionError = numeric.InversionError
-
-// ErrNumerical marks inversions whose result was invalid (NaN, Inf, far
-// outside [0,1]) after exhausting the fallback chain. Predictions carrying
-// this error are withheld, never served as garbage.
-var ErrNumerical = numeric.ErrNumerical
-
 // Inversion algorithm constructors.
 var (
-	NewEuler         = numeric.NewEuler
-	NewTalbot        = numeric.NewTalbot
-	NewGaverStehfest = numeric.NewGaverStehfest
-	// DefaultFallbackInverters is the guarded evaluation engine's standard
-	// fallback chain (Euler, then Gaver–Stehfest).
-	DefaultFallbackInverters = numeric.DefaultFallbacks
+	NewEuler = numeric.NewEuler
 )
 
 // ---------------------------------------------------------------------------
 // Cluster simulator (the Swift-like testbed substitute).
-
-// Simulator types; see internal/simstore.
-type (
-	// Cluster is a simulated object storage deployment.
-	Cluster = simstore.Cluster
-	// SimConfig describes a simulated cluster.
-	SimConfig = simstore.Config
-	// Request is one GET moving through the cluster.
-	Request = simstore.Request
-	// SimSnapshot and SimWindow expose the cluster's metrics.
-	SimSnapshot = simstore.Snapshot
-	SimWindow   = simstore.Window
-	// DiskSamples holds calibration measurements per operation class.
-	DiskSamples = simstore.DiskSamples
-	// ParseCalibration holds the parse benchmark result.
-	ParseCalibration = simstore.ParseCalibration
-	// SimArchitecture selects the backend concurrency model.
-	SimArchitecture = simstore.Architecture
-)
 
 // Backend concurrency models.
 const (
@@ -477,10 +198,6 @@ var (
 	NewCluster = simstore.New
 	// DefaultSimConfig mirrors the paper's 7-node testbed.
 	DefaultSimConfig = simstore.DefaultConfig
-	// MeasureDiskService runs the sequential disk benchmark.
-	MeasureDiskService = simstore.MeasureDiskService
-	// MeasureParse runs the closed-loop parse benchmark.
-	MeasureParse = simstore.MeasureParse
 )
 
 // ---------------------------------------------------------------------------
@@ -488,23 +205,13 @@ var (
 
 // Trace types; see internal/trace.
 type (
-	// Catalog is a population of objects with sizes and popularity.
-	Catalog = trace.Catalog
 	// TraceRecord is one request of a workload trace.
 	TraceRecord = trace.Record
 	// Schedule is a phased arrival-rate plan.
 	Schedule = trace.Schedule
-	// Phase is one constant-rate schedule segment.
-	Phase = trace.Phase
 	// WikibenchOptions configures conversion of wikibench-format traces
 	// (the format of the trace the paper replays).
 	WikibenchOptions = trace.WikibenchOptions
-)
-
-// Trace operation types.
-const (
-	OpGet = trace.OpGet
-	OpPut = trace.OpPut
 )
 
 // Workload constructors.
@@ -512,12 +219,10 @@ const (
 var (
 	NewCatalog         = trace.NewCatalog
 	GenerateTrace      = trace.Generate
-	GenerateMixedTrace = trace.GenerateMixed
 	RescaleTrace       = trace.Rescale
 	SummarizeTrace     = trace.Summarize
 	PaperSchedule      = trace.PaperSchedule
 	WikipediaLikeSizes = trace.WikipediaLikeSizes
-	ParetoSizes        = trace.ParetoSizes
 	WriteTrace         = trace.Write
 	ReadTrace          = trace.Read
 	ParseWikibench     = trace.ParseWikibench
@@ -531,36 +236,17 @@ type (
 	// endpoint: a Schedule of Poisson arrival phases, the ingest wire
 	// mode, and an independent predict-probe stream.
 	LoadConfig = load.Config
-	// LoadReport is the measured outcome: achieved obs/sec, predict QPS,
-	// and client-observed latency percentiles per stream.
-	LoadReport = load.Report
-	// LoadStreamReport summarizes one request stream.
-	LoadStreamReport = load.StreamReport
-	// LoadPhaseReport is the per-phase arrival accounting.
-	LoadPhaseReport = load.PhaseReport
 )
 
 // Ingest wire modes accepted by LoadConfig.Mode and negotiated by /ingest.
 const (
-	LoadModeJSON   = load.ModeJSON
 	LoadModeNDJSON = load.ModeNDJSON
-
-	// IngestContentTypeJSON and IngestContentTypeNDJSON are the media
-	// types the serving tier negotiates on POST /ingest.
-	IngestContentTypeJSON   = ingest.ContentTypeJSON
-	IngestContentTypeNDJSON = ingest.ContentTypeNDJSON
 )
 
 var (
 	// RunLoad executes an open-loop run and blocks until the schedule
 	// finishes and in-flight requests drain.
 	RunLoad = load.Run
-	// LoadSyntheticSource generates steady-workload observation batches
-	// for throughput-only runs.
-	LoadSyntheticSource = load.SyntheticSource
-	// EncodeObservationsNDJSON writes a batch in the streaming /ingest
-	// wire format, one JSON observation per line.
-	EncodeObservationsNDJSON = ingest.EncodeNDJSON
 )
 
 // ---------------------------------------------------------------------------
@@ -572,63 +258,31 @@ type (
 	ScenarioConfig = experiments.ScenarioConfig
 	// ScenarioResult holds observed and predicted percentiles per step.
 	ScenarioResult = experiments.ScenarioResult
-	// StepResult is one rate step.
-	StepResult = experiments.StepResult
 	// SweepData is a captured rate sweep (measurement windows plus
 	// calibrated device properties), re-evaluable without re-simulating.
 	SweepData = experiments.SweepData
-	// Fig5Config and Fig5Result drive the disk-fitting experiment.
-	Fig5Config = experiments.Fig5Config
-	Fig5Result = experiments.Fig5Result
-	// Variant and AblationResult drive the modeling-choice ablations.
-	Variant        = experiments.Variant
-	AblationResult = experiments.AblationResult
-	// ArchComparisonConfig and ArchComparisonResult drive the
-	// event-driven vs thread-per-connection experiment.
-	ArchComparisonConfig = experiments.ArchComparisonConfig
-	ArchComparisonResult = experiments.ArchComparisonResult
-	// WriteSensitivityConfig/Result test the read-heavy assumption;
-	// WorkloadIndependenceConfig/Result test calibration portability.
-	WriteSensitivityConfig     = experiments.WriteSensitivityConfig
-	WriteSensitivityResult     = experiments.WriteSensitivityResult
-	WorkloadIndependenceConfig = experiments.WorkloadIndependenceConfig
-	WorkloadIndependenceResult = experiments.WorkloadIndependenceResult
-	// MeanVsPercentileConfig/Result drive the §I motivation experiment
-	// (equal means, divergent percentiles).
-	MeanVsPercentileConfig = experiments.MeanVsPercentileConfig
-	MeanVsPercentileResult = experiments.MeanVsPercentileResult
-	// CodedResult and CodedStepResult hold a coded-read sweep: observed
-	// vs order-statistic-predicted SLA fractions per rate step.
-	CodedResult     = experiments.CodedResult
-	CodedStepResult = experiments.CodedStepResult
+	// Variant is one modeling choice of an ablation.
+	Variant = experiments.Variant
 )
 
 // Experiment drivers.
 var (
-	ScenarioS1    = experiments.DefaultS1
-	ScenarioS16   = experiments.DefaultS16
-	RunScenario   = experiments.RunScenario
-	RunSweep      = experiments.RunSweep
-	EvaluateSweep = experiments.EvaluateSweep
-	// EvaluateSweepContext is the cancellable re-evaluation: ctx is
-	// observed between sweep steps and inside each step's inversions.
-	EvaluateSweepContext = experiments.EvaluateSweepContext
-	// QuantileSweep evaluates the model's p-quantile over every window of
-	// a captured sweep, warm-starting each step's bracketed root search
-	// from the previous step's quantile.
-	QuantileSweep        = experiments.QuantileSweep
-	QuantileSweepContext = experiments.QuantileSweepContext
-	RunFig5              = experiments.RunFig5
-	DefaultFig5          = experiments.DefaultFig5
-	RunAblation          = experiments.RunAblation
-	BuildSystemModel     = experiments.BuildSystemModel
-	CalibrateDevice      = experiments.Calibrate
-	RenderTable1         = experiments.RenderTable1
-	RenderTable2         = experiments.RenderTable2
-	WTAVariants          = experiments.WTAVariants
-	DiskQueueVariants    = experiments.DiskQueueVariants
-	CompoundVariants     = experiments.CompoundVariants
-	InverterVariants     = experiments.InverterVariants
+	ScenarioS1        = experiments.DefaultS1
+	ScenarioS16       = experiments.DefaultS16
+	RunScenario       = experiments.RunScenario
+	RunSweep          = experiments.RunSweep
+	EvaluateSweep     = experiments.EvaluateSweep
+	RunFig5           = experiments.RunFig5
+	DefaultFig5       = experiments.DefaultFig5
+	RunAblation       = experiments.RunAblation
+	BuildSystemModel  = experiments.BuildSystemModel
+	CalibrateDevice   = experiments.Calibrate
+	RenderTable1      = experiments.RenderTable1
+	RenderTable2      = experiments.RenderTable2
+	WTAVariants       = experiments.WTAVariants
+	DiskQueueVariants = experiments.DiskQueueVariants
+	CompoundVariants  = experiments.CompoundVariants
+	InverterVariants  = experiments.InverterVariants
 
 	DefaultArchComparison = experiments.DefaultArchComparison
 	RunArchComparison     = experiments.RunArchComparison
@@ -640,31 +294,13 @@ var (
 
 	DefaultMeanVsPercentile = experiments.DefaultMeanVsPercentile
 	RunMeanVsPercentile     = experiments.RunMeanVsPercentile
-
-	// Coded-read validation: drive a striped sweep through the simulator
-	// and score the order-statistic model against it.
-	RunCodedScenario       = experiments.RunCodedScenario
-	EvaluateCodedSweep     = experiments.EvaluateCodedSweep
-	EvaluateCodedSweepCtx  = experiments.EvaluateCodedSweepContext
-	BuildCodedSystemModel  = experiments.BuildCodedSystemModel
-	CodedSpecFromSimConfig = experiments.CodedSpecFromConfig
 )
 
 // ---------------------------------------------------------------------------
 // Online statistics.
 
-// Statistics types; see internal/stats.
-type (
-	// LatencyHistogram is a log-bucketed histogram with quantile queries.
-	LatencyHistogram = stats.Histogram
-	// StatSummary accumulates streaming mean/variance/extremes.
-	StatSummary = stats.Summary
-)
-
 // Statistics constructors.
 var (
-	NewLatencyHistogram = stats.NewLatencyHistogram
-	NewHistogram        = stats.NewHistogram
 	// WilsonInterval is the binomial proportion confidence interval used
 	// for observed SLA-meeting fractions.
 	WilsonInterval = stats.WilsonInterval

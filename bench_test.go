@@ -288,7 +288,7 @@ func BenchmarkModelPrediction(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, sla := range []float64{0.01, 0.05, 0.1} {
-			if p := sys.PercentileMeetingSLA(sla); p < 0 || p > 1 {
+			if p := sys.CDF(sla); p < 0 || p > 1 {
 				b.Fatalf("bad prediction %v", p)
 			}
 		}

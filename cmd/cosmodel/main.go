@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -106,10 +107,14 @@ func main() {
 	fmt.Printf("mean response latency: %.3f ms\n", sys.MeanResponse()*1e3)
 	fmt.Println()
 	for _, sla := range bounds {
-		fmt.Printf("P(latency <= %v) = %.4f\n", time.Duration(sla*float64(time.Second)), sys.PercentileMeetingSLA(sla))
+		fmt.Printf("P(latency <= %v) = %.4f\n", time.Duration(sla*float64(time.Second)), sys.CDF(sla))
 	}
 	for _, p := range []float64{0.50, 0.90, 0.95, 0.99} {
-		fmt.Printf("p%.0f latency = %.2f ms\n", p*100, sys.Quantile(p)*1e3)
+		q, err := sys.Quantile(context.Background(), cosmodel.Query{}, p, 0)
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Printf("p%.0f latency = %.2f ms\n", p*100, q*1e3)
 	}
 }
 

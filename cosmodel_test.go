@@ -55,7 +55,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, sla := range simCfg.SLAs {
-		pred := sys.PercentileMeetingSLA(sla)
+		pred := sys.CDF(sla)
 		obs := window.MeetFraction[i]
 		if pred < 0 || pred > 1 {
 			t.Fatalf("prediction %v out of range", pred)
@@ -106,10 +106,10 @@ func TestPublicVariantsOrdering(t *testing.T) {
 	odopr := build(cosmodel.Options{ODOPR: true})
 	nowta := build(cosmodel.Options{WTA: cosmodel.WTANone})
 	for _, sla := range []float64{0.01, 0.05, 0.1} {
-		if odopr.PercentileMeetingSLA(sla) < our.PercentileMeetingSLA(sla)-1e-9 {
+		if odopr.CDF(sla) < our.CDF(sla)-1e-9 {
 			t.Error("ODOPR must be optimistic relative to the full model")
 		}
-		if nowta.PercentileMeetingSLA(sla) < our.PercentileMeetingSLA(sla)-1e-9 {
+		if nowta.CDF(sla) < our.CDF(sla)-1e-9 {
 			t.Error("noWTA must be optimistic relative to the full model")
 		}
 	}

@@ -26,7 +26,13 @@
 //
 // # Quick start
 //
-//	props, _ := cosmodel.FitDeviceProperties(indexSamples, metaSamples, dataSamples, 0.3e-3, 0.5e-3)
+//	props := cosmodel.DeviceProperties{
+//		IndexDisk: cosmodel.NewGammaMeanSCV(9e-3, 0.45),
+//		MetaDisk:  cosmodel.NewGammaMeanSCV(6e-3, 0.50),
+//		DataDisk:  cosmodel.NewGammaMeanSCV(8e-3, 0.40),
+//		ParseFE:   cosmodel.Degenerate{Value: 0.3e-3},
+//		ParseBE:   cosmodel.Degenerate{Value: 0.5e-3},
+//	}
 //	dev, _ := cosmodel.NewDeviceModel(props, cosmodel.OnlineMetrics{
 //		Rate: 80, DataRate: 96,
 //		MissIndex: 0.4, MissMeta: 0.35, MissData: 0.5,
@@ -34,7 +40,16 @@
 //	}, cosmodel.Options{})
 //	fe, _ := cosmodel.NewFrontendModel(320, 12, props.ParseFE)
 //	sys, _ := cosmodel.NewSystemModel(fe, []*cosmodel.DeviceModel{dev}, cosmodel.Options{})
-//	fmt.Printf("P(latency <= 100ms) = %.3f\n", sys.PercentileMeetingSLA(0.100))
+//	fmt.Printf("P(latency <= 100ms) = %.3f\n", sys.CDF(0.100))
+//
+// Every prediction is a Query: a plain read (the zero Query), an (n,k)
+// coded read, or a w-of-n quorum write. Eval answers several over one SLA
+// grid; Quantile inverts one:
+//
+//	ctx := context.Background()
+//	coded := cosmodel.Query{Spec: cosmodel.CodedSpec{N: 6, K: 4}}
+//	grid, _ := sys.Eval(ctx, []float64{0.05, 0.1}, cosmodel.Query{}, coded)
+//	p99, _ := sys.Quantile(ctx, coded, 0.99, 0)
 //
 // See examples/ for runnable programs and cmd/cosbench for the full
 // evaluation harness.

@@ -39,7 +39,7 @@ func ExampleSystemModel() {
 		fmt.Println("error:", err)
 		return
 	}
-	fmt.Printf("P(latency <= 100ms) = %.2f\n", sys.PercentileMeetingSLA(0.100))
+	fmt.Printf("P(latency <= 100ms) = %.2f\n", sys.CDF(0.100))
 	fmt.Printf("utilization = %.2f\n", dev.Utilization())
 	// Output:
 	// P(latency <= 100ms) = 0.91

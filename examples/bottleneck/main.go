@@ -70,7 +70,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("system-wide: P(latency <= %.0fms) = %.4f\n\n", sla*1e3, sys.PercentileMeetingSLA(sla))
+	fmt.Printf("system-wide: P(latency <= %.0fms) = %.4f\n\n", sla*1e3, sys.CDF(sla))
 	diag := sys.Diagnose(sla)
 	if err := cosmodel.RenderDiagnosis(os.Stdout, diag, sla); err != nil {
 		log.Fatal(err)

@@ -118,5 +118,5 @@ func p99(spec cosmodel.CodedSpec, rate float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return sys.CodedQuantileContext(context.Background(), spec, 0.99)
+	return sys.Quantile(context.Background(), cosmodel.Query{Spec: spec}, 0.99, 0)
 }

@@ -51,12 +51,12 @@ func TestSchemeOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	huge, err := sys.CodedQuantileContext(context.Background(),
-		cosmodel.CodedSpec{N: 6, K: 4, Hedge: true, HedgeDelay: 1e6}, 0.99)
+	huge, err := sys.Quantile(context.Background(),
+		cosmodel.Query{Spec: cosmodel.CodedSpec{N: 6, K: 4, Hedge: true, HedgeDelay: 1e6}}, 0.99, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kofk, err := sys.CodedQuantileContext(context.Background(), cosmodel.CodedSpec{N: 4, K: 4}, 0.99)
+	kofk, err := sys.Quantile(context.Background(), cosmodel.Query{Spec: cosmodel.CodedSpec{N: 4, K: 4}}, 0.99, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +74,11 @@ func TestSingleReplicaMatchesPlainQuantile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coded, err := sys.CodedQuantileContext(context.Background(), spec, 0.99)
+	coded, err := sys.Quantile(context.Background(), cosmodel.Query{Spec: spec}, 0.99, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := sys.QuantileContext(context.Background(), 0.99)
+	plain, err := sys.Quantile(context.Background(), cosmodel.Query{}, 0.99, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,7 +90,7 @@ func minimalFleet(props cosmodel.DeviceProperties, rate float64) (int, float64) 
 		if err != nil {
 			log.Fatal(err)
 		}
-		if p := sys.PercentileMeetingSLA(slaLatency); p >= slaTarget {
+		if p := sys.CDF(slaLatency); p >= slaTarget {
 			return devices, p
 		}
 	}
@@ -114,7 +114,7 @@ func minimalFleet(props cosmodel.DeviceProperties, rate float64) (int, float64) 
 	if err != nil {
 		return maxDevices, 0
 	}
-	return maxDevices, sys.PercentileMeetingSLA(slaLatency)
+	return maxDevices, sys.CDF(slaLatency)
 }
 
 func clamp(v float64) float64 {

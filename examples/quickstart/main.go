@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -61,9 +62,13 @@ func main() {
 	fmt.Println("SLA        observed   predicted")
 	for i, sla := range simCfg.SLAs {
 		fmt.Printf("%-9v  %.4f     %.4f\n",
-			time.Duration(sla*float64(time.Second)), window.MeetFraction[i], sys.PercentileMeetingSLA(sla))
+			time.Duration(sla*float64(time.Second)), window.MeetFraction[i], sys.CDF(sla))
 	}
-	fmt.Printf("\npredicted p95 latency: %.1f ms\n", sys.Quantile(0.95)*1e3)
+	p95, err := sys.Quantile(context.Background(), cosmodel.Query{}, 0.95, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\npredicted p95 latency: %.1f ms\n", p95*1e3)
 	fmt.Printf("predicted mean latency: %.1f ms (observed %.1f ms)\n",
 		sys.MeanResponse()*1e3, window.MeanLatency*1e3)
 }

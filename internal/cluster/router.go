@@ -10,7 +10,6 @@ import (
 	"mime"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -135,13 +134,15 @@ func (r *Router) Start() {
 }
 
 // WarmupOnce rebuilds the rate tracker from every reachable shard's
-// /shard/state device rates, taking the per-device maximum across replicas
-// (dual-written replicas should agree; a lagging one under-reports). Only
+// /shard/state device rates, taking each device's read and write rates from
+// the replica reporting the highest read rate (dual-written replicas should
+// agree; a lagging one under-reports). Only
 // devices with no live entries are seeded — forwarded traffic that arrived
 // before the warmup answer always wins. Returns the number of devices
 // seeded. Safe to call at any time; a fully warm tracker makes it a no-op.
 func (r *Router) WarmupOnce(ctx context.Context) int {
 	best := make([]float64, r.cfg.Devices)
+	bestWrites := make([]float64, r.cfg.Devices)
 	for n := range r.cfg.Nodes {
 		st, err := r.client.getState(ctx, n)
 		if err != nil {
@@ -151,12 +152,16 @@ func (r *Router) WarmupOnce(ctx context.Context) int {
 		for d, rate := range st.DeviceRates {
 			if d < len(best) && rate > best[d] {
 				best[d] = rate
+				bestWrites[d] = 0
+				if d < len(st.DeviceWriteRates) {
+					bestWrites[d] = st.DeviceWriteRates[d]
+				}
 			}
 		}
 	}
 	seeded := 0
 	for d, rate := range best {
-		if r.rates.seed(d, rate) {
+		if r.rates.seed(d, rate, bestWrites[d]) {
 			seeded++
 		}
 	}
@@ -188,12 +193,14 @@ func (r *Router) logf(format string, args ...any) {
 type rateEntry struct {
 	interval float64
 	requests uint64
+	writes   uint64
 }
 
-// rateTracker derives per-device request rates from the forwarded ingest
-// stream over a sliding window — the source of the global frontend rate
-// every shard's partial evaluation is built at, and of the lost-rate term
-// that widens degraded confidence bounds.
+// rateTracker derives per-device request and PUT rates from the forwarded
+// ingest stream over a sliding window — the source of the global frontend
+// rate (reads plus writes, as a single engine builds it) every shard's
+// partial evaluation is built at, and of the lost-rate term (reads, the
+// mixture weights) that widens degraded confidence bounds.
 type rateTracker struct {
 	mu      sync.Mutex
 	window  float64
@@ -215,7 +222,7 @@ func (rt *rateTracker) add(o serve.Observation) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	d := o.Device
-	rt.devices[d] = append(rt.devices[d], rateEntry{interval: o.Interval, requests: o.Requests})
+	rt.devices[d] = append(rt.devices[d], rateEntry{interval: o.Interval, requests: o.Requests, writes: o.Writes})
 	rt.spans[d] += o.Interval
 	for len(rt.devices[d]) > 1 &&
 		(rt.spans[d]-rt.devices[d][0].interval >= rt.window || len(rt.devices[d]) > maxRateEntries) {
@@ -228,10 +235,13 @@ func (rt *rateTracker) add(o serve.Observation) {
 // observations yet — the router-restart warm start. Live data always wins:
 // a device that has already accumulated forwarded observations is left
 // untouched, and the synthetic entry ages out of the window like any other
-// as real traffic arrives.
-func (rt *rateTracker) seed(d int, rate float64) bool {
+// as real traffic arrives. An invalid write rate seeds as read-only.
+func (rt *rateTracker) seed(d int, rate, writeRate float64) bool {
 	if !(rate > 0) || math.IsInf(rate, 0) {
 		return false
+	}
+	if !(writeRate > 0) || math.IsInf(writeRate, 0) {
+		writeRate = 0
 	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -241,36 +251,50 @@ func (rt *rateTracker) seed(d int, rate float64) bool {
 	rt.devices[d] = append(rt.devices[d], rateEntry{
 		interval: rt.window,
 		requests: uint64(math.Round(rate * rt.window)),
+		writes:   uint64(math.Round(writeRate * rt.window)),
 	})
 	rt.spans[d] += rt.window
 	return true
 }
 
-func (rt *rateTracker) rateLocked(d int) float64 {
+// ratesLocked returns device d's windowed request and PUT rates.
+func (rt *rateTracker) ratesLocked(d int) (reads, writes float64) {
 	if rt.spans[d] <= 0 {
-		return 0
+		return 0, 0
 	}
-	var reqs uint64
+	var reqs, puts uint64
 	for _, e := range rt.devices[d] {
 		reqs += e.requests
+		puts += e.writes
 	}
-	return float64(reqs) / rt.spans[d]
+	return float64(reqs) / rt.spans[d], float64(puts) / rt.spans[d]
 }
 
+// rate returns device d's windowed request rate.
 func (rt *rateTracker) rate(d int) float64 {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	return rt.rateLocked(d)
+	reads, _ := rt.ratesLocked(d)
+	return reads
 }
 
-func (rt *rateTracker) totalRate() float64 {
+// totals returns the tier-wide request rate and the frontend rate (requests
+// plus PUTs).
+func (rt *rateTracker) totals() (reads, frontend float64) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	total := 0.0
 	for d := range rt.devices {
-		total += rt.rateLocked(d)
+		r, w := rt.ratesLocked(d)
+		reads += r
+		frontend += r + w
 	}
-	return total
+	return reads, frontend
+}
+
+// totalRate returns the tier-wide request rate.
+func (rt *rateTracker) totalRate() float64 {
+	reads, _ := rt.totals()
+	return reads
 }
 
 // ---------------------------------------------------------------------------
@@ -497,7 +521,7 @@ type fanResult struct {
 // the prober), so a shard dying between probe rounds degrades the response
 // instead of erroring it.
 func (r *Router) fanOut(ctx context.Context, slas []float64, factor float64) (fanResult, error) {
-	totalRate := r.rates.totalRate()
+	totalRate, feRate := r.rates.totals()
 	if totalRate <= 0 {
 		return fanResult{}, serve.ErrNotReady
 	}
@@ -517,7 +541,7 @@ func (r *Router) fanOut(ctx context.Context, slas []float64, factor float64) (fa
 			resp, node, err := r.client.postPartial(ctx, g.Chain, serve.PartialRequest{
 				Devices:   g.Devices,
 				SLAs:      slas,
-				TotalRate: totalRate,
+				TotalRate: feRate,
 				Factor:    factor,
 			})
 			results <- call{resp: resp, group: g, node: node, err: err}
@@ -579,6 +603,14 @@ func (r *Router) fanOut(ctx context.Context, slas []float64, factor float64) (fa
 	if err != nil {
 		return fanResult{}, err
 	}
+	if merged.Saturated {
+		// Some slice of the tier has no steady state: like a single
+		// engine, answer that the target will not be met at all rather
+		// than renormalizing over the slices that still answered.
+		for i := range merged.Estimates {
+			merged.Estimates[i], merged.Low[i], merged.High[i] = 0, 0, 0
+		}
+	}
 	res.merged = merged
 	anyDown := false
 	for n := range r.cfg.Nodes {
@@ -625,11 +657,16 @@ type PredictResponse struct {
 }
 
 func (r *Router) handlePredict(w http.ResponseWriter, req *http.Request) {
-	slas, err := r.parsePredict(req)
+	pr, err := serve.ParsePredict(w, req)
 	if err != nil {
-		r.badRequest(w, err)
+		r.parseError(w, err)
 		return
 	}
+	if !pr.Plain() {
+		r.badRequest(w, errNotPlain)
+		return
+	}
+	slas := pr.SLAs
 	if len(slas) == 0 {
 		slas = r.cfg.SLAs
 	}
@@ -670,32 +707,20 @@ func (r *Router) handlePredict(w http.ResponseWriter, req *http.Request) {
 	r.writeJSON(w, http.StatusOK, resp)
 }
 
-// parsePredict extracts the SLA grid, rejecting coded-read queries: the
-// coded CDF is a k-of-n order statistic of the WHOLE mixture — nonlinear in
-// the per-device partials — so a merged answer would be silently wrong.
-// Coded predictions remain a single-engine feature.
-func (r *Router) parsePredict(req *http.Request) ([]float64, error) {
-	switch req.Method {
-	case http.MethodGet:
-		q := req.URL.Query()
-		if q.Get("codedN") != "" || q.Get("codedK") != "" {
-			return nil, fmt.Errorf("%w: coded reads are not supported in cluster mode (the order-statistic CDF does not decompose across shards)", serve.ErrBadQuery)
-		}
-		return parseFloats(q.Get("sla"))
-	case http.MethodPost:
-		var body serve.PredictRequest
-		dec := json.NewDecoder(http.MaxBytesReader(nil, req.Body, 1<<20))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&body); err != nil {
-			return nil, fmt.Errorf("%w: %v", serve.ErrBadQuery, err)
-		}
-		if body.Coded != nil {
-			return nil, fmt.Errorf("%w: coded reads are not supported in cluster mode (the order-statistic CDF does not decompose across shards)", serve.ErrBadQuery)
-		}
-		return body.SLAs, nil
-	default:
-		return nil, fmt.Errorf("%w: GET or POST required", serve.ErrBadQuery)
+// errNotPlain refuses every query but a plain read: a coded read or a
+// quorum write is a k-of-n order statistic of the WHOLE mixture —
+// nonlinear in the per-device partials — so a merged answer would be
+// silently wrong, and tenant state lives on the shards. They remain
+// single-engine features.
+var errNotPlain = fmt.Errorf("%w: cluster mode answers plain reads only (coded and write order statistics do not decompose across shards; tenant queries need a single engine)", serve.ErrBadQuery)
+
+// parseError answers a request serve's parser refused.
+func (r *Router) parseError(w http.ResponseWriter, err error) {
+	if errors.Is(err, serve.ErrMethodNotAllowed) {
+		r.writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "GET or POST required"})
+		return
 	}
+	r.badRequest(w, err)
 }
 
 // ---------------------------------------------------------------------------
@@ -709,40 +734,16 @@ type AdviceResponse struct {
 }
 
 func (r *Router) handleAdvise(w http.ResponseWriter, req *http.Request) {
-	var sla, target float64
-	switch req.Method {
-	case http.MethodGet:
-		q := req.URL.Query()
-		if q.Get("codedN") != "" || q.Get("codedK") != "" {
-			r.badRequest(w, fmt.Errorf("%w: coded reads are not supported in cluster mode", serve.ErrBadQuery))
-			return
-		}
-		var err error
-		if sla, err = parseFloat(q.Get("sla")); err != nil {
-			r.badRequest(w, fmt.Errorf("sla: %w", err))
-			return
-		}
-		if target, err = parseFloat(q.Get("target")); err != nil {
-			r.badRequest(w, fmt.Errorf("target: %w", err))
-			return
-		}
-	case http.MethodPost:
-		var body serve.AdviseRequest
-		dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, 1<<20))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&body); err != nil {
-			r.badRequest(w, fmt.Errorf("%w: %v", serve.ErrBadQuery, err))
-			return
-		}
-		if body.Coded != nil {
-			r.badRequest(w, fmt.Errorf("%w: coded reads are not supported in cluster mode", serve.ErrBadQuery))
-			return
-		}
-		sla, target = body.SLA, body.Target
-	default:
-		r.writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "GET or POST required"})
+	ar, err := serve.ParseAdvise(w, req)
+	if err != nil {
+		r.parseError(w, err)
 		return
 	}
+	if !ar.Plain() {
+		r.badRequest(w, errNotPlain)
+		return
+	}
+	sla, target := ar.SLA, ar.Target
 	if !(sla > 0) || math.IsInf(sla, 0) {
 		r.badRequest(w, fmt.Errorf("%w: SLA %v must be positive and finite", serve.ErrBadQuery, sla))
 		return
@@ -846,30 +847,4 @@ func (r *Router) handleMetricsProm(w http.ResponseWriter, req *http.Request) {
 	if err := r.reg.WritePrometheus(w); err != nil {
 		r.logf("cluster: writing /metrics/prom: %v", err)
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Parsing helpers (mirroring the serve tier's GET conventions).
-
-func parseFloat(s string) (float64, error) {
-	v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-	if err != nil {
-		return 0, fmt.Errorf("%w: %v", serve.ErrBadQuery, err)
-	}
-	return v, nil
-}
-
-func parseFloats(s string) ([]float64, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		v, err := parseFloat(part)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }

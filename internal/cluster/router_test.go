@@ -208,41 +208,102 @@ func ingestTier(t *testing.T, tr *tier, devices int) {
 
 // TestRouterPredictMatchesSingleEngine: the merged cluster prediction is
 // identical (to float rounding) to one engine holding every device — the
-// sharding is invisible when healthy.
+// sharding is invisible when healthy, with and without PUT traffic in the
+// window (the shards' frontend must carry the writes a single engine's
+// does).
 func TestRouterPredictMatchesSingleEngine(t *testing.T) {
 	const devices = 4
-	tr := newTier(t, 3, devices)
-	ingestTier(t, tr, devices)
+	withWrites := ingestBatch(devices)
+	for d := range withWrites {
+		withWrites[d].Writes = withWrites[d].Requests / 10
+		withWrites[d].WriteChunks = withWrites[d].Writes
+	}
+	for name, batch := range map[string][]serve.Observation{
+		"reads":  ingestBatch(devices),
+		"writes": withWrites,
+	} {
+		t.Run(name, func(t *testing.T) {
+			tr := newTier(t, 3, devices)
+			if code := postJSON(t, tr.routerSrv.URL+"/ingest", serve.IngestRequest{Observations: batch}, nil); code != http.StatusOK {
+				t.Fatalf("ingest status %d", code)
+			}
+			ref, err := serve.NewEngine(serve.DefaultConfig(testProps(), devices))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.Ingest(batch); err != nil {
+				t.Fatal(err)
+			}
+			want, err := ref.Predict(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 
+			var got PredictResponse
+			if code := getJSON(t, tr.routerSrv.URL+"/predict", &got); code != http.StatusOK {
+				t.Fatalf("predict status %d", code)
+			}
+			if got.Degraded || len(got.LostDevices) != 0 {
+				t.Fatalf("healthy tier answered degraded: %+v", got)
+			}
+			if len(got.Predictions) != len(want) {
+				t.Fatalf("got %d predictions, want %d", len(got.Predictions), len(want))
+			}
+			for i, p := range got.Predictions {
+				if math.Abs(p.MeetRatio-want[i].MeetRatio) > 1e-9 {
+					t.Errorf("sla %v: cluster %v, single engine %v", p.SLA, p.MeetRatio, want[i].MeetRatio)
+				}
+				if p.Low != p.MeetRatio || p.High != p.MeetRatio {
+					t.Errorf("healthy bounds must collapse: %+v", p)
+				}
+			}
+		})
+	}
+}
+
+// TestRouterSaturatedAnswersZero: a tier with an overloaded device answers
+// like a single engine — the target will not be met at all — instead of
+// renormalizing over the slices that still have a steady state.
+func TestRouterSaturatedAnswersZero(t *testing.T) {
+	const devices = 4
+	tr := newTier(t, 3, devices)
+	batch := ingestBatch(devices)
+	batch[0] = obsAtRate(0, 5000)
+	if code := postJSON(t, tr.routerSrv.URL+"/ingest", serve.IngestRequest{Observations: batch}, nil); code != http.StatusOK {
+		t.Fatalf("ingest status %d", code)
+	}
 	ref, err := serve.NewEngine(serve.DefaultConfig(testProps(), devices))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ref.Ingest(ingestBatch(devices)); err != nil {
+	if err := ref.Ingest(batch); err != nil {
 		t.Fatal(err)
 	}
 	want, err := ref.Predict(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	var got PredictResponse
 	if code := getJSON(t, tr.routerSrv.URL+"/predict", &got); code != http.StatusOK {
 		t.Fatalf("predict status %d", code)
 	}
-	if got.Degraded || len(got.LostDevices) != 0 {
-		t.Fatalf("healthy tier answered degraded: %+v", got)
-	}
-	if len(got.Predictions) != len(want) {
-		t.Fatalf("got %d predictions, want %d", len(got.Predictions), len(want))
+	if !got.Saturated {
+		t.Fatalf("overloaded tier not flagged saturated: %+v", got)
 	}
 	for i, p := range got.Predictions {
-		if math.Abs(p.MeetRatio-want[i].MeetRatio) > 1e-9 {
-			t.Errorf("sla %v: cluster %v, single engine %v", p.SLA, p.MeetRatio, want[i].MeetRatio)
+		if !want[i].Saturated || want[i].MeetRatio != 0 {
+			t.Fatalf("fixture error: single engine answered %+v", want[i])
 		}
-		if p.Low != p.MeetRatio || p.High != p.MeetRatio {
-			t.Errorf("healthy bounds must collapse: %+v", p)
+		if p.MeetRatio != 0 || p.Low != 0 || p.High != 0 || !p.Saturated {
+			t.Errorf("sla %v: saturated tier answered %+v, want 0 like the single engine", p.SLA, p)
 		}
+	}
+	var adv AdviceResponse
+	if code := getJSON(t, tr.routerSrv.URL+"/advise?sla=0.05&target=0.9", &adv); code != http.StatusOK {
+		t.Fatalf("advise status %d", code)
+	}
+	if !adv.Saturated || adv.CurrentMeetRatio != 0 || adv.Admit {
+		t.Errorf("saturated tier advice %+v, want saturated with meet ratio 0", adv)
 	}
 }
 
@@ -301,7 +362,16 @@ func TestRouterSurvivesShardLoss(t *testing.T) {
 func TestRouterLostDevicesWidenBounds(t *testing.T) {
 	const devices = 8
 	tr := newTier(t, 3, devices)
-	ingestTier(t, tr, devices)
+	// Devices 4..7 repeat the rates of devices 0..3: ingestBatch's ramp
+	// puts them at 80..110 req/s, where a device saturates and the whole
+	// tier answers 0 with collapsed bounds.
+	batch := ingestBatch(devices)
+	for d := range batch {
+		batch[d] = obsAtRate(d, 40+10*float64(d%4))
+	}
+	if code := postJSON(t, tr.routerSrv.URL+"/ingest", serve.IngestRequest{Observations: batch}, nil); code != http.StatusOK {
+		t.Fatalf("ingest status %d", code)
+	}
 
 	// Kill both replicas of device 0's chain: device 0 is unreachable.
 	for _, n := range tr.router.topo.ChainFor(0) {
@@ -390,6 +460,31 @@ func TestRouterRejectsCoded(t *testing.T) {
 	}
 	if code := getJSON(t, tr.routerSrv.URL+"/advise?sla=0.05&target=0.9&codedN=6&codedK=4", nil); code != http.StatusBadRequest {
 		t.Errorf("GET coded advise: status %d, want 400", code)
+	}
+	// Quorum writes are order statistics too, and tenant state lives on
+	// the shards: every query but a plain read is refused.
+	for _, path := range []string{
+		"/predict?writeN=3&writeW=2&tenant=gold",
+		"/predict?writeN=3&writeW=2",
+		"/predict?tenant=gold",
+		"/advise?sla=0.05&target=0.9&tenants=gold:3,bronze:1",
+		"/advise?sla=0.05&target=0.9&tenant=gold",
+	} {
+		if code := getJSON(t, tr.routerSrv.URL+path, nil); code != http.StatusBadRequest {
+			t.Errorf("GET %s: status %d, want 400", path, code)
+		}
+	}
+	if code := postJSON(t, tr.routerSrv.URL+"/predict",
+		serve.PredictRequest{Write: &serve.WriteSpec{N: 3, W: 2}}, nil); code != http.StatusBadRequest {
+		t.Errorf("POST write predict: status %d, want 400", code)
+	}
+	if code := postJSON(t, tr.routerSrv.URL+"/advise",
+		serve.AdviseRequest{SLA: 0.05, Target: 0.9, Tenants: map[string]float64{"gold": 3}}, nil); code != http.StatusBadRequest {
+		t.Errorf("POST tenant advise: status %d, want 400", code)
+	}
+	// A plain read still answers.
+	if code := getJSON(t, tr.routerSrv.URL+"/predict?sla=0.05", nil); code != http.StatusOK {
+		t.Errorf("GET plain predict: status %d, want 200", code)
 	}
 }
 

@@ -15,11 +15,11 @@ import (
 func TestRateTrackerSeed(t *testing.T) {
 	rt := newRateTracker(2, 60)
 	for _, bad := range []float64{0, -3, math.NaN(), math.Inf(1)} {
-		if rt.seed(0, bad) {
+		if rt.seed(0, bad, 0) {
 			t.Fatalf("seed accepted rate %v", bad)
 		}
 	}
-	if !rt.seed(0, 40) {
+	if !rt.seed(0, 40, 0) {
 		t.Fatal("seed rejected a valid rate")
 	}
 	if got := rt.rate(0); math.Abs(got-40) > 1e-9 {
@@ -27,7 +27,7 @@ func TestRateTrackerSeed(t *testing.T) {
 	}
 	// A device already holding forwarded observations must be untouched.
 	rt.add(obsAtRate(1, 80))
-	if rt.seed(1, 5) {
+	if rt.seed(1, 5, 0) {
 		t.Fatal("seed overwrote live data")
 	}
 	if got := rt.rate(1); math.Abs(got-80) > 1e-9 {
@@ -35,7 +35,7 @@ func TestRateTrackerSeed(t *testing.T) {
 	}
 	// Re-seeding a seeded device is also a no-op (the synthetic entry
 	// counts as span until it ages out).
-	if rt.seed(0, 999) {
+	if rt.seed(0, 999, 0) {
 		t.Fatal("seed overwrote an earlier seed")
 	}
 }
@@ -114,6 +114,38 @@ func TestRouterWarmupSeedsRestart(t *testing.T) {
 			t.Errorf("sla %v: warmed %v, original %v",
 				p.SLA, p.MeetRatio, want.Predictions[i].MeetRatio)
 		}
+	}
+}
+
+// TestRouterWarmupSeedsWrites: the warm start carries each device's PUT
+// rate too, so a restarted router builds shard frontends at the same
+// read+write rate as the router that saw the traffic.
+func TestRouterWarmupSeedsWrites(t *testing.T) {
+	const devices = 4
+	tr := newTier(t, 3, devices)
+	batch := ingestBatch(devices)
+	for d := range batch {
+		batch[d].Writes = batch[d].Requests / 10
+		batch[d].WriteChunks = batch[d].Writes
+	}
+	if code := postJSON(t, tr.routerSrv.URL+"/ingest", serve.IngestRequest{Observations: batch}, nil); code != http.StatusOK {
+		t.Fatalf("ingest status %d", code)
+	}
+	wantReads, wantFE := tr.router.rates.totals()
+	if !(wantFE > wantReads) {
+		t.Fatalf("original router tracks no writes: reads %v, frontend %v", wantReads, wantFE)
+	}
+	restarted, err := NewRouter(tr.router.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seeded := restarted.WarmupOnce(context.Background()); seeded != devices {
+		t.Fatalf("warmup seeded %d devices, want %d", seeded, devices)
+	}
+	gotReads, gotFE := restarted.rates.totals()
+	// Shards quantize rates over their own window, so allow 1%.
+	if math.Abs(gotReads-wantReads) > 0.01*wantReads || math.Abs(gotFE-wantFE) > 0.01*wantFE {
+		t.Fatalf("warmed rates (%v, %v), want ~(%v, %v)", gotReads, gotFE, wantReads, wantFE)
 	}
 }
 

@@ -114,7 +114,11 @@ func (d Deployment) MeetFractionContext(ctx context.Context, rate, sla float64) 
 	if err != nil {
 		return 0, err
 	}
-	return sys.CDFContext(ctx, sla)
+	out, err := sys.Eval(ctx, []float64{sla})
+	if err != nil {
+		return 0, err
+	}
+	return out[0][0], nil
 }
 
 // MaxAdmissibleRate returns the largest aggregate arrival rate (req/s, to

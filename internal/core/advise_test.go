@@ -74,7 +74,7 @@ func TestDeploymentMatchesExplicitModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, exp := sys.PercentileMeetingSLA(sla), want.PercentileMeetingSLA(sla); math.Abs(got-exp) > 1e-9 {
+	if got, exp := sys.CDF(sla), want.CDF(sla); math.Abs(got-exp) > 1e-9 {
 		t.Errorf("deployment model %v != explicit model %v", got, exp)
 	}
 }

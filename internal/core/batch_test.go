@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"cosmodel/internal/coscode"
 	"cosmodel/internal/numeric"
 )
 
@@ -49,23 +50,24 @@ func TestCDFBatchMatchesScalar(t *testing.T) {
 	for _, n := range []int{1, 2, 5} {
 		sys := buildHeteroSystem(t, n, Options{})
 		ts := batchGrid()
-		got, err := sys.CDFBatchContext(context.Background(), ts)
+		out, err := sys.Eval(context.Background(), ts)
 		if err != nil {
 			t.Fatal(err)
 		}
+		got := out[0]
 		for i, x := range ts {
-			want, err := sys.CDFContext(context.Background(), x)
+			want, err := sys.mixtureCDF(context.Background(), x, modeFull)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if d := math.Abs(got[i] - want); d > 1e-12 {
-				t.Errorf("n=%d CDFBatch(%g) = %v, scalar %v (|Δ| = %g)", n, x, got[i], want, d)
+				t.Errorf("n=%d Eval(%g) = %v, scalar %v (|Δ| = %g)", n, x, got[i], want, d)
 			}
 		}
-		// The context-free wrapper must agree too.
-		for i, v := range sys.CDFBatch(ts) {
-			if v != got[i] {
-				t.Errorf("CDFBatch[%d] = %v != CDFBatchContext %v", i, v, got[i])
+		// The context-free headline wrapper must agree exactly.
+		for i, x := range ts {
+			if v := sys.CDF(x); v != got[i] {
+				t.Errorf("CDF(%g) = %v != Eval %v", x, v, got[i])
 			}
 		}
 	}
@@ -75,27 +77,17 @@ func TestCDFBatchKindsMatchScalar(t *testing.T) {
 	sys := buildHeteroSystem(t, 4, Options{})
 	noWTA := buildHeteroSystem(t, 4, Options{WTA: WTANone})
 	ts := batchGrid()
-	kinds := []BatchKind{BatchFrontend, BatchBackend, BatchNoWTA}
-	grids, err := sys.CDFBatchKindsContext(context.Background(), kinds, ts)
+	grids, err := sys.Eval(context.Background(), ts, Query{}, backendQ, noWTAQ)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, x := range ts {
-		fe, err := sys.CDFContext(context.Background(), x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		be, err := sys.BackendCDFContext(context.Background(), x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ablated, err := noWTA.CDFContext(context.Background(), x)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fe := mustOracle(t, sys, Query{}, x)
+		be := mustOracle(t, sys, backendQ, x)
+		ablated := mustOracle(t, noWTA, Query{}, x)
 		for k, want := range []float64{fe, be, ablated} {
 			if d := math.Abs(grids[k][i] - want); d > 1e-12 {
-				t.Errorf("kind %d at t=%g: batch %v, scalar %v (|Δ| = %g)", k, x, grids[k][i], want, d)
+				t.Errorf("query %d at t=%g: batch %v, scalar %v (|Δ| = %g)", k, x, grids[k][i], want, d)
 			}
 		}
 	}
@@ -103,32 +95,31 @@ func TestCDFBatchKindsMatchScalar(t *testing.T) {
 
 func TestCDFBatchKindsRejectsUnknownKind(t *testing.T) {
 	sys := buildHeteroSystem(t, 1, Options{})
-	_, err := sys.CDFBatchKindsContext(context.Background(), []BatchKind{BatchKind(99)}, []float64{0.01})
-	if !errors.Is(err, ErrBadParams) {
-		t.Fatalf("unknown kind: err = %v, want ErrBadParams", err)
+	for _, q := range []Query{{Tier: Tier(99)}, {Op: Op(99)}, {Tier: Tier(-1)}} {
+		if _, err := sys.Eval(context.Background(), []float64{0.01}, q); !errors.Is(err, ErrBadParams) {
+			t.Errorf("query %+v: err = %v, want ErrBadParams", q, err)
+		}
 	}
 }
 
 func TestCodedCDFBatchMatchesScalar(t *testing.T) {
 	sys := buildHeteroSystem(t, 3, Options{})
 	ts := batchGrid()
-	for _, spec := range []CodedSpec{
+	for _, spec := range []coscode.Spec{
 		{N: 1, K: 1},
 		{N: 3, K: 1},
 		{N: 4, K: 2},
 		{N: 4, K: 2, Hedge: true, HedgeDelay: 0.004},
 	} {
-		got, err := sys.CodedCDFBatchContext(context.Background(), spec, ts)
+		q := Query{Spec: spec}
+		out, err := sys.Eval(context.Background(), ts, q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, x := range ts {
-			want, err := sys.CodedCDFContext(context.Background(), spec, x)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d := math.Abs(got[i] - want); d > 1e-12 {
-				t.Errorf("spec %+v at t=%g: batch %v, scalar %v (|Δ| = %g)", spec, x, got[i], want, d)
+			want := mustOracle(t, sys, q, x)
+			if d := math.Abs(out[0][i] - want); d > 1e-12 {
+				t.Errorf("spec %+v at t=%g: batch %v, scalar %v (|Δ| = %g)", spec, x, out[0][i], want, d)
 			}
 		}
 	}
@@ -136,7 +127,7 @@ func TestCodedCDFBatchMatchesScalar(t *testing.T) {
 
 func TestCodedCDFBatchRejectsBadSpec(t *testing.T) {
 	sys := buildHeteroSystem(t, 1, Options{})
-	if _, err := sys.CodedCDFBatchContext(context.Background(), CodedSpec{N: 2, K: 5}, []float64{0.01}); err == nil {
+	if _, err := sys.Eval(context.Background(), []float64{0.01}, codedQ(2, 5)); err == nil {
 		t.Fatal("k > n spec must be rejected")
 	}
 }
@@ -145,10 +136,10 @@ func TestCDFBatchCancelledContext(t *testing.T) {
 	sys := buildHeteroSystem(t, 4, Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := sys.CDFBatchContext(ctx, batchGrid()); !errors.Is(err, context.Canceled) {
+	if _, err := sys.Eval(ctx, batchGrid()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled batch: err = %v, want context.Canceled", err)
 	}
-	if _, err := sys.CodedCDFBatchContext(ctx, CodedSpec{N: 3, K: 1}, batchGrid()); !errors.Is(err, context.Canceled) {
+	if _, err := sys.Eval(ctx, batchGrid(), codedQ(3, 1)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled coded batch: err = %v, want context.Canceled", err)
 	}
 }
@@ -163,17 +154,17 @@ func TestCDFBatchOpaqueInverterFallback(t *testing.T) {
 	}
 	sys := buildHeteroSystem(t, 3, opts)
 	ts := batchGrid()
-	got, err := sys.CDFBatchContext(context.Background(), ts)
+	out, err := sys.Eval(context.Background(), ts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, x := range ts {
-		want, err := sys.CDFContext(context.Background(), x)
+		want, err := sys.mixtureCDF(context.Background(), x, modeFull)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got[i] != want {
-			t.Errorf("opaque CDFBatch(%g) = %v, scalar %v", x, got[i], want)
+		if out[0][i] != want {
+			t.Errorf("opaque Eval(%g) = %v, scalar %v", x, out[0][i], want)
 		}
 	}
 }
@@ -188,15 +179,16 @@ func TestCDFBatchSteadyStateAllocs(t *testing.T) {
 	}
 	sys := buildHeteroSystem(t, 2, Options{Workers: 1})
 	ts := batchGrid()
-	sys.CDFBatch(ts) // warm the arena pool
+	ctx := context.Background()
+	sys.Eval(ctx, ts) //nolint:errcheck // warms the arena pool
 	allocs := testing.AllocsPerRun(50, func() {
-		sys.CDFBatch(ts)
+		sys.Eval(ctx, ts) //nolint:errcheck // allocation count only
 	})
-	// Output slice, wrapper slices, context plumbing: ~8 fixed
-	// allocations; the concatenated node/weight/sum buffers must all come
-	// from the arena.
+	// Output slices, query and mode descriptors, context plumbing: ~8
+	// fixed allocations; the concatenated node/weight/sum buffers must all
+	// come from the arena.
 	if allocs > 12 {
-		t.Errorf("steady-state CDFBatch allocates %v objects per run", allocs)
+		t.Errorf("steady-state Eval allocates %v objects per run", allocs)
 	}
 }
 
@@ -206,12 +198,12 @@ func TestCDFBatchSteadyStateAllocs(t *testing.T) {
 func TestQuantileSeededMatchesUnseeded(t *testing.T) {
 	sys := buildHeteroSystem(t, 3, Options{})
 	p := 0.95
-	cold, err := sys.QuantileContext(context.Background(), p)
+	cold, err := sys.Quantile(context.Background(), Query{}, p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, seed := range []float64{cold, cold * 1.5, cold / 3, 0} {
-		warm, err := sys.QuantileSeededContext(context.Background(), p, seed)
+		warm, err := sys.Quantile(context.Background(), Query{}, p, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +227,7 @@ func TestQuantileStaircasePlateauTerminates(t *testing.T) {
 		Fallbacks: []numeric.Inverter{}, // keep the script in control
 	}
 	sys := buildSystem(t, 1, opts)
-	q, err := sys.QuantileContext(context.Background(), 0.9)
+	q, err := sys.Quantile(context.Background(), Query{}, 0.9, 0)
 	if err != nil {
 		t.Fatalf("plateau quantile: %v", err)
 	}

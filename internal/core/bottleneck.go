@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"cosmodel/internal/benchkit"
+	"cosmodel/internal/lst"
 )
 
 // DeviceDiagnosis summarizes one device's modeled health — the raw material
@@ -36,7 +37,7 @@ func (s *SystemModel) Diagnose(sla float64) []DeviceDiagnosis {
 	out := make([]DeviceDiagnosis, len(s.devices))
 	totalMisses := 0.0
 	for j, d := range s.devices {
-		miss := d.Rate() * (1 - s.DeviceResponseCDF(j, sla))
+		miss := d.Rate() * (1 - lst.CDF(s.opts.inverter(), s.responses[j], sla))
 		out[j] = DeviceDiagnosis{
 			Device:          j,
 			Rate:            d.Rate(),

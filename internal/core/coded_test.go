@@ -39,18 +39,11 @@ func buildCodedTestSystem(t *testing.T, nDevices int, opts Options) *SystemModel
 // plain backend CDF to within 1e-12 (it runs the identical mixture path).
 func TestCodedBackendN1MatchesBackendCDF(t *testing.T) {
 	sys := buildCodedTestSystem(t, 3, Options{})
-	ctx := context.Background()
 	for _, sla := range []float64{0.005, 0.010, 0.050, 0.100} {
-		want, err := sys.BackendCDFContext(ctx, sla)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := sys.CodedBackendCDFContext(ctx, CodedSpec{N: 1, K: 1}, sla)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := mustOracle(t, sys, backendQ, sla)
+		got := mustEvalAt(t, sys, Query{Tier: TierBackend, Spec: coscode.Spec{N: 1, K: 1}}, sla)
 		if math.Abs(got-want) > 1e-12 {
-			t.Errorf("sla=%v: coded n=1 %v vs BackendCDF %v (diff %g)",
+			t.Errorf("sla=%v: coded n=1 %v vs backend CDF %v (diff %g)",
 				sla, got, want, math.Abs(got-want))
 		}
 	}
@@ -58,16 +51,9 @@ func TestCodedBackendN1MatchesBackendCDF(t *testing.T) {
 
 func TestCodedFrontendN1MatchesCDF(t *testing.T) {
 	sys := buildCodedTestSystem(t, 2, Options{})
-	ctx := context.Background()
 	for _, sla := range []float64{0.010, 0.050, 0.100} {
-		want, err := sys.CDFContext(ctx, sla)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := sys.CodedCDFContext(ctx, CodedSpec{N: 1, K: 1}, sla)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := mustOracle(t, sys, Query{}, sla)
+		got := mustEvalAt(t, sys, codedQ(1, 1), sla)
 		if math.Abs(got-want) > 1e-12 {
 			t.Errorf("sla=%v: coded n=1 %v vs CDF %v", sla, got, want)
 		}
@@ -76,19 +62,12 @@ func TestCodedFrontendN1MatchesCDF(t *testing.T) {
 
 func TestCodedCDFPropertiesAtSystemLevel(t *testing.T) {
 	sys := buildCodedTestSystem(t, 3, Options{})
-	ctx := context.Background()
 	// Monotone in t and bounded, for both tiers.
-	for _, spec := range []CodedSpec{{N: 3, K: 1}, {N: 6, K: 4}, {N: 4, K: 2, Hedge: true, HedgeDelay: 0.01}} {
+	for _, spec := range []coscode.Spec{{N: 3, K: 1}, {N: 6, K: 4}, {N: 4, K: 2, Hedge: true, HedgeDelay: 0.01}} {
 		prevFE, prevBE := 0.0, 0.0
 		for _, tt := range []float64{0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2} {
-			fe, err := sys.CodedCDFContext(ctx, spec, tt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			be, err := sys.CodedBackendCDFContext(ctx, spec, tt)
-			if err != nil {
-				t.Fatal(err)
-			}
+			fe := mustEvalAt(t, sys, Query{Spec: spec}, tt)
+			be := mustEvalAt(t, sys, Query{Tier: TierBackend, Spec: spec}, tt)
 			for _, v := range []float64{fe, be} {
 				if v < 0 || v > 1 || math.IsNaN(v) {
 					t.Fatalf("spec %v t=%v: value %v outside [0,1]", spec, tt, v)
@@ -104,24 +83,15 @@ func TestCodedCDFPropertiesAtSystemLevel(t *testing.T) {
 	// Ordered in k at a fixed probe.
 	prev := 1.0
 	for k := 1; k <= 4; k++ {
-		v, err := sys.CodedCDFContext(ctx, CodedSpec{N: 4, K: k}, 0.05)
-		if err != nil {
-			t.Fatal(err)
-		}
+		v := mustEvalAt(t, sys, codedQ(4, k), 0.05)
 		if v > prev+1e-9 {
 			t.Fatalf("not ordered in k at k=%d: %v > %v", k, v, prev)
 		}
 		prev = v
 	}
 	// Fastest-of-3 stochastically dominates the plain read.
-	plain, err := sys.CDFContext(ctx, 0.02)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := sys.CodedCDFContext(ctx, CodedSpec{N: 3, K: 1}, 0.02)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := mustEvalAt(t, sys, Query{}, 0.02)
+	fast := mustEvalAt(t, sys, codedQ(3, 1), 0.02)
 	if fast < plain-1e-6 {
 		t.Errorf("fastest-of-3 CDF %v below plain CDF %v", fast, plain)
 	}
@@ -129,28 +99,16 @@ func TestCodedCDFPropertiesAtSystemLevel(t *testing.T) {
 
 func TestCodedHedgeEndpointsAtSystemLevel(t *testing.T) {
 	sys := buildCodedTestSystem(t, 3, Options{})
-	ctx := context.Background()
+	hedged := func(delay float64) Query {
+		return Query{Spec: coscode.Spec{N: 3, K: 2, Hedge: true, HedgeDelay: delay}}
+	}
 	for _, tt := range []float64{0.01, 0.05, 0.1} {
-		plain, err := sys.CodedCDFContext(ctx, CodedSpec{N: 3, K: 2}, tt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h0, err := sys.CodedCDFContext(ctx, CodedSpec{N: 3, K: 2, Hedge: true, HedgeDelay: 0}, tt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(plain-h0) > 1e-12 {
+		plain := mustEvalAt(t, sys, codedQ(3, 2), tt)
+		if h0 := mustEvalAt(t, sys, hedged(0), tt); math.Abs(plain-h0) > 1e-12 {
 			t.Errorf("t=%v: hedge Δ=0 %v != plain %v", tt, h0, plain)
 		}
-		kOnly, err := sys.CodedCDFContext(ctx, CodedSpec{N: 2, K: 2}, tt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hInf, err := sys.CodedCDFContext(ctx, CodedSpec{N: 3, K: 2, Hedge: true, HedgeDelay: math.Inf(1)}, tt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(kOnly-hInf) > 1e-12 {
+		kOnly := mustEvalAt(t, sys, codedQ(2, 2), tt)
+		if hInf := mustEvalAt(t, sys, hedged(math.Inf(1)), tt); math.Abs(kOnly-hInf) > 1e-12 {
 			t.Errorf("t=%v: hedge Δ=∞ %v != k-of-k %v", tt, hInf, kOnly)
 		}
 	}
@@ -159,35 +117,31 @@ func TestCodedHedgeEndpointsAtSystemLevel(t *testing.T) {
 func TestCodedQuantileInvertsCodedCDF(t *testing.T) {
 	sys := buildCodedTestSystem(t, 3, Options{})
 	ctx := context.Background()
-	for _, spec := range []CodedSpec{{N: 3, K: 1}, {N: 6, K: 4}} {
+	for _, q := range []Query{codedQ(3, 1), codedQ(6, 4)} {
 		for _, p := range []float64{0.5, 0.9, 0.99} {
-			q, err := sys.CodedQuantileContext(ctx, spec, p)
+			x, err := sys.Quantile(ctx, q, p, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			v, err := sys.CodedCDFContext(ctx, spec, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(v-p) > 1e-3 {
-				t.Errorf("spec %v: CDF(Quantile(%v)=%v) = %v", spec, p, q, v)
+			if v := mustEvalAt(t, sys, q, x); math.Abs(v-p) > 1e-3 {
+				t.Errorf("spec %v: CDF(Quantile(%v)=%v) = %v", q.Spec, p, x, v)
 			}
 		}
 	}
 	// Replication's p99 beats the plain read's p99; a full fork-join
 	// barrier is no faster than its slowest constituent set.
-	p99Plain, err := sys.QuantileContext(ctx, 0.99)
+	p99Plain, err := sys.Quantile(ctx, Query{}, 0.99, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p99Fast, err := sys.CodedQuantileContext(ctx, CodedSpec{N: 3, K: 1}, 0.99)
+	p99Fast, err := sys.Quantile(ctx, codedQ(3, 1), 0.99, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p99Fast > p99Plain+1e-6 {
 		t.Errorf("fastest-of-3 p99 %v above plain p99 %v", p99Fast, p99Plain)
 	}
-	p99Barrier, err := sys.CodedQuantileContext(ctx, CodedSpec{N: 3, K: 3}, 0.99)
+	p99Barrier, err := sys.Quantile(ctx, codedQ(3, 3), 0.99, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,19 +160,18 @@ func TestCodedObserverSpans(t *testing.T) {
 	}}
 	sys := buildCodedTestSystem(t, 3, opts)
 	ctx := context.Background()
-	spec := CodedSpec{N: 3, K: 2}
-	if _, err := sys.CodedCDFContext(ctx, spec, 0.05); err != nil {
+	q := codedQ(3, 2)
+	mustEvalAt(t, sys, q, 0.05)
+	mustEvalAt(t, sys, Query{Tier: TierBackend, Spec: q.Spec}, 0.05)
+	if _, err := sys.Eval(ctx, []float64{0.01, 0.05}, q); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.CodedBackendCDFContext(ctx, spec, 0.05); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.CodedQuantileContext(ctx, spec, 0.9); err != nil {
+	if _, err := sys.Quantile(ctx, q, 0.9, 0); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	for _, op := range []string{"coded_cdf", "coded_backend_cdf", "coded_quantile"} {
+	for _, op := range []string{"coded_cdf", "coded_backend_cdf", "coded_cdf_batch", "coded_quantile"} {
 		e, ok := events[op]
 		if !ok {
 			t.Errorf("no %s span observed", op)
@@ -236,20 +189,20 @@ func TestCodedObserverSpans(t *testing.T) {
 func TestCodedSpecErrorsSurface(t *testing.T) {
 	sys := buildCodedTestSystem(t, 2, Options{})
 	ctx := context.Background()
-	bad := CodedSpec{N: 2, K: 3}
-	if _, err := sys.CodedCDFContext(ctx, bad, 0.05); !errors.Is(err, coscode.ErrBadSpec) {
-		t.Errorf("CodedCDFContext: got %v, want ErrBadSpec", err)
+	bad := coscode.Spec{N: 2, K: 3}
+	if _, err := evalAt(sys, Query{Spec: bad}, 0.05); !errors.Is(err, coscode.ErrBadSpec) {
+		t.Errorf("frontend Eval: got %v, want ErrBadSpec", err)
 	}
-	if _, err := sys.CodedBackendCDFContext(ctx, bad, 0.05); !errors.Is(err, coscode.ErrBadSpec) {
-		t.Errorf("CodedBackendCDFContext: got %v, want ErrBadSpec", err)
+	if _, err := evalAt(sys, Query{Tier: TierBackend, Spec: bad}, 0.05); !errors.Is(err, coscode.ErrBadSpec) {
+		t.Errorf("backend Eval: got %v, want ErrBadSpec", err)
 	}
-	if _, err := sys.CodedQuantileContext(ctx, bad, 0.9); !errors.Is(err, coscode.ErrBadSpec) {
-		t.Errorf("CodedQuantileContext: got %v, want ErrBadSpec", err)
+	if _, err := sys.Quantile(ctx, Query{Spec: bad}, 0.9, 0); !errors.Is(err, coscode.ErrBadSpec) {
+		t.Errorf("Quantile: got %v, want ErrBadSpec", err)
 	}
 	// Cancellation propagates.
 	cctx, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, err := sys.CodedCDFContext(cctx, CodedSpec{N: 3, K: 2}, 0.05); !errors.Is(err, context.Canceled) {
+	if _, err := evalAtContext(cctx, sys, codedQ(3, 2), 0.05); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled context: got %v", err)
 	}
 }
@@ -275,16 +228,10 @@ func TestCodedHomogeneousMixtureCollapses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := CodedSpec{N: 4, K: 2}
+	q := codedQ(4, 2)
 	for _, tt := range []float64{0.01, 0.05} {
-		a, err := one.CodedCDFContext(context.Background(), spec, tt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := many.CodedCDFContext(context.Background(), spec, tt)
-		if err != nil {
-			t.Fatal(err)
-		}
+		a := mustEvalAt(t, one, q, tt)
+		b := mustEvalAt(t, many, q, tt)
 		if math.Abs(a-b) > 1e-12 {
 			t.Errorf("t=%v: homogeneous mixture %v != single %v", tt, b, a)
 		}

@@ -34,30 +34,33 @@ func buildSystem(t *testing.T, n int, opts Options) *SystemModel {
 	return sys
 }
 
-// TestContextFreeAPIEquivalence pins the compatibility contract: the legacy
-// entry points delegate to the context-aware implementations and produce
-// identical values.
+// TestContextFreeAPIEquivalence pins the headline wrapper: CDF delegates
+// to Eval and produces identical values, and a query evaluated alone or
+// inside a wider batch gives the same answer.
 func TestContextFreeAPIEquivalence(t *testing.T) {
 	sys := buildSystem(t, 4, Options{})
-	for _, sla := range []float64{0.01, 0.05, 0.1} {
+	ctx := context.Background()
+	slas := []float64{0.01, 0.05, 0.1}
+	grid, err := sys.Eval(ctx, slas, Query{}, backendQ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sla := range slas {
 		want := sys.CDF(sla)
-		got, err := sys.CDFContext(context.Background(), sla)
-		if err != nil {
-			t.Fatal(err)
+		if got := mustEvalAt(t, sys, Query{}, sla); got != want {
+			t.Errorf("Eval(%v) = %v, CDF = %v", sla, got, want)
 		}
-		if got != want {
-			t.Errorf("CDFContext(%v) = %v, CDF = %v", sla, got, want)
+		if grid[0][i] != want {
+			t.Errorf("batched Eval(%v) = %v, CDF = %v", sla, grid[0][i], want)
 		}
-		wantBE := sys.BackendCDF(sla)
-		gotBE, err := sys.BackendCDFContext(context.Background(), sla)
-		if err != nil || gotBE != wantBE {
-			t.Errorf("BackendCDFContext(%v) = %v (%v), BackendCDF = %v", sla, gotBE, err, wantBE)
+		if got := mustEvalAt(t, sys, backendQ, sla); got != grid[1][i] {
+			t.Errorf("backend Eval(%v) = %v alone, %v batched", sla, got, grid[1][i])
 		}
 	}
-	wantQ := sys.Quantile(0.9)
-	gotQ, err := sys.QuantileContext(context.Background(), 0.9)
-	if err != nil || gotQ != wantQ {
-		t.Errorf("QuantileContext = %v (%v), Quantile = %v", gotQ, err, wantQ)
+	q1, err1 := sys.Quantile(ctx, Query{}, 0.9, 0)
+	q2, err2 := sys.Quantile(ctx, Query{}, 0.9, 0)
+	if err1 != nil || err2 != nil || q1 != q2 {
+		t.Errorf("Quantile not deterministic: %v (%v), %v (%v)", q1, err1, q2, err2)
 	}
 }
 
@@ -65,15 +68,15 @@ func TestCDFContextCancelled(t *testing.T) {
 	sys := buildSystem(t, 4, Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	v, err := sys.CDFContext(ctx, 0.05)
+	out, err := sys.Eval(ctx, []float64{0.05})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want Canceled", err)
 	}
-	if v != 0 {
-		t.Errorf("cancelled evaluation leaked value %v", v)
+	if out != nil {
+		t.Errorf("cancelled evaluation leaked values %v", out)
 	}
-	if _, err := sys.QuantileContext(ctx, 0.9); !errors.Is(err, context.Canceled) {
-		t.Errorf("QuantileContext err = %v", err)
+	if _, err := sys.Quantile(ctx, Query{}, 0.9, 0); !errors.Is(err, context.Canceled) {
+		t.Errorf("Quantile err = %v", err)
 	}
 }
 
@@ -96,7 +99,7 @@ func TestEvalTimeoutBoundsCall(t *testing.T) {
 	}
 	sys := buildSystem(t, 8, opts)
 	start := time.Now()
-	_, err := sys.QuantileContext(context.Background(), 0.99)
+	_, err := sys.Quantile(context.Background(), Query{}, 0.99, 0)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
@@ -125,7 +128,7 @@ func TestFallbackRecoversPoisonedInverter(t *testing.T) {
 		},
 	}
 	sys := buildSystem(t, 2, opts)
-	v, err := sys.CDFContext(context.Background(), 0.05)
+	v, err := evalAt(sys, Query{}, 0.05)
 	if err != nil {
 		t.Fatalf("fallback chain should have recovered: %v", err)
 	}
@@ -154,7 +157,7 @@ func TestDisabledFallbacksSurfaceErrNumerical(t *testing.T) {
 		Fallbacks: []numeric.Inverter{}, // non-nil empty: fallback disabled
 	}
 	sys := buildSystem(t, 2, opts)
-	v, err := sys.CDFContext(context.Background(), 0.05)
+	v, err := evalAt(sys, Query{}, 0.05)
 	if !errors.Is(err, numeric.ErrNumerical) {
 		t.Fatalf("err = %v, want ErrNumerical", err)
 	}
@@ -168,12 +171,12 @@ func TestDisabledFallbacksSurfaceErrNumerical(t *testing.T) {
 	if math.IsNaN(v) || v != 0 {
 		t.Errorf("poisoned evaluation returned %v, want 0", v)
 	}
-	// The legacy CDF must degrade to 0, never NaN.
+	// The headline CDF must degrade to 0, never NaN.
 	if got := sys.CDF(0.05); got != 0 {
-		t.Errorf("legacy CDF on poisoned model = %v, want 0", got)
+		t.Errorf("CDF on poisoned model = %v, want 0", got)
 	}
-	if q := sys.Quantile(0.9); !math.IsNaN(q) {
-		t.Errorf("legacy Quantile on poisoned model = %v, want NaN", q)
+	if _, err := sys.Quantile(context.Background(), Query{}, 0.9, 0); !errors.Is(err, numeric.ErrNumerical) {
+		t.Errorf("Quantile on poisoned model: err = %v, want ErrNumerical", err)
 	}
 }
 
@@ -203,7 +206,7 @@ func TestQuantileDetectsGrossNonMonotonicity(t *testing.T) {
 		Fallbacks: []numeric.Inverter{}, // keep the script in control
 	}
 	sys := buildSystem(t, 1, opts)
-	_, err := sys.QuantileContext(context.Background(), 0.9)
+	_, err := sys.Quantile(context.Background(), Query{}, 0.9, 0)
 	if !errors.Is(err, numeric.ErrNumerical) {
 		t.Fatalf("err = %v, want ErrNumerical", err)
 	}

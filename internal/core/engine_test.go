@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -75,14 +76,12 @@ func TestEngineMatchesLegacyClosures(t *testing.T) {
 			legacyOpts := v.opts
 			legacyOpts.Inverter = opaqueInverter{numeric.NewEuler()}
 			legacy := engineSystem(t, 3, v.procs, legacyOpts)
-			for _, x := range ts {
-				got, want := engine.CDF(x), legacy.CDF(x)
-				if math.Abs(got-want) > 1e-12 {
-					t.Errorf("CDF(%v): engine %v, legacy %v (diff %g)", x, got, want, got-want)
-				}
-				got, want = engine.BackendCDF(x), legacy.BackendCDF(x)
-				if math.Abs(got-want) > 1e-12 {
-					t.Errorf("BackendCDF(%v): engine %v, legacy %v (diff %g)", x, got, want, got-want)
+			for _, q := range []Query{{}, backendQ} {
+				for _, x := range ts {
+					got, want := mustEvalAt(t, engine, q, x), mustEvalAt(t, legacy, q, x)
+					if math.Abs(got-want) > 1e-12 {
+						t.Errorf("%+v at %v: engine %v, legacy %v (diff %g)", q, x, got, want, got-want)
+					}
 				}
 			}
 		})
@@ -102,8 +101,8 @@ func TestParallelMatchesSequentialCDF(t *testing.T) {
 				if got, want := par.CDF(x), seq.CDF(x); math.Abs(got-want) > 1e-12 {
 					t.Errorf("n=%d workers=%d: CDF(%v) = %v, sequential %v", n, workers, x, got, want)
 				}
-				if got, want := par.BackendCDF(x), seq.BackendCDF(x); math.Abs(got-want) > 1e-12 {
-					t.Errorf("n=%d workers=%d: BackendCDF(%v) = %v, sequential %v", n, workers, x, got, want)
+				if got, want := mustEvalAt(t, par, backendQ, x), mustEvalAt(t, seq, backendQ, x); math.Abs(got-want) > 1e-12 {
+					t.Errorf("n=%d workers=%d: backend Eval(%v) = %v, sequential %v", n, workers, x, got, want)
 				}
 			}
 		}
@@ -156,13 +155,20 @@ func TestQuantileSaturatedReturnsInf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sys.Quantile(0.999999); !math.IsInf(got, 1) {
+	quantile := func(p float64) float64 {
+		q, err := sys.Quantile(context.Background(), Query{}, p, 0)
+		if err != nil {
+			t.Fatalf("Quantile(%v): %v", p, err)
+		}
+		return q
+	}
+	if got := quantile(0.999999); !math.IsInf(got, 1) {
 		t.Errorf("saturated Quantile = %v, want +Inf", got)
 	}
-	if got := sys.Quantile(1); !math.IsInf(got, 1) {
+	if got := quantile(1); !math.IsInf(got, 1) {
 		t.Errorf("Quantile(1) = %v, want +Inf", got)
 	}
-	if got := sys.Quantile(0); got != 0 {
+	if got := quantile(0); got != 0 {
 		t.Errorf("Quantile(0) = %v, want 0", got)
 	}
 }

@@ -97,19 +97,16 @@ func TestSystemBackendCDF(t *testing.T) {
 	}
 	for _, sla := range []float64{0.01, 0.05, 0.1} {
 		want := (a.Rate()*a.BackendCDF(sla) + b.Rate()*b.BackendCDF(sla)) / (a.Rate() + b.Rate())
-		if got := sys.BackendCDF(sla); math.Abs(got-want) > 1e-12 {
+		if got := mustEvalAt(t, sys, backendQ, sla); math.Abs(got-want) > 1e-12 {
 			t.Errorf("backend CDF(%v) = %v, want %v", sla, got, want)
 		}
 		// The backend-tier percentile can only be better than the full
 		// frontend-observed one (which adds Sq and Wa on top).
-		if sys.BackendCDF(sla) < sys.CDF(sla)-1e-9 {
+		if mustEvalAt(t, sys, backendQ, sla) < sys.CDF(sla)-1e-9 {
 			t.Errorf("backend CDF below full CDF at %v", sla)
 		}
 	}
-	if sys.BackendCDF(0) != 0 {
+	if mustEvalAt(t, sys, backendQ, 0) != 0 {
 		t.Error("backend CDF at 0 should be 0")
-	}
-	if sys.BackendPercentileMeetingSLA(0.05) != sys.BackendCDF(0.05) {
-		t.Error("alias mismatch")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -425,24 +426,22 @@ func TestSystemModelMixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	deviceCDF := func(j int, sla float64) float64 { return lst.CDF(inv, sys.responses[j], sla) }
 	for _, sla := range []float64{0.01, 0.05, 0.1} {
-		want := (20*sys.DeviceResponseCDF(0, sla) + 60*sys.DeviceResponseCDF(1, sla)) / 80
+		want := (20*deviceCDF(0, sla) + 60*deviceCDF(1, sla)) / 80
 		if got := sys.CDF(sla); math.Abs(got-want) > 1e-9 {
 			t.Errorf("mixture CDF(%v) = %v, want %v", sla, got, want)
 		}
 	}
 	// The mixture lies between the two device CDFs.
 	sla := 0.05
-	lo := math.Min(sys.DeviceResponseCDF(0, sla), sys.DeviceResponseCDF(1, sla))
-	hi := math.Max(sys.DeviceResponseCDF(0, sla), sys.DeviceResponseCDF(1, sla))
+	lo := math.Min(deviceCDF(0, sla), deviceCDF(1, sla))
+	hi := math.Max(deviceCDF(0, sla), deviceCDF(1, sla))
 	if got := sys.CDF(sla); got < lo-1e-9 || got > hi+1e-9 {
 		t.Errorf("mixture CDF outside device range")
 	}
 	if got := sys.CDF(0); got != 0 {
 		t.Errorf("CDF(0) = %v", got)
-	}
-	if sys.PercentileMeetingSLA(0.05) != sys.CDF(0.05) {
-		t.Error("PercentileMeetingSLA should equal CDF")
 	}
 	if sys.MeanResponse() <= 0 {
 		t.Error("mean response should be positive")
@@ -489,13 +488,16 @@ func TestSystemQuantileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range []float64{0.5, 0.9, 0.99} {
-		q := sys.Quantile(p)
+		q, err := sys.Quantile(context.Background(), Query{}, p, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if got := sys.CDF(q); math.Abs(got-p) > 5e-3 {
 			t.Errorf("CDF(Quantile(%v)) = %v", p, got)
 		}
 	}
-	if sys.Quantile(0) != 0 {
-		t.Error("Quantile(0) should be 0")
+	if q, err := sys.Quantile(context.Background(), Query{}, 0, 0); err != nil || q != 0 {
+		t.Errorf("Quantile(0) = %v, %v; want 0", q, err)
 	}
 }
 

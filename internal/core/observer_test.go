@@ -50,23 +50,30 @@ func TestObserverSpans(t *testing.T) {
 	}
 	e := cdf[0]
 	// testDeployment is homogeneous: 4 devices collapse into 1 group. The
-	// default Euler inverter exposes 27 quadrature nodes.
-	if e.Groups != 1 || e.Nodes != 27 || e.Probes != 0 || e.Err != nil {
+	// default Euler inverter exposes 27 quadrature nodes; one threshold is
+	// one probe.
+	if e.Groups != 1 || e.Nodes != 27 || e.Probes != 1 || e.Err != nil {
 		t.Errorf("cdf event = %+v", e)
 	}
 	if e.Duration <= 0 {
 		t.Errorf("cdf duration = %v", e.Duration)
 	}
 
-	if v, err := sys.BackendCDFContext(nil, 0.050); err != nil || v <= 0 {
-		t.Fatalf("BackendCDF = %v, %v", v, err)
+	if v, err := evalAtContext(nil, sys, backendQ, 0.050); err != nil || v <= 0 {
+		t.Fatalf("backend Eval = %v, %v", v, err)
 	}
 	if got := sink.byOp("backend_cdf"); len(got) != 1 {
 		t.Errorf("backend_cdf events = %d, want 1", len(got))
 	}
+	if _, err := sys.Eval(nil, []float64{0.01, 0.05, 0.1}); err != nil {
+		t.Fatal(err)
+	}
+	if got := sink.byOp("cdf_batch"); len(got) != 1 || got[0].Probes != 3 {
+		t.Errorf("cdf_batch events = %+v, want one with 3 probes", got)
+	}
 
-	if q := sys.Quantile(0.95); q <= 0 {
-		t.Fatalf("Quantile = %v", q)
+	if q, err := sys.Quantile(nil, Query{}, 0.95, 0); err != nil || q <= 0 {
+		t.Fatalf("Quantile = %v, %v", q, err)
 	}
 	qe := sink.byOp("quantile")
 	if len(qe) != 1 {

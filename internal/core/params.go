@@ -216,19 +216,18 @@ type Options struct {
 	// treated as cache hits; only the first data read may touch disk.
 	ODOPR bool
 	// Workers bounds the goroutines the evaluation engine may use when a
-	// system model fans its device mixture out (see SystemModel.CDF).
+	// system model fans its device mixture out (see SystemModel.Eval).
 	// 0 uses the process-wide shared pool sized to GOMAXPROCS; 1 forces
 	// fully sequential evaluation; n > 1 gives the model its own pool of
 	// that size.
 	Workers int
 	// EvalTimeout bounds one call of any context-aware entry point
-	// (CDFContext, QuantileContext, MaxAdmissibleRateContext, ...): the
-	// evaluation observes the derived deadline at its internal cancellation
+	// (Eval, Quantile, MaxAdmissibleRateContext, ...): the evaluation
+	// observes the derived deadline at its internal cancellation
 	// checkpoints (between mixture groups, bisection probes and sweep
 	// steps) and returns context.DeadlineExceeded. 0 means no per-call
 	// budget. The context-free API delegates through the same path, so a
-	// nonzero EvalTimeout also bounds CDF, Quantile, MaxAdmissibleRate and
-	// friends.
+	// nonzero EvalTimeout also bounds CDF, MaxAdmissibleRate and friends.
 	EvalTimeout time.Duration
 	// Fallbacks is the inverter chain the guarded evaluation engine tries
 	// when the primary inverter produces an invalid CDF value (NaN, Inf,
@@ -243,11 +242,10 @@ type Options struct {
 	// it to report degraded health.
 	OnFallback func(from, to string)
 	// Observer, when non-nil, receives one EvalEvent per completed
-	// top-level evaluation span (CDFContext, BackendCDFContext,
-	// QuantileContext, MaxAdmissibleRateContext and their context-free
-	// wrappers). Nested spans each fire their own event: an admission
-	// search reports one max_admissible_rate event plus one cdf event per
-	// probe. The callback may run concurrently and must be cheap — it sits
+	// top-level evaluation span (Eval, Quantile, MaxAdmissibleRateContext
+	// and their context-free wrappers). Nested spans each fire their own
+	// event: an admission search reports one max_admissible_rate event plus
+	// one cdf event per probe. The callback may run concurrently and must be cheap — it sits
 	// on the evaluation path.
 	Observer func(EvalEvent)
 	// Pool, when non-nil, is the worker pool the evaluation engine fans
@@ -261,13 +259,11 @@ type Options struct {
 // EvalEvent describes one completed evaluation span for Options.Observer:
 // which entry point ran, how much work it did and how long it took.
 type EvalEvent struct {
-	// Op identifies the entry point: "cdf", "backend_cdf", "cdf_batch",
-	// "quantile", "max_admissible_rate", the coded-read spans
-	// "coded_cdf", "coded_backend_cdf", "coded_cdf_batch" and
-	// "coded_quantile", or the write-path spans "write_cdf",
-	// "write_backend_cdf", "write_cdf_batch" and "write_quantile".
-	// Batched spans cover a whole threshold grid in one event, with
-	// Probes carrying the grid size.
+	// Op identifies the evaluation: "cdf" for one threshold, "cdf_batch"
+	// for a grid, "quantile" for a quantile search, prefixed by the
+	// query's tier ("backend_", "nowta_") and class ("write_" for a write,
+	// "coded_" for a multi-copy read) — e.g. "coded_cdf_batch",
+	// "write_quantile" — or "max_admissible_rate" for an admission search.
 	Op string
 	// Groups is the number of distinct mixture groups the evaluation fans
 	// out over (0 for spans without a single underlying model, like
@@ -276,8 +272,10 @@ type EvalEvent struct {
 	// Nodes is the quadrature node count of the configured inverter (0
 	// when the inverter does not expose its nodes).
 	Nodes int
-	// Probes counts inner CDF evaluations for search spans (quantile
-	// bisection, admission-rate search); 0 for single-shot spans.
+	// Probes counts the mixture thresholds the span evaluated: the grid
+	// size of a plain evaluation, every order-statistic probe of a k-of-n
+	// one, every probe of a quantile search, and the rate probes of an
+	// admission search.
 	Probes int
 	// Duration is the span's wall time.
 	Duration time.Duration

@@ -36,7 +36,7 @@ func TestPercentileDecreasesWithLoad(t *testing.T) {
 		m := testMetrics()
 		m.Rate, m.DataRate = rate, rate*1.2
 		sys := buildSingle(t, m)
-		p := sys.PercentileMeetingSLA(0.05)
+		p := sys.CDF(0.05)
 		if p > prev+1e-9 {
 			t.Errorf("rate %v: percentile %v rose above %v", rate, p, prev)
 		}
@@ -51,7 +51,7 @@ func TestPercentileDecreasesWithMissRatio(t *testing.T) {
 		m := testMetrics()
 		m.MissIndex, m.MissMeta, m.MissData = miss, miss, miss
 		sys := buildSingle(t, m)
-		p := sys.PercentileMeetingSLA(0.05)
+		p := sys.CDF(0.05)
 		if p > prev+1e-9 {
 			t.Errorf("miss %v: percentile %v rose above %v", miss, p, prev)
 		}
@@ -67,7 +67,7 @@ func TestPercentileDecreasesWithChunking(t *testing.T) {
 		m := testMetrics()
 		m.DataRate = m.Rate * factor
 		sys := buildSingle(t, m)
-		p := sys.PercentileMeetingSLA(0.05)
+		p := sys.CDF(0.05)
 		if p > prev+1e-9 {
 			t.Errorf("chunk factor %v: percentile %v rose above %v", factor, p, prev)
 		}
@@ -101,7 +101,7 @@ func TestPercentileIncreasesWithSLA(t *testing.T) {
 		if a > b {
 			a, b = b, a
 		}
-		return sys.PercentileMeetingSLA(b) >= sys.PercentileMeetingSLA(a)-1e-6
+		return sys.CDF(b) >= sys.CDF(a)-1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
@@ -125,8 +125,8 @@ func TestMoreProcessesHelpAtHighLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pSingle := single.PercentileMeetingSLA(0.05)
-	pMulti := multi.PercentileMeetingSLA(0.05)
+	pSingle := single.CDF(0.05)
+	pMulti := multi.CDF(0.05)
 	if !(pMulti > pSingle+0.05) {
 		t.Errorf("16 processes (%v) should clearly beat 1 (%v) near saturation", pMulti, pSingle)
 	}
@@ -138,8 +138,8 @@ func TestFasterDiskHelps(t *testing.T) {
 	slow.DiskMean = 15e-3
 	fast := testMetrics()
 	fast.DiskMean = 5e-3
-	pSlow := buildSingle(t, slow).PercentileMeetingSLA(0.05)
-	pFast := buildSingle(t, fast).PercentileMeetingSLA(0.05)
+	pSlow := buildSingle(t, slow).CDF(0.05)
+	pFast := buildSingle(t, fast).CDF(0.05)
 	if !(pFast > pSlow) {
 		t.Errorf("fast disk %v should beat slow disk %v", pFast, pSlow)
 	}
@@ -151,7 +151,7 @@ func TestZeroMissIsParseBound(t *testing.T) {
 	m := testMetrics()
 	m.MissIndex, m.MissMeta, m.MissData = 0, 0, 0
 	sys := buildSingle(t, m)
-	if p := sys.PercentileMeetingSLA(0.01); p < 0.99 {
+	if p := sys.CDF(0.01); p < 0.99 {
 		t.Errorf("all-cached percentile at 10ms = %v", p)
 	}
 }

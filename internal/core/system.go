@@ -1,10 +1,7 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"math"
 	"sync"
 
 	"cosmodel/internal/lst"
@@ -36,54 +33,34 @@ type mixGroup struct {
 	writeResp   lst.Transform // Wa ∗ Swr, for non-node inverters
 }
 
-// evalMode selects which composition of the per-device factors the
-// shared-subexpression engine inverts.
-type evalMode int
+// shape is one composition of the per-device factors the shared-
+// subexpression engine inverts.
+type shape int
 
 const (
-	// modeFull is the frontend-observed response Sq ∗ Wa ∗ Sbe (Eq. 2).
-	modeFull evalMode = iota
-	// modeBackend is the backend-tier response Sbe alone.
-	modeBackend
-	// modeResponse is the per-read response Wa ∗ Sbe: what one stripe
-	// sub-read of a coded GET experiences after the (shared) frontend
-	// parse, the base CDF of the k-of-n order statistic.
-	modeResponse
-	// modeNoWTA is the frontend-observed response with the accept-waiting
-	// factor dropped, Sq ∗ Sbe — the paper's "noWTA" ablation. Evaluating
-	// it from the full model's per-node factors is exact: a device built
-	// with WTANone computes the identical Sbe pipeline and a unit Wa, and
+	// shapeFull is the frontend-observed response Sq ∗ Wa ∗ S (Eq. 2).
+	shapeFull shape = iota
+	// shapeNoWTA is the frontend-observed response with the accept-waiting
+	// factor dropped, Sq ∗ S — the paper's "noWTA" ablation. Evaluating it
+	// from the full model's per-node factors is exact: a device built with
+	// WTANone computes the identical S pipeline and a unit Wa, and
 	// multiplying by the exact complex 1 changes nothing.
-	modeNoWTA
-	// modeWriteFull is the frontend-observed PUT replica response
-	// Sq ∗ Wa ∗ Swr: what a single-replica write experiences end to end.
-	modeWriteFull
-	// modeWriteResponse is the per-replica PUT response Wa ∗ Swr — what
-	// one replica sub-write experiences after the shared frontend
-	// sojourn, the base CDF of the W-of-N quorum order statistic.
-	modeWriteResponse
-	// modeWriteBackend is the backend-tier PUT replica response Swr.
-	modeWriteBackend
+	shapeNoWTA
+	// shapeResponse is the per-copy response Wa ∗ S: what one stripe
+	// sub-read or replica sub-write experiences after the (shared)
+	// frontend sojourn, the base CDF of the k-of-n order statistic.
+	shapeResponse
+	// shapeBackend is the backend-tier response S alone.
+	shapeBackend
 )
 
-// write reports whether the mode draws on the write-class device factors
-// (DeviceModel.writeNode) instead of the read-class ones; write modes also
-// mix with write-rate weights rather than request-rate weights.
-func (m evalMode) write() bool { return m >= modeWriteFull }
-
-// shape maps a mode onto the composition shape shared with the read
-// family: the write modes compose Sq/Wa/Swr exactly as the corresponding
-// read modes compose Sq/Wa/Sbe.
-func (m evalMode) shape() evalMode {
-	switch m {
-	case modeWriteFull:
-		return modeFull
-	case modeWriteResponse:
-		return modeResponse
-	case modeWriteBackend:
-		return modeBackend
-	}
-	return m
+// evalMode selects the composition the engine inverts and the request
+// class it is taken over: S is the read response Sbe (weighted by request
+// rate) or, for write modes, the PUT replica response Swr (weighted by
+// write rate, so read-only devices drop out of the mixture).
+type evalMode struct {
+	shape shape
+	write bool
 }
 
 // SystemModel combines the frontend model with per-device backend models
@@ -92,15 +69,16 @@ func (m evalMode) shape() evalMode {
 //	Sj  = Sq ∗ Wa_j ∗ Sbe_j        per device j
 //	S(t) = Σ_j r_j·Sj(t) / Σ_j r_j
 //
-// CDF and BackendCDF are evaluated by a shared-subexpression engine: when
-// the configured inverter exposes its quadrature (numeric.NodeInverter, as
-// all built-in inverters do), the frontend factor Sq(s_k) is computed once
-// per inversion node and shared across the whole device mixture, each
-// device's leaf transforms are evaluated once per node
-// (DeviceModel.responseNode), and distinct devices are fanned across a
-// bounded worker pool (Options.Workers) when the mixture is at least
-// minDevicesParallel wide. Results are reduced in device order, so they are
-// deterministic and agree with the sequential path exactly.
+// Every prediction is a Query answered by Eval (or inverted by Quantile)
+// through one shared-subexpression engine: when the configured inverter
+// exposes its quadrature (numeric.NodeInverter, as all built-in inverters
+// do), the frontend factor Sq(s_k) is computed once per inversion node and
+// shared across the whole device mixture, each device's leaf transforms
+// are evaluated once per node (DeviceModel.responseNode), and distinct
+// devices are fanned across a bounded worker pool (Options.Workers) when
+// the mixture is at least minDevicesParallel wide. Results are reduced in
+// device order, so they are deterministic and agree with the sequential
+// path exactly.
 type SystemModel struct {
 	frontend *FrontendModel
 	devices  []*DeviceModel
@@ -114,8 +92,8 @@ type SystemModel struct {
 	totalWriteRate float64
 	nodeCount      int // quadrature nodes of the configured inverter, for spans
 
-	// Discretized frontend-sojourn distribution for coded-read
-	// evaluation, built lazily by frontendGrid.
+	// Discretized frontend-sojourn distribution for multi-copy queries,
+	// built lazily by frontendGrid.
 	feGridOnce sync.Once
 	fePoints   []float64
 	feMasses   []float64
@@ -186,71 +164,18 @@ func (s *SystemModel) Frontend() *FrontendModel { return s.frontend }
 // Devices returns the device models.
 func (s *SystemModel) Devices() []*DeviceModel { return s.devices }
 
-// DeviceResponseCDF evaluates device j's frontend-observed response CDF.
-func (s *SystemModel) DeviceResponseCDF(j int, t float64) float64 {
-	return lst.CDF(s.opts.inverter(), s.responses[j], t)
-}
-
-// CDF evaluates the system response-latency CDF at t: the rate-weighted
-// mixture over devices (Eq. 3). It delegates to CDFContext with a
-// background context; an evaluation that fails numerically even after the
-// fallback chain reports 0 (the pre-guard behaviour was an arbitrary
-// clamped value; 0 is the conservative end of the clamp).
-func (s *SystemModel) CDF(t float64) float64 {
-	v, _ := s.CDFContext(context.Background(), t)
-	return v
-}
-
-// CDFContext evaluates the system CDF at t under ctx: cancellation is
-// observed between mixture groups, Options.EvalTimeout bounds the call, and
-// every per-group inversion is validated — an invalid value (NaN, Inf, far
-// outside [0,1]) retries through Options.Fallbacks before surfacing as
-// numeric.ErrNumerical. On error the returned value is 0.
-func (s *SystemModel) CDFContext(ctx context.Context, t float64) (float64, error) {
-	ctx, cancel := s.opts.EvalContext(ctx)
-	defer cancel()
-	done := s.beginSpan("cdf")
-	v, err := s.mixtureCDF(ctx, t, modeFull)
-	done(0, err)
-	return v, err
-}
-
-// PercentileMeetingSLA predicts the fraction of requests whose response
-// latency is at most sla seconds — the paper's headline output.
-func (s *SystemModel) PercentileMeetingSLA(sla float64) float64 {
-	return s.CDF(sla)
-}
-
-// BackendCDF evaluates the backend-tier response-latency CDF at t: the
-// rate-weighted mixture of per-device Sbe distributions, without frontend
-// queueing or WTA. The paper's testbed counts SLA compliance at both tiers;
-// this is the backend-tier prediction.
-func (s *SystemModel) BackendCDF(t float64) float64 {
-	v, _ := s.BackendCDFContext(context.Background(), t)
-	return v
-}
-
-// BackendCDFContext is the context-aware, guarded form of BackendCDF; see
-// CDFContext for the cancellation and fallback semantics.
-func (s *SystemModel) BackendCDFContext(ctx context.Context, t float64) (float64, error) {
-	ctx, cancel := s.opts.EvalContext(ctx)
-	defer cancel()
-	done := s.beginSpan("backend_cdf")
-	v, err := s.mixtureCDF(ctx, t, modeBackend)
-	done(0, err)
-	return v, err
-}
-
 // groupEvaluator builds the raw (unclamped) per-group CDF evaluator at t
 // for one inverter, composing the per-device factors selected by mode.
+// The batch engine shares its quadrature across thresholds itself; this
+// per-threshold form serves the opaque-inverter path and the fallback
+// chain.
 func (s *SystemModel) groupEvaluator(inv numeric.Inverter, t float64, mode evalMode) func(i int) float64 {
 	if ni, ok := inv.(numeric.NodeInverter); ok {
 		// 32 covers every built-in quadrature (Euler 27, Talbot 32,
 		// Gaver-Stehfest 14) without append regrowth.
 		nodes, ws := ni.AppendNodes(make([]complex128, 0, 32), make([]complex128, 0, 32), t)
-		shape, write := mode.shape(), mode.write()
 		var fe []complex128
-		if shape == modeFull || shape == modeNoWTA {
+		if mode.shape == shapeFull || mode.shape == shapeNoWTA {
 			// The frontend sojourn factor is identical across the
 			// mixture: evaluate it once per inversion node.
 			sq := s.frontend.Sojourn().F
@@ -264,12 +189,12 @@ func (s *SystemModel) groupEvaluator(inv numeric.Inverter, t float64, mode evalM
 			var sum float64
 			for k, sk := range nodes {
 				var wa, resp complex128
-				if write {
+				if mode.write {
 					wa, resp = dev.writeNode(sk)
 				} else {
 					wa, resp = dev.responseNode(sk)
 				}
-				sum += real(ws[k] * (nodeValue(shape, fe, k, wa, resp) / sk))
+				sum += real(ws[k] * (nodeValue(mode.shape, fe, k, wa, resp) / sk))
 			}
 			return sum
 		}
@@ -284,15 +209,14 @@ func (s *SystemModel) groupEvaluator(inv numeric.Inverter, t float64, mode evalM
 
 // nodeValue composes the per-device node factors (wa, sbe — or the write
 // pair wa, swr, which shares the same shapes) and the shared frontend
-// factor fe[k] into the transform value mode selects. Callers pass the
-// mode's shape() so the write family reuses the read compositions.
-func nodeValue(mode evalMode, fe []complex128, k int, wa, sbe complex128) complex128 {
-	switch mode {
-	case modeFull:
+// factor fe[k] into the transform value sh selects.
+func nodeValue(sh shape, fe []complex128, k int, wa, sbe complex128) complex128 {
+	switch sh {
+	case shapeFull:
 		return fe[k] * wa * sbe
-	case modeNoWTA:
+	case shapeNoWTA:
 		return fe[k] * sbe
-	case modeResponse:
+	case shapeResponse:
 		return wa * sbe
 	default:
 		return sbe
@@ -302,36 +226,29 @@ func nodeValue(mode evalMode, fe []complex128, k int, wa, sbe complex128) comple
 // groupTransform picks group i's composed transform for mode — the opaque
 // (non-node) inverter path.
 func (s *SystemModel) groupTransform(i int, mode evalMode) lst.Transform {
+	g := &s.groups[i]
 	switch mode {
-	case modeFull:
-		return s.groups[i].response
-	case modeNoWTA:
-		return s.groups[i].noWTA
-	case modeResponse:
-		return s.groups[i].beResp
-	case modeWriteFull:
-		return s.groups[i].writeFull
-	case modeWriteResponse:
-		return s.groups[i].writeResp
-	case modeWriteBackend:
-		return s.groups[i].dev.WriteResponse()
+	case evalMode{shape: shapeFull}:
+		return g.response
+	case evalMode{shape: shapeNoWTA}:
+		return g.noWTA
+	case evalMode{shape: shapeResponse}:
+		return g.beResp
+	case evalMode{shape: shapeBackend}:
+		return g.dev.Backend()
+	case evalMode{shape: shapeFull, write: true}:
+		return g.writeFull
+	case evalMode{shape: shapeResponse, write: true}:
+		return g.writeResp
 	default:
-		return s.groups[i].dev.Backend()
+		return g.dev.WriteResponse()
 	}
 }
 
-// groupCDF evaluates one mixture group with the primary evaluator and
-// validates the result, walking the fallback inverter chain on an invalid
-// value. A recovered value fires Options.OnFallback; exhaustion returns a
-// *numeric.InversionError.
-func (s *SystemModel) groupCDF(eval func(int) float64, i int, t float64, mode evalMode) (float64, error) {
-	return s.groupCDFFrom(eval(i), i, t, mode)
-}
-
-// groupCDFFrom validates a raw per-group inversion value computed elsewhere
-// (the scalar evaluator or the batched traversal) and walks the fallback
-// chain on an invalid one — the shared tail of groupCDF.
-func (s *SystemModel) groupCDFFrom(v float64, i int, t float64, mode evalMode) (float64, error) {
+// groupCDF validates a raw per-group inversion value and walks the fallback
+// inverter chain on an invalid one. A recovered value fires
+// Options.OnFallback; exhaustion returns a *numeric.InversionError.
+func (s *SystemModel) groupCDF(v float64, i int, t float64, mode evalMode) (float64, error) {
 	reason := numeric.CheckCDF(v)
 	if reason == "" {
 		return numeric.Clamp01(v), nil
@@ -355,154 +272,6 @@ func (s *SystemModel) groupCDFFrom(v float64, i int, t float64, mode evalMode) (
 	return 0, &numeric.InversionError{T: t, Value: v, Reason: reason, Tried: tried}
 }
 
-// mixtureCDF evaluates the rate-weighted mixture CDF at t under ctx.
-// Narrow mixtures run inline through a nil pool — same panic capture and
-// cancellation checks, no goroutine hand-off.
-func (s *SystemModel) mixtureCDF(ctx context.Context, t float64, mode evalMode) (float64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	if t <= 0 {
-		return 0, nil
-	}
-	write := mode.write()
-	denom := s.totalRate
-	if write {
-		if s.totalWriteRate <= 0 {
-			return 0, fmt.Errorf("%w: no write traffic in the device mixture", ErrBadParams)
-		}
-		denom = s.totalWriteRate
-	}
-	eval := s.groupEvaluator(s.opts.inverter(), t, mode)
-	res := make([]float64, len(s.groups))
-	run := func(i int) error {
-		weight := s.groups[i].weight
-		if write {
-			// Read-only devices carry no write traffic: zero weight,
-			// nothing to evaluate.
-			if weight = s.groups[i].writeWeight; weight == 0 {
-				return nil
-			}
-		}
-		v, err := s.groupCDF(eval, i, t, mode)
-		if err != nil {
-			return err
-		}
-		res[i] = weight * v
-		return nil
-	}
-	pool := s.pool
-	if len(s.groups) < minDevicesParallel {
-		pool = nil
-	}
-	if err := pool.ForEachContext(ctx, len(s.groups), run); err != nil {
-		return 0, err
-	}
-	total := 0.0
-	for _, r := range res {
-		total += r
-	}
-	return numeric.Clamp01(total / denom), nil
-}
-
-// BackendPercentileMeetingSLA predicts the backend-tier fraction of
-// requests meeting the SLA.
-func (s *SystemModel) BackendPercentileMeetingSLA(sla float64) float64 {
-	return s.BackendCDF(sla)
-}
-
-// Quantile returns the latency below which a fraction p of requests
-// complete (numeric inversion of the mixture CDF). It returns +Inf when the
-// quantile exceeds the search ceiling (an effectively saturated model) or
-// when p >= 1, matching lst.Quantile. It delegates to QuantileContext; a
-// numerical failure reports NaN.
-func (s *SystemModel) Quantile(p float64) float64 {
-	v, err := s.QuantileContext(context.Background(), p)
-	if err != nil {
-		return math.NaN()
-	}
-	return v
-}
-
-// QuantileContext is the context-aware quantile: cancellation and the
-// Options.EvalTimeout budget are observed at every probe, each probe runs
-// the guarded mixture evaluation, and the bracketed root finder
-// (numeric.BrentGuarded — false position with a bisection safeguard,
-// replacing the fixed 60-step bisection) additionally detects a grossly
-// non-monotone CDF (a probe at a larger t reporting a value more than
-// numeric.CDFSlack below a probe at a smaller t, or vice versa), returning
-// numeric.ErrNumerical instead of a garbage quantile.
-func (s *SystemModel) QuantileContext(ctx context.Context, p float64) (q float64, err error) {
-	return s.QuantileSeededContext(ctx, p, 0)
-}
-
-// QuantileSeededContext is QuantileContext warm-started from a prior
-// estimate: a positive seed replaces the mean-based initial upper bracket,
-// so a caller sweeping nearby operating points (experiments.QuantileSweep)
-// pays a couple of refinement probes per step instead of a fresh bracket
-// growth. seed <= 0 is identical to QuantileContext.
-func (s *SystemModel) QuantileSeededContext(ctx context.Context, p, seed float64) (q float64, err error) {
-	ctx, cancel := s.opts.EvalContext(ctx)
-	defer cancel()
-	probes := 0
-	done := s.beginSpan("quantile")
-	defer func() { done(probes, err) }()
-	if p <= 0 {
-		return 0, nil
-	}
-	if p >= 1 {
-		return math.Inf(1), nil
-	}
-	hi := seed
-	if !(hi > 0) {
-		hi = s.MeanResponse()
-		if hi <= 0 {
-			hi = 1e-3
-		}
-	}
-	probes++
-	vHi, err := s.mixtureCDF(ctx, hi, modeFull)
-	if err != nil {
-		return 0, err
-	}
-	for vHi < p {
-		hi *= 2
-		if hi > 1e6 {
-			return math.Inf(1), nil
-		}
-		probes++
-		if vHi, err = s.mixtureCDF(ctx, hi, modeFull); err != nil {
-			return 0, err
-		}
-	}
-	f := func(t float64) (float64, error) {
-		probes++
-		v, err := s.mixtureCDF(ctx, t, modeFull)
-		if err != nil {
-			return 0, err
-		}
-		return v - p, nil
-	}
-	q, err = numeric.BrentGuarded(f, 0, -p, hi, vHi-p, 0, numeric.CDFSlack)
-	return q, s.quantileRootErr(err, p, "grossly non-monotone CDF in quantile bisection")
-}
-
-// quantileRootErr maps a root-finder non-monotone abort onto the engine's
-// InversionError shape (preserving the pinned reason strings callers match
-// on); every other error passes through.
-func (s *SystemModel) quantileRootErr(err error, p float64, reason string) error {
-	var nm *numeric.NonMonotoneError
-	if errors.As(err, &nm) {
-		return &numeric.InversionError{
-			T:      nm.X,
-			Value:  nm.F + p,
-			Reason: reason,
-			Tried:  []string{s.opts.inverter().Name()},
-		}
-	}
-	return err
-}
-
 // MeanResponse returns the rate-weighted mean response latency.
 func (s *SystemModel) MeanResponse() float64 {
 	total := 0.0
@@ -512,10 +281,10 @@ func (s *SystemModel) MeanResponse() float64 {
 	return total / s.totalRate
 }
 
-// MeanWriteResponse returns the write-rate-weighted mean frontend-observed
+// meanWriteResponse returns the write-rate-weighted mean frontend-observed
 // PUT replica response latency (Sq ∗ Wa ∗ Swr), or 0 when the mixture
-// carries no write traffic. Quantile searches use it to seed their bracket.
-func (s *SystemModel) MeanWriteResponse() float64 {
+// carries no write traffic.
+func (s *SystemModel) meanWriteResponse() float64 {
 	if s.totalWriteRate <= 0 {
 		return 0
 	}

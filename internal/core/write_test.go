@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"cosmodel/internal/coscode"
 )
 
 // writeTestMetrics is testMetrics plus a write class: a fifth of the read
@@ -64,14 +66,18 @@ func TestOnlineMetricsWriteValidation(t *testing.T) {
 }
 
 func TestWriteSpecValidate(t *testing.T) {
-	for _, sp := range []WriteSpec{{N: 1, W: 1}, {N: 3, W: 2}, {N: 3, W: 3}} {
-		if err := sp.Validate(); err != nil {
-			t.Errorf("%+v: %v", sp, err)
+	for _, q := range []Query{writeQ(1, 1), writeQ(3, 2), writeQ(3, 3), {Op: OpWrite}, {Op: OpWrite, Tier: TierBackend}} {
+		if err := q.Validate(); err != nil {
+			t.Errorf("%+v: %v", q, err)
 		}
 	}
-	for _, sp := range []WriteSpec{{N: 0, W: 0}, {N: 3, W: 0}, {N: 3, W: 4}, {N: -1, W: 1}} {
-		if err := sp.Validate(); err == nil {
-			t.Errorf("%+v: expected validation error", sp)
+	for _, q := range []Query{
+		writeQ(3, 0), writeQ(3, 4), writeQ(-1, 1),
+		{Op: OpWrite, Spec: coscode.Spec{N: 3, K: 2, Hedge: true}},
+		{Op: OpWrite, Tier: TierNoWTA},
+	} {
+		if err := q.Validate(); err == nil {
+			t.Errorf("%+v: expected validation error", q)
 		}
 	}
 }
@@ -88,11 +94,7 @@ func TestWriteCDFN1MatchesPlainWriteCDF(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := sys.WriteCDFContext(ctx, WriteSpec{N: 1, W: 1}, sla)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got-want) > 1e-12 {
+		if got := mustEvalAt(t, sys, writeQ(1, 1), sla); math.Abs(got-want) > 1e-12 {
 			t.Errorf("sla=%v: write n=1 %v vs plain write CDF %v (diff %g)",
 				sla, got, want, math.Abs(got-want))
 		}
@@ -101,10 +103,7 @@ func TestWriteCDFN1MatchesPlainWriteCDF(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotBE, err := sys.WriteBackendCDFContext(ctx, WriteSpec{N: 1, W: 1}, sla)
-		if err != nil {
-			t.Fatal(err)
-		}
+		gotBE := mustEvalAt(t, sys, Query{Op: OpWrite, Tier: TierBackend, Spec: coscode.Spec{N: 1, K: 1}}, sla)
 		if math.Abs(gotBE-wantBE) > 1e-12 {
 			t.Errorf("sla=%v: backend write n=1 %v vs Swr mixture %v", sla, gotBE, wantBE)
 		}
@@ -113,14 +112,10 @@ func TestWriteCDFN1MatchesPlainWriteCDF(t *testing.T) {
 
 func TestWriteCDFProperties(t *testing.T) {
 	sys := buildWriteTestSystem(t, 3, Options{})
-	ctx := context.Background()
-	spec := WriteSpec{N: 3, W: 2}
+	q := writeQ(3, 2)
 	prev := 0.0
 	for _, tt := range []float64{0.005, 0.01, 0.02, 0.05, 0.1, 0.2} {
-		v, err := sys.WriteCDFContext(ctx, spec, tt)
-		if err != nil {
-			t.Fatal(err)
-		}
+		v := mustEvalAt(t, sys, q, tt)
 		if v < 0 || v > 1 {
 			t.Fatalf("t=%v: write CDF %v outside [0,1]", tt, v)
 		}
@@ -129,81 +124,53 @@ func TestWriteCDFProperties(t *testing.T) {
 		}
 		prev = v
 	}
-	if v, err := sys.WriteCDFContext(ctx, spec, 0); err != nil || v != 0 {
+	if v, err := evalAt(sys, q, 0); err != nil || v != 0 {
 		t.Errorf("write CDF at t=0: %v, %v", v, err)
 	}
 	// More acks required -> stochastically slower: W=N lies below W=1 at
 	// every threshold.
 	for _, tt := range []float64{0.01, 0.05, 0.1} {
-		fastest, err := sys.WriteCDFContext(ctx, WriteSpec{N: 3, W: 1}, tt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		barrier, err := sys.WriteCDFContext(ctx, WriteSpec{N: 3, W: 3}, tt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if barrier > fastest+1e-12 {
+		fastest := mustEvalAt(t, sys, writeQ(3, 1), tt)
+		if barrier := mustEvalAt(t, sys, writeQ(3, 3), tt); barrier > fastest+1e-12 {
 			t.Errorf("t=%v: W=3 CDF %v above W=1 CDF %v", tt, barrier, fastest)
 		}
 	}
 }
 
-// The batched write evaluation must agree with per-threshold scalar calls
-// bit-for-bit in the N=1 short-circuit and to within 1e-12 through the
-// record/replay grid path.
+// The batched write evaluation must agree with the scalar reference to
+// within 1e-12, in the N=1 short-circuit and through the record/replay
+// grid path alike.
 func TestWriteCDFBatchMatchesScalar(t *testing.T) {
 	sys := buildWriteTestSystem(t, 3, Options{})
-	ctx := context.Background()
 	ts := []float64{0, 0.005, 0.01, 0.05, 0.1}
-	for _, spec := range []WriteSpec{{N: 1, W: 1}, {N: 3, W: 2}, {N: 3, W: 3}} {
-		batch, err := sys.WriteCDFBatchContext(ctx, spec, ts)
+	for _, q := range []Query{writeQ(1, 1), writeQ(3, 2), writeQ(3, 3)} {
+		out, err := sys.Eval(context.Background(), ts, q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, tt := range ts {
-			want, err := sys.WriteCDFContext(ctx, spec, tt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(batch[i]-want) > 1e-12 {
-				t.Errorf("spec=%+v t=%v: batch %v vs scalar %v", spec, tt, batch[i], want)
+			if want := mustOracle(t, sys, q, tt); math.Abs(out[0][i]-want) > 1e-12 {
+				t.Errorf("spec=%+v t=%v: batch %v vs scalar %v", q.Spec, tt, out[0][i], want)
 			}
 		}
 	}
 }
 
-// BatchWrite through CDFBatchKindsContext equals the {N:1,W:1} write CDF,
-// and mixing read and write kinds in one traversal changes neither.
+// Mixing read and write queries in one traversal changes neither: each
+// matches its own scalar reference.
 func TestBatchKindsWriteFamily(t *testing.T) {
 	sys := buildWriteTestSystem(t, 3, Options{})
-	ctx := context.Background()
 	ts := []float64{0.01, 0.05, 0.1}
-	grids, err := sys.CDFBatchKindsContext(ctx, []BatchKind{BatchFrontend, BatchWrite, BatchWriteBackend}, ts)
+	qs := []Query{{}, writeQ(1, 1), {Op: OpWrite, Tier: TierBackend}}
+	grids, err := sys.Eval(context.Background(), ts, qs...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, tt := range ts {
-		read, err := sys.CDFContext(ctx, tt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(grids[0][i]-read) > 1e-12 {
-			t.Errorf("t=%v: mixed-batch read %v vs scalar %v", tt, grids[0][i], read)
-		}
-		write, err := sys.WriteCDFContext(ctx, WriteSpec{N: 1, W: 1}, tt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(grids[1][i]-write) > 1e-12 {
-			t.Errorf("t=%v: mixed-batch write %v vs scalar %v", tt, grids[1][i], write)
-		}
-		writeBE, err := sys.WriteBackendCDFContext(ctx, WriteSpec{N: 1, W: 1}, tt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(grids[2][i]-writeBE) > 1e-12 {
-			t.Errorf("t=%v: mixed-batch write backend %v vs scalar %v", tt, grids[2][i], writeBE)
+		for k, q := range qs {
+			if want := mustOracle(t, sys, q, tt); math.Abs(grids[k][i]-want) > 1e-12 {
+				t.Errorf("t=%v: mixed-batch %+v %v vs scalar %v", tt, q, grids[k][i], want)
+			}
 		}
 	}
 }
@@ -211,30 +178,26 @@ func TestBatchKindsWriteFamily(t *testing.T) {
 func TestWriteQuantileInvertsCDF(t *testing.T) {
 	sys := buildWriteTestSystem(t, 2, Options{})
 	ctx := context.Background()
-	spec := WriteSpec{N: 3, W: 2}
+	q := writeQ(3, 2)
 	for _, p := range []float64{0.5, 0.9, 0.99} {
-		q, err := sys.WriteQuantileContext(ctx, spec, p)
+		x, err := sys.Quantile(ctx, q, p, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, err := sys.WriteCDFContext(ctx, spec, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(v-p) > 1e-6 {
+		if v := mustEvalAt(t, sys, q, x); math.Abs(v-p) > 1e-6 {
 			t.Errorf("p=%v: CDF(quantile)=%v", p, v)
 		}
 	}
-	if q, err := sys.WriteQuantileContext(ctx, spec, 0); err != nil || q != 0 {
-		t.Errorf("p=0: %v, %v", q, err)
+	if x, err := sys.Quantile(ctx, q, 0, 0); err != nil || x != 0 {
+		t.Errorf("p=0: %v, %v", x, err)
 	}
-	if q, err := sys.WriteQuantileContext(ctx, spec, 1); err != nil || !math.IsInf(q, 1) {
-		t.Errorf("p=1: %v, %v", q, err)
+	if x, err := sys.Quantile(ctx, q, 1, 0); err != nil || !math.IsInf(x, 1) {
+		t.Errorf("p=1: %v, %v", x, err)
 	}
 }
 
-// A read-only mixture has no write traffic to model: write-mode entry
-// points must reject it rather than divide by a zero rate.
+// A read-only mixture has no write traffic to model: write queries must
+// reject it rather than divide by a zero rate.
 func TestWriteCDFRejectsReadOnlyMixture(t *testing.T) {
 	d, err := NewDeviceModel(testProps(), testMetrics(), Options{})
 	if err != nil {
@@ -248,15 +211,13 @@ func TestWriteCDFRejectsReadOnlyMixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	if _, err := sys.WriteCDFContext(ctx, WriteSpec{N: 1, W: 1}, 0.05); !errors.Is(err, ErrBadParams) {
-		t.Errorf("scalar: want ErrBadParams, got %v", err)
+	for _, q := range []Query{writeQ(1, 1), writeQ(3, 2), {Op: OpWrite, Tier: TierBackend}} {
+		if _, err := evalAt(sys, q, 0.05); !errors.Is(err, ErrBadParams) {
+			t.Errorf("%+v: want ErrBadParams, got %v", q, err)
+		}
 	}
-	if _, err := sys.WriteCDFBatchContext(ctx, WriteSpec{N: 1, W: 1}, []float64{0.05}); !errors.Is(err, ErrBadParams) {
-		t.Errorf("batch: want ErrBadParams, got %v", err)
-	}
-	if _, err := sys.CDFBatchKindsContext(ctx, []BatchKind{BatchWrite}, []float64{0.05}); !errors.Is(err, ErrBadParams) {
-		t.Errorf("batch kinds: want ErrBadParams, got %v", err)
+	if _, err := sys.Eval(context.Background(), []float64{0.05}, Query{}, writeQ(1, 1)); !errors.Is(err, ErrBadParams) {
+		t.Errorf("mixed read/write: want ErrBadParams, got %v", err)
 	}
 }
 
@@ -285,16 +246,9 @@ func TestWriteMixtureSkipsReadOnlyDevices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
 	for _, tt := range []float64{0.01, 0.05, 0.1} {
-		got, err := mixed.WriteCDFContext(ctx, WriteSpec{N: 1, W: 1}, tt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := alone.WriteCDFContext(ctx, WriteSpec{N: 1, W: 1}, tt)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := mustEvalAt(t, mixed, writeQ(1, 1), tt)
+		want := mustEvalAt(t, alone, writeQ(1, 1), tt)
 		if math.Abs(got-want) > 1e-12 {
 			t.Errorf("t=%v: mixed-fleet write CDF %v vs writer-only %v", tt, got, want)
 		}
@@ -320,7 +274,6 @@ func TestWriteLoadInflatesReadLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
 	for _, tt := range []float64{0.02, 0.05, 0.1} {
 		sysL, err := NewSystemModel(fe, []*DeviceModel{loaded}, opts)
 		if err != nil {
@@ -330,14 +283,8 @@ func TestWriteLoadInflatesReadLatency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vl, err := sysL.CDFContext(ctx, tt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vq, err := sysQ.CDFContext(ctx, tt)
-		if err != nil {
-			t.Fatal(err)
-		}
+		vl := mustEvalAt(t, sysL, Query{}, tt)
+		vq := mustEvalAt(t, sysQ, Query{}, tt)
 		if vl >= vq {
 			t.Errorf("t=%v: loaded read CDF %v not below quiet %v", tt, vl, vq)
 		}
@@ -362,13 +309,9 @@ func TestWriteModelMultiProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
 	prev := 0.0
 	for _, tt := range []float64{0.01, 0.05, 0.1, 0.3} {
-		v, err := sys.WriteCDFContext(ctx, WriteSpec{N: 3, W: 2}, tt)
-		if err != nil {
-			t.Fatal(err)
-		}
+		v := mustEvalAt(t, sys, writeQ(3, 2), tt)
 		if v < prev-1e-12 || v < 0 || v > 1 {
 			t.Fatalf("t=%v: write CDF %v (prev %v)", tt, v, prev)
 		}

@@ -63,7 +63,7 @@ func RunAblation(name string, sc ScenarioConfig, variants []Variant) (*AblationR
 			}
 			p[v] = make([]float64, len(res.SLAs))
 			for i, sla := range res.SLAs {
-				p[v][i] = sys.PercentileMeetingSLA(sla)
+				p[v][i] = sys.CDF(sla)
 			}
 		}
 		preds[w] = p

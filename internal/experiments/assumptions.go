@@ -105,7 +105,7 @@ func RunWriteSensitivity(cfg WriteSensitivityConfig) (*WriteSensitivityResult, e
 		if err == nil {
 			total := 0.0
 			for j, sla := range res.SLAs {
-				pt.Predicted[j] = sys.PercentileMeetingSLA(sla)
+				pt.Predicted[j] = sys.CDF(sla)
 				total += math.Abs(pt.Predicted[j] - pt.Observed[j])
 			}
 			pt.MeanAbsErr = total / float64(len(res.SLAs))
@@ -233,7 +233,7 @@ func RunWorkloadIndependence(cfg WorkloadIndependenceConfig) (*WorkloadIndepende
 		if err == nil {
 			total := 0.0
 			for j, sla := range res.SLAs {
-				pt.Predicted[j] = sys.PercentileMeetingSLA(sla)
+				pt.Predicted[j] = sys.CDF(sla)
 				total += math.Abs(pt.Predicted[j] - pt.Observed[j])
 			}
 			pt.MeanAbsErr = total / float64(len(res.SLAs))

@@ -6,14 +6,15 @@ import (
 	"math"
 
 	"cosmodel/internal/core"
+	"cosmodel/internal/coscode"
 	"cosmodel/internal/simstore"
 )
 
 // CodedSpecFromConfig derives the analytic coded-read spec from a striped
 // simulator configuration: the stripe is spread over all n = Replicas
 // devices of a partition and completes at the k-th = StripeK sub-read.
-func CodedSpecFromConfig(cfg simstore.Config) core.CodedSpec {
-	return core.CodedSpec{
+func CodedSpecFromConfig(cfg simstore.Config) coscode.Spec {
+	return coscode.Spec{
 		N:          cfg.Replicas,
 		K:          cfg.StripeK,
 		Hedge:      cfg.Hedge,
@@ -46,7 +47,7 @@ type CodedStepResult struct {
 // CodedResult is a full coded-read sweep evaluation.
 type CodedResult struct {
 	Config ScenarioConfig
-	Spec   core.CodedSpec
+	Spec   coscode.Spec
 	SLAs   []float64
 	Steps  []CodedStepResult
 	Props  core.DeviceProperties
@@ -136,7 +137,7 @@ func EvaluateCodedSweepContext(ctx context.Context, sc ScenarioConfig, data *Swe
 
 // evaluateCodedStep turns one measurement window into a CodedStepResult,
 // applying the same overload exclusions as the replication sweep.
-func evaluateCodedStep(ctx context.Context, sc ScenarioConfig, spec core.CodedSpec, props core.DeviceProperties, win simstore.Window, rate float64, base core.Options) (CodedStepResult, error) {
+func evaluateCodedStep(ctx context.Context, sc ScenarioConfig, spec coscode.Spec, props core.DeviceProperties, win simstore.Window, rate float64, base core.Options) (CodedStepResult, error) {
 	nSLA := len(sc.Sim.SLAs)
 	st := CodedStepResult{
 		Rate:      rate,
@@ -171,18 +172,16 @@ func evaluateCodedStep(ctx context.Context, sc ScenarioConfig, spec core.CodedSp
 		st.Reason = err.Error()
 		return st, nil
 	}
-	for i, sla := range sc.Sim.SLAs {
-		p, err := sys.CodedCDFContext(ctx, spec, sla)
-		if err != nil {
-			if ctx.Err() != nil {
-				return st, ctx.Err()
-			}
-			st.Skipped = true
-			st.Reason = err.Error()
-			break
+	ps, err := sys.Eval(ctx, sc.Sim.SLAs, core.Query{Spec: spec})
+	if err != nil {
+		if ctx.Err() != nil {
+			return st, ctx.Err()
 		}
-		st.Predicted[i] = p
+		st.Skipped = true
+		st.Reason = err.Error()
+		return st, nil
 	}
+	copy(st.Predicted, ps[0])
 	return st, nil
 }
 

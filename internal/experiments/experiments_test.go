@@ -338,7 +338,12 @@ func TestPerDevicePredictions(t *testing.T) {
 		if math.IsNaN(obs) {
 			continue
 		}
-		pred := sys.DeviceResponseCDF(d, sla)
+		// Device d's own frontend-observed response: a one-device mixture.
+		one, err := core.NewSystemModel(sys.Frontend(), sys.Devices()[d:d+1], core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pred := one.CDF(sla)
 		if math.Abs(pred-obs) > 0.15 {
 			t.Errorf("device %d: predicted %.3f, observed %.3f", d, pred, obs)
 		}

@@ -127,8 +127,8 @@ func RunMeanVsPercentile(cfg MeanVsPercentileConfig) (*MeanVsPercentileResult, e
 		RateHigh: (lo + hi) / 2,
 	}
 	for _, sla := range cfg.SLAs {
-		res.PercLow = append(res.PercLow, low.PercentileMeetingSLA(sla))
-		res.PercHigh = append(res.PercHigh, high.PercentileMeetingSLA(sla))
+		res.PercLow = append(res.PercLow, low.CDF(sla))
+		res.PercHigh = append(res.PercHigh, high.CDF(sla))
 	}
 	return res, nil
 }

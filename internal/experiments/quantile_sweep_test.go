@@ -32,7 +32,7 @@ func TestQuantileSweepMatchesColdStarts(t *testing.T) {
 			}
 			continue
 		}
-		cold, err := sys.QuantileContext(context.Background(), p)
+		cold, err := sys.Quantile(context.Background(), core.Query{}, p, 0)
 		if err != nil {
 			if !math.IsNaN(got[i]) {
 				t.Errorf("window %d: failed search but sweep quantile %v, want NaN", i, got[i])

@@ -314,15 +314,15 @@ func evaluateStep(ctx context.Context, sc ScenarioConfig, props core.DevicePrope
 	}
 	// The full model's frontend view, backend view and noWTA ablation share
 	// one model build and one batched traversal of the device mixture
-	// (core.CDFBatchKindsContext); the batched noWTA view equals a model
+	// (core.SystemModel.Eval); the batched noWTA view equals a model
 	// built with WTA == WTANone exactly. Only ODOPR — a genuinely different
 	// device pipeline — needs its own build.
 	if sys, err := BuildSystemModel(sc.Sim, props, win, overlayOptions(core.Options{}, base)); err != nil {
 		st.Skipped = true
 		st.Reason = err.Error()
 	} else {
-		kinds := []core.BatchKind{core.BatchFrontend, core.BatchBackend, core.BatchNoWTA}
-		grids, err := sys.CDFBatchKindsContext(ctx, kinds, sc.Sim.SLAs)
+		grids, err := sys.Eval(ctx, sc.Sim.SLAs,
+			core.Query{}, core.Query{Tier: core.TierBackend}, core.Query{Tier: core.TierNoWTA})
 		if err != nil {
 			if ctx.Err() != nil {
 				return st, ctx.Err()
@@ -341,7 +341,7 @@ func evaluateStep(ctx context.Context, sc ScenarioConfig, props core.DevicePrope
 		st.Skipped = true
 		st.Reason = err.Error()
 	} else {
-		ps, err := sys.CDFBatchContext(ctx, sc.Sim.SLAs)
+		ps, err := sys.Eval(ctx, sc.Sim.SLAs)
 		if err != nil {
 			if ctx.Err() != nil {
 				return st, ctx.Err()
@@ -349,7 +349,7 @@ func evaluateStep(ctx context.Context, sc ScenarioConfig, props core.DevicePrope
 			st.Skipped = true
 			st.Reason = err.Error()
 		} else {
-			copy(st.ODOPR, ps)
+			copy(st.ODOPR, ps[0])
 		}
 	}
 	return st, nil
@@ -365,7 +365,7 @@ func QuantileSweep(sc ScenarioConfig, data *SweepData, p float64, overlay ...cor
 // QuantileSweepContext evaluates the full model's p-quantile over every
 // measurement window, sequentially in rate order, warm-starting each step's
 // bracketed root search from the previous step's quantile
-// (core.SystemModel.QuantileSeededContext): adjacent operating points have
+// (the seed of core.SystemModel.Quantile): adjacent operating points have
 // nearby quantiles, so each step refines an inherited bracket in a few
 // probes instead of growing a fresh one from the mean. Steps whose model
 // cannot be built or whose search fails record NaN, mirroring how
@@ -388,7 +388,7 @@ func QuantileSweepContext(ctx context.Context, sc ScenarioConfig, data *SweepDat
 		if err != nil {
 			continue // overloaded or empty window: no quantile, like a skipped step
 		}
-		q, err := sys.QuantileSeededContext(ctx, p, seed)
+		q, err := sys.Quantile(ctx, core.Query{}, p, seed)
 		if err != nil {
 			if ctx.Err() != nil {
 				return out, ctx.Err()

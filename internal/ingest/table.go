@@ -217,21 +217,24 @@ func (t *Table) SnapshotDevices(devs []int) (ms []core.OnlineMetrics, covered in
 	return ms, covered, nil
 }
 
-// DeviceRates returns every device's current windowed request rate (0 for
-// idle devices) — the state a restarted router seeds its rate tracker from.
-func (t *Table) DeviceRates() []float64 {
-	out := make([]float64, t.cfg.Devices)
+// DeviceRates returns every device's current windowed request and PUT
+// replica rates (0 for idle devices) — the state a restarted router seeds
+// its rate tracker from.
+func (t *Table) DeviceRates() (reads, writes []float64) {
+	reads = make([]float64, t.cfg.Devices)
+	writes = make([]float64, t.cfg.Devices)
 	for s := range t.stripes {
 		st := &t.stripes[s]
 		st.mu.Lock()
 		for li := range st.windows {
 			if m, ok := st.windows[li].metrics(t.cfg.Procs); ok {
-				out[li*t.nstripes+s] = m.Rate
+				reads[li*t.nstripes+s] = m.Rate
+				writes[li*t.nstripes+s] = m.WriteRate
 			}
 		}
 		st.mu.Unlock()
 	}
-	return out
+	return reads, writes
 }
 
 // ObservedLatency merges the windowed latency histograms of all devices

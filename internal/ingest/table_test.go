@@ -106,8 +106,10 @@ func TestStripedEquivalence(t *testing.T) {
 		if got, want := striped.Snapshot(), single.Snapshot(); !reflect.DeepEqual(got, want) {
 			t.Errorf("stripes=%d: snapshot diverges from single-lock\n got %+v\nwant %+v", stripes, got, want)
 		}
-		if got, want := striped.DeviceRates(), single.DeviceRates(); !reflect.DeepEqual(got, want) {
-			t.Errorf("stripes=%d: device rates diverge\n got %v\nwant %v", stripes, got, want)
+		gotR, gotW := striped.DeviceRates()
+		wantR, wantW := single.DeviceRates()
+		if !reflect.DeepEqual(gotR, wantR) || !reflect.DeepEqual(gotW, wantW) {
+			t.Errorf("stripes=%d: device rates diverge\n got %v %v\nwant %v %v", stripes, gotR, gotW, wantR, wantW)
 		}
 		gi, gr := striped.Stats()
 		wi, wr := single.Stats()

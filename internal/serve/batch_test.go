@@ -28,12 +28,12 @@ func TestPredictGridMatchesScalarEvaluate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, sla := range eng.cfg.SLAs {
-		v, _, err := eng.evaluate(context.Background(), ms, key, sla, 1)
+		v, _, err := eng.evaluate(context.Background(), ms, key, core.Query{}, 1, []float64{sla})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := math.Abs(preds[i].MeetRatio - v.p); d > 1e-12 {
-			t.Errorf("sla %g: grid %v, scalar %v (|Δ| = %g)", sla, preds[i].MeetRatio, v.p, d)
+		if d := math.Abs(preds[i].MeetRatio - v.ps[0]); d > 1e-12 {
+			t.Errorf("sla %g: grid %v, scalar %v (|Δ| = %g)", sla, preds[i].MeetRatio, v.ps[0], d)
 		}
 	}
 }
@@ -88,11 +88,11 @@ func TestPredictCachedAllocs(t *testing.T) {
 	}
 	ingestAll(t, eng, 50)
 	ctx := context.Background()
-	if _, err := eng.PredictContext(ctx, nil); err != nil {
+	if _, err := eng.PredictContext(ctx, core.Query{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := eng.PredictContext(ctx, nil); err != nil {
+		if _, err := eng.PredictContext(ctx, core.Query{}, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -126,11 +126,11 @@ func TestAdviseValueSearchMatchesBoolean(t *testing.T) {
 	}
 	current := adv.CurrentRate
 	meets := func(ctx context.Context, rate float64) (bool, error) {
-		v, _, err := eng.evaluate(ctx, ms, key, sla, rate/current)
+		v, _, err := eng.evaluate(ctx, ms, key, core.Query{}, rate/current, []float64{sla})
 		if err != nil {
 			return false, err
 		}
-		return !v.saturated && v.p >= target, nil
+		return !v.saturated && v.ps[0] >= target, nil
 	}
 	boolean, err := core.MaxRateWhereContext(context.Background(), meets, current/64, current/200)
 	if err != nil {

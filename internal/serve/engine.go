@@ -149,7 +149,7 @@ func (e *Engine) instrumentEvaluation() {
 		secsName  = "cosserve_model_op_seconds"
 		secsHelp  = "Wall time of model-evaluation spans by operation."
 		probeName = "cosserve_model_probes_total"
-		probeHelp = "Inner CDF evaluations performed by search spans (quantile bisection, admission search)."
+		probeHelp = "Mixture thresholds evaluated by model spans (SLA grids, order-statistic probes, quantile and admission searches)."
 	)
 	probes := e.reg.Counter(probeName, probeHelp, nil)
 	nodes := e.reg.Gauge("cosserve_model_inversion_nodes",
@@ -406,27 +406,33 @@ type Prediction struct {
 	Cached bool `json:"cached"`
 }
 
-// Predict evaluates the predicted SLA-meeting fraction at the current
-// operating point for each bound. It returns ErrNotReady before any
-// observations arrive and ErrBadQuery for invalid bounds; saturation is not
-// an error (see Prediction.Saturated).
+// Predict evaluates the predicted plain-read SLA-meeting fraction at the
+// current operating point for each bound; see PredictContext.
 func (e *Engine) Predict(slas []float64) ([]Prediction, error) {
-	return e.PredictContext(context.Background(), slas)
+	return e.PredictContext(context.Background(), core.Query{}, slas)
 }
 
-// PredictContext is the context-aware Predict: cancellation and the
-// configured Opts.EvalTimeout are observed inside the transform inversion
-// itself (between mixture groups), so a hung or saturated evaluation stops
+// PredictContext evaluates the fraction of q's requests meeting each bound
+// at the current operating point — plain reads, (n,k) coded reads or w-of-n
+// quorum writes alike. It returns ErrNotReady before any observations
+// arrive (and, for a write query, while the window carries no writes) and
+// ErrBadQuery for an invalid query or bound; saturation is not an error
+// (see Prediction.Saturated). Cancellation and the configured
+// Opts.EvalTimeout are observed inside the transform inversion itself
+// (between mixture groups), so a hung or saturated evaluation stops
 // burning CPU the moment the client gives up. A numerically poisoned
 // inversion surfaces as an error wrapping numeric.ErrNumerical, never as a
 // garbage prediction.
-func (e *Engine) PredictContext(ctx context.Context, slas []float64) ([]Prediction, error) {
+func (e *Engine) PredictContext(ctx context.Context, q core.Query, slas []float64) ([]Prediction, error) {
+	if err := q.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
+	}
 	if len(slas) == 0 {
 		slas = e.cfg.SLAs
 	}
 	for _, s := range slas {
-		if !(s > 0) || math.IsInf(s, 0) {
-			return nil, fmt.Errorf("%w: SLA %v must be positive and finite", ErrBadQuery, s)
+		if err := validSLA(s); err != nil {
+			return nil, err
 		}
 	}
 	ms, key, err := e.state.snapshotKeyed()
@@ -435,7 +441,7 @@ func (e *Engine) PredictContext(ctx context.Context, slas []float64) ([]Predicti
 	}
 	ctx, cancel := e.cfg.Opts.EvalContext(ctx)
 	defer cancel()
-	v, cached, err := e.evaluateBatch(ctx, ms, gridKey(key, "", slas), slas, nil)
+	v, cached, err := e.evaluate(ctx, ms, key, q, 1, slas)
 	if err != nil {
 		return nil, err
 	}
@@ -446,122 +452,74 @@ func (e *Engine) PredictContext(ctx context.Context, slas []float64) ([]Predicti
 	return out, nil
 }
 
-// gridKey is the memo key of a whole-SLA-grid evaluation at factor 1:
-// the operating-point key, an optional query-shape suffix (coded stripe)
-// and the quantized SLA list.
-func gridKey(key, suffix string, slas []float64) string {
-	var b strings.Builder
-	b.WriteString(key)
-	b.WriteString(suffix)
-	b.WriteString("|slas=")
-	for i, s := range slas {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(quantStr(s))
+func validSLA(s float64) error {
+	if !(s > 0) || math.IsInf(s, 0) {
+		return fmt.Errorf("%w: SLA %v must be positive and finite", ErrBadQuery, s)
 	}
-	return b.String()
+	return nil
 }
 
-// evaluateBatch answers one (operating point, SLA grid) query through the
-// cache: a miss builds the model once and evaluates every SLA in a single
-// batched traversal of the device mixture (CDFBatchContext, or the
-// coded-read batch when coded is non-nil). A saturated operating point
-// caches an all-zero grid. The prediction and saturation counters advance
-// by the grid size, preserving the per-SLA metric semantics of the scalar
-// path.
-func (e *Engine) evaluateBatch(ctx context.Context, ms []core.OnlineMetrics, ck string, slas []float64, coded *CodedReadSpec) (cachedValue, bool, error) {
-	v, cached, err := e.cache.do(ctx, ck, func(ctx context.Context) (cachedValue, error) {
-		var (
-			sys *core.SystemModel
-			err error
-		)
-		if coded != nil {
-			sys, err = e.buildCodedModel(ms, *coded, 1)
-		} else {
-			sys, err = e.buildModel(ms, 1)
-		}
+// evaluate answers q at every SLA of the grid at the snapshot ms with every
+// device's load scaled by factor (admission probes), through the memo
+// cache: a miss builds the model once and evaluates the whole grid in one
+// batched traversal of the device mixture. A saturated operating point
+// caches an all-zero grid. A write query on a snapshot without writes —
+// core.ErrBadParams from the write mixture — maps to ErrNotReady: the
+// client asked a sound question the server has no write observations to
+// answer yet. The prediction and saturation counters advance by the grid
+// size.
+func (e *Engine) evaluate(ctx context.Context, ms []core.OnlineMetrics, key string, q core.Query, factor float64, slas []float64) (cachedValue, bool, error) {
+	v, cached, err := e.cache.do(ctx, cacheKey(key, q, factor, slas), func(ctx context.Context) (cachedValue, error) {
+		sys, err := e.build(ms, q, factor, -1)
 		if errors.Is(err, core.ErrOverload) {
 			return cachedValue{saturated: true, ps: make([]float64, len(slas))}, nil
 		}
 		if err != nil {
 			return cachedValue{}, err
 		}
-		var ps []float64
-		if coded != nil {
-			ps, err = sys.CodedCDFBatchContext(ctx, coded.spec(), slas)
-		} else {
-			ps, err = sys.CDFBatchContext(ctx, slas)
-		}
+		ps, err := sys.Eval(ctx, slas, q)
 		if err != nil {
 			return cachedValue{}, err
 		}
-		return cachedValue{ps: ps}, nil
+		return cachedValue{ps: ps[0]}, nil
 	})
-	if err == nil {
-		e.predictions.Add(uint64(len(slas)))
-		if v.saturated {
-			e.saturations.Add(uint64(len(slas)))
+	if err != nil {
+		if q.Op == core.OpWrite && errors.Is(err, core.ErrBadParams) {
+			err = fmt.Errorf("%w: %v", ErrNotReady, err)
 		}
+		return v, cached, err
 	}
-	return v, cached, err
+	e.predictions.Add(uint64(len(slas)))
+	if v.saturated {
+		e.saturations.Add(uint64(len(slas)))
+	}
+	return v, cached, nil
 }
 
-// evaluate answers one (operating point, SLA) query through the cache,
-// scaling every device's load by factor (used by admission bisection).
-func (e *Engine) evaluate(ctx context.Context, ms []core.OnlineMetrics, key string, sla, factor float64) (cachedValue, bool, error) {
-	ck := key
-	if factor != 1 {
-		ck += "|f=" + quantStr(factor)
-	}
-	ck += "|sla=" + quantStr(sla)
-	v, cached, err := e.cache.do(ctx, ck, func(ctx context.Context) (cachedValue, error) {
-		sys, err := e.buildModel(ms, factor)
-		if errors.Is(err, core.ErrOverload) {
-			return cachedValue{p: 0, saturated: true}, nil
-		}
-		if err != nil {
-			return cachedValue{}, err
-		}
-		p, err := sys.CDFContext(ctx, sla)
-		if err != nil {
-			return cachedValue{}, err
-		}
-		return cachedValue{p: p}, nil
-	})
-	if err == nil {
-		e.predictions.Inc()
-		if v.saturated {
-			e.saturations.Inc()
-		}
-	}
-	return v, cached, err
-}
-
-// buildModel assembles the system model for the snapshot with every
-// device's rates scaled by factor. The cold path (a cache miss) inherits
-// cfg.Opts wholesale, so the model's device-parallel evaluation engine and
-// its worker budget (core.Options.Workers) apply to every uncached
-// prediction and admission probe. Devices with identical (scaled) metrics
-// share one DeviceModel: the system mixture deduplicates by model pointer,
-// so a fleet of N lookalike devices collapses to one evaluation group with
-// N times the weight instead of N identical transform inversions.
-func (e *Engine) buildModel(ms []core.OnlineMetrics, factor float64) (*core.SystemModel, error) {
-	return e.buildModelFE(ms, factor, -1)
-}
-
-// buildModelFE is buildModel with an explicit frontend arrival rate: feRate
-// < 0 means the snapshot's own (scaled) total — the standalone case — while
-// a non-negative feRate builds the frontend at that rate instead. The
-// cluster partial-evaluation path passes the router-supplied global rate
-// here: the frontend sojourn factor depends only on the tier-wide total, so
-// every shard evaluating its local device slice under the same global
-// frontend produces partial CDFs that merge exactly into the full mixture.
-func (e *Engine) buildModelFE(ms []core.OnlineMetrics, factor, feRate float64) (*core.SystemModel, error) {
+// build assembles the system model answering q at the snapshot ms with
+// every device's rates scaled by factor. The cold path (a cache miss)
+// inherits cfg.Opts wholesale, so the model's device-parallel evaluation
+// engine and its worker budget (core.Options.Workers) apply to every
+// uncached prediction and admission probe. Devices with identical (scaled)
+// metrics share one DeviceModel: the system mixture deduplicates by model
+// pointer, so a fleet of N lookalike devices collapses to one evaluation
+// group with N times the weight instead of N identical transform
+// inversions.
+//
+// The frontend arrival rate is the scaled total of reads and writes,
+// except for a coded read: the proxy parses each coded GET once before
+// fanning it into N sub-reads, so its rate is the reported sub-read total
+// divided by the stripe width (the sub-millisecond frontend term makes
+// this approximation harmless even when hedging issues fewer than N). A
+// non-negative feRate overrides it: a shard builds its device slice under
+// the router's tier-wide rate, because the frontend sojourn factor depends
+// only on the tier-wide total, so every shard's partial CDFs merge exactly
+// into the full mixture.
+func (e *Engine) build(ms []core.OnlineMetrics, q core.Query, factor, feRate float64) (*core.SystemModel, error) {
 	props := e.Props()
 	devs := make([]*core.DeviceModel, 0, len(ms))
 	built := make(map[core.OnlineMetrics]*core.DeviceModel, len(ms))
-	total := 0.0
+	total, reads := 0.0, 0.0
 	for _, m := range ms {
 		// Admission probes scale the whole workload mix, writes included:
 		// a tenant shedding decision that left write load fixed would
@@ -580,9 +538,13 @@ func (e *Engine) buildModelFE(ms []core.OnlineMetrics, factor, feRate float64) (
 		}
 		devs = append(devs, dm)
 		total += m.Rate + m.WriteRate
+		reads += m.Rate
 	}
-	if feRate >= 0 {
+	switch {
+	case feRate >= 0:
 		total = feRate
+	case q.Op == core.OpRead && q.Spec.N > 1:
+		total = reads / float64(q.Spec.N)
 	}
 	fe, err := core.NewFrontendModel(total, e.cfg.FrontendProcs, props.ParseFE)
 	if err != nil {
@@ -613,29 +575,32 @@ type Advice struct {
 	// Admit is the admission decision: the current rate is within the
 	// threshold and the target is met.
 	Admit bool `json:"admit"`
-	// CodedRead echoes the stripe shape when the advice was computed
-	// through the coded-read model (rates are then sub-read rates).
+	// CodedRead echoes the stripe shape an /advise request named (rates
+	// are then sub-read rates).
 	CodedRead *CodedReadSpec `json:"codedRead,omitempty"`
 }
 
-// Advise answers the admission-control question "what fraction meets the
-// SLA now, and how much more load fits before target breaks?" by bisecting
-// a proportional scaling of the current per-device operating point. Every
-// probe goes through the memo cache, so repeated advice at a stable
-// operating point is nearly free; cold probes evaluate through the pooled
-// model engine (see buildModel).
+// Advise answers the plain-read admission question; see AdviseContext.
 func (e *Engine) Advise(sla, target float64) (Advice, error) {
-	return e.AdviseContext(context.Background(), sla, target)
+	return e.AdviseContext(context.Background(), core.Query{}, sla, target)
 }
 
-// AdviseContext is the context-aware Advise: ctx and the configured
-// Opts.EvalTimeout bound the entire admission search, observed before every
-// bisection probe and inside each probe's transform inversion. A probe that
-// fails numerically or is cancelled aborts the search with the error; a
-// probe at an overloaded point merely bounds it.
-func (e *Engine) AdviseContext(ctx context.Context, sla, target float64) (Advice, error) {
-	if !(sla > 0) || math.IsInf(sla, 0) {
-		return Advice{}, fmt.Errorf("%w: SLA %v must be positive and finite", ErrBadQuery, sla)
+// AdviseContext answers the admission-control question for q's requests
+// "what fraction meets the SLA now, and how much more load fits before
+// target breaks?" by searching a proportional scaling of the current
+// per-device operating point. Rates are the devices' reported request
+// rates (sub-read rates for a coded read). Every probe goes through the
+// memo cache, so repeated advice at a stable operating point is nearly
+// free. ctx and the configured Opts.EvalTimeout bound the entire search,
+// observed before every probe and inside each probe's transform
+// inversion. A probe that fails numerically or is cancelled aborts the
+// search with the error; a probe at an overloaded point merely bounds it.
+func (e *Engine) AdviseContext(ctx context.Context, q core.Query, sla, target float64) (Advice, error) {
+	if err := q.Validate(); err != nil {
+		return Advice{}, fmt.Errorf("%w: %v", ErrBadQuery, err)
+	}
+	if err := validSLA(sla); err != nil {
+		return Advice{}, err
 	}
 	if !(target > 0) || target > 1 {
 		return Advice{}, fmt.Errorf("%w: target %v outside (0,1]", ErrBadQuery, target)
@@ -650,21 +615,21 @@ func (e *Engine) AdviseContext(ctx context.Context, sla, target float64) (Advice
 	for _, m := range ms {
 		current += m.Rate
 	}
-	adv := Advice{SLA: sla, Target: target, CurrentRate: current}
-	cur, _, err := e.evaluate(ctx, ms, key, sla, 1)
+	slas := []float64{sla}
+	cur, _, err := e.evaluate(ctx, ms, key, q, 1, slas)
 	if err != nil {
 		return Advice{}, err
 	}
-	adv.CurrentMeetRatio = cur.p
-	adv.Saturated = cur.saturated
+	adv := Advice{SLA: sla, Target: target, CurrentRate: current,
+		CurrentMeetRatio: cur.ps[0], Saturated: cur.saturated}
 	margin := func(ctx context.Context, rate float64) (float64, bool, error) {
-		v, _, err := e.evaluate(ctx, ms, key, sla, rate/current)
+		v, _, err := e.evaluate(ctx, ms, key, q, rate/current, slas)
 		switch {
 		case err == nil:
 			if v.saturated {
 				return 0, false, nil
 			}
-			return v.p - target, true, nil
+			return v.ps[0] - target, true, nil
 		case isContextErr(err) || errors.Is(err, numeric.ErrNumerical):
 			return 0, false, err
 		default:
@@ -684,7 +649,7 @@ func (e *Engine) AdviseContext(ctx context.Context, sla, target float64) (Advice
 	}
 	adv.MaxAdmissibleRate = maxRate
 	adv.Headroom = adv.MaxAdmissibleRate - current
-	adv.Admit = !adv.Saturated && cur.p >= target && adv.Headroom >= 0
+	adv.Admit = !adv.Saturated && cur.ps[0] >= target && adv.Headroom >= 0
 	return adv, nil
 }
 

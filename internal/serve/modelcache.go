@@ -7,16 +7,15 @@ import (
 	"sync"
 )
 
-// cachedValue is one memoized prediction: the fraction of requests meeting
-// an SLA at a quantized operating point, or the fact that the operating
-// point is saturated (core.ErrOverload — a legitimate, cacheable answer).
-// Grid entries (whole-SLA-list evaluations, see Engine.evaluateBatch) carry
-// the per-SLA fractions in ps instead of p; the two shapes live under
-// disjoint cache keys.
+// cachedValue is one memoized prediction: the fractions of requests
+// meeting each SLA of a grid at a quantized operating point, or the fact
+// that the operating point is saturated (core.ErrOverload — a legitimate,
+// cacheable answer). A shard partial entry carries its weighted sums in ps
+// and the local mixture rate in rate.
 type cachedValue struct {
-	p         float64
-	saturated bool
 	ps        []float64
+	saturated bool
+	rate      float64
 }
 
 // modelCache memoizes predictions keyed by quantized operating point. It

@@ -17,14 +17,14 @@ func TestModelCacheMemoizes(t *testing.T) {
 	calls := 0
 	fn := func(context.Context) (cachedValue, error) {
 		calls++
-		return cachedValue{p: 0.9}, nil
+		return cachedValue{rate: 0.9}, nil
 	}
 	v, cached, err := c.do(ctxBG, "k", fn)
-	if err != nil || cached || v.p != 0.9 {
+	if err != nil || cached || v.rate != 0.9 {
 		t.Fatalf("first call: v=%v cached=%v err=%v", v, cached, err)
 	}
 	v, cached, err = c.do(ctxBG, "k", fn)
-	if err != nil || !cached || v.p != 0.9 {
+	if err != nil || !cached || v.rate != 0.9 {
 		t.Fatalf("second call: v=%v cached=%v err=%v", v, cached, err)
 	}
 	if calls != 1 {
@@ -44,7 +44,7 @@ func TestModelCacheGeneration(t *testing.T) {
 	calls := 0
 	fn := func(context.Context) (cachedValue, error) {
 		calls++
-		return cachedValue{p: float64(calls)}, nil
+		return cachedValue{rate: float64(calls)}, nil
 	}
 	c.do(ctxBG, "k", fn) //nolint:errcheck
 	c.invalidate()
@@ -52,8 +52,8 @@ func TestModelCacheGeneration(t *testing.T) {
 	if err != nil || cached {
 		t.Fatalf("stale entry served: v=%v cached=%v err=%v", v, cached, err)
 	}
-	if v.p != 2 {
-		t.Errorf("got stale value %v", v.p)
+	if v.rate != 2 {
+		t.Errorf("got stale value %v", v.rate)
 	}
 	if calls != 2 {
 		t.Errorf("fn ran %d times, want 2 (recompute after invalidate)", calls)
@@ -70,8 +70,8 @@ func TestModelCacheErrorNotCached(t *testing.T) {
 	if _, _, err := c.do(ctxBG, "k", func(context.Context) (cachedValue, error) { calls++; return cachedValue{}, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	v, cached, err := c.do(ctxBG, "k", func(context.Context) (cachedValue, error) { calls++; return cachedValue{p: 1}, nil })
-	if err != nil || cached || v.p != 1 {
+	v, cached, err := c.do(ctxBG, "k", func(context.Context) (cachedValue, error) { calls++; return cachedValue{rate: 1}, nil })
+	if err != nil || cached || v.rate != 1 {
 		t.Fatalf("retry after error: v=%v cached=%v err=%v", v, cached, err)
 	}
 	if calls != 2 {
@@ -83,7 +83,7 @@ func TestModelCacheEvicts(t *testing.T) {
 	c := newModelCache(4)
 	for i := 0; i < 10; i++ {
 		key := fmt.Sprintf("k%d", i)
-		c.do(ctxBG, key, func(context.Context) (cachedValue, error) { return cachedValue{p: float64(i)}, nil }) //nolint:errcheck
+		c.do(ctxBG, key, func(context.Context) (cachedValue, error) { return cachedValue{rate: float64(i)}, nil }) //nolint:errcheck
 	}
 	if st := c.stats(); st.Entries > 4 {
 		t.Errorf("entries %d exceed capacity 4", st.Entries)
@@ -116,13 +116,13 @@ func TestModelCacheSingleflight(t *testing.T) {
 			v, _, err := c.do(ctxBG, "k", func(context.Context) (cachedValue, error) {
 				calls.Add(1)
 				<-gate // hold the computation open so everyone piles up
-				return cachedValue{p: 0.75}, nil
+				return cachedValue{rate: 0.75}, nil
 			})
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			values[i] = v.p
+			values[i] = v.rate
 		}(i)
 	}
 	close(gate)

@@ -1,20 +1,19 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"mime"
 	"net/http"
 	"net/http/pprof"
-	"net/url"
 	"runtime/debug"
-	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
 	"cosmodel/internal/calib"
+	"cosmodel/internal/core"
 	"cosmodel/internal/dist"
 	"cosmodel/internal/ingest"
 	"cosmodel/internal/numeric"
@@ -372,22 +371,6 @@ func (s *Server) observeLatencies(batch []Observation) {
 // ---------------------------------------------------------------------------
 // /predict
 
-// PredictRequest is the /predict payload; GET requests pass the bounds as
-// ?sla=0.01,0.05 instead. Empty bounds mean the configured defaults. A
-// non-nil Coded spec (GET: ?codedN=6&codedK=4[&codedHedge=1&codedDelay=Δ])
-// additionally answers the same bounds for (n,k) coded reads; a non-nil
-// Write spec (GET: ?writeN=3&writeW=2) additionally answers them for
-// w-of-n quorum PUTs. Tenant (GET: ?tenant=gold) annotates the answer with
-// that class's windowed rates — the predictions themselves are evaluated at
-// the shared aggregate operating point, because the FCFS queues every class
-// shares serve all tenants the same latency distribution.
-type PredictRequest struct {
-	SLAs   []float64      `json:"slas"`
-	Coded  *CodedReadSpec `json:"coded,omitempty"`
-	Write  *WriteSpec     `json:"write,omitempty"`
-	Tenant string         `json:"tenant,omitempty"`
-}
-
 // CodedReadBlock is the coded-read section of a /predict answer: the
 // order-statistic model's predictions for the requested stripe shape.
 type CodedReadBlock struct {
@@ -425,65 +408,34 @@ type PredictResponse struct {
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	var req PredictRequest
-	switch r.Method {
-	case http.MethodGet:
-		q := r.URL.Query()
-		slas, err := parseFloats(q.Get("sla"))
-		if err != nil {
-			s.badRequest(w, err)
-			return
-		}
-		req.SLAs = slas
-		if req.Coded, err = parseCodedParams(q); err != nil {
-			s.badRequest(w, err)
-			return
-		}
-		if req.Write, err = parseWriteParams(q); err != nil {
-			s.badRequest(w, err)
-			return
-		}
-		req.Tenant = strings.TrimSpace(q.Get("tenant"))
-	case http.MethodPost:
-		if err := decodeStrict(w, r, &req); err != nil {
-			s.badRequest(w, err)
-			return
-		}
-	default:
-		s.writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "GET or POST required"})
+	req, err := ParsePredict(w, r)
+	if err != nil {
+		s.parseError(w, err)
 		return
 	}
 	if !s.acquire(w) {
 		return
 	}
 	defer s.release()
-	preds, err := s.engine.PredictContext(r.Context(), req.SLAs)
-	if err != nil {
+	ctx := r.Context()
+	resp := PredictResponse{}
+	if resp.Predictions, resp.Saturated, err = s.predict(ctx, core.Query{}, req.SLAs); err != nil {
 		s.queryError(w, r, err)
 		return
 	}
-	resp := PredictResponse{Predictions: preds}
 	if req.Coded != nil {
-		coded, err := s.engine.PredictCodedContext(r.Context(), *req.Coded, req.SLAs)
-		if err != nil {
+		blk := &CodedReadBlock{Spec: *req.Coded}
+		if blk.Predictions, blk.Saturated, err = s.predict(ctx, req.Coded.query(), req.SLAs); err != nil {
 			s.queryError(w, r, err)
 			return
-		}
-		blk := &CodedReadBlock{Spec: *req.Coded, Predictions: coded}
-		for _, p := range coded {
-			blk.Saturated = blk.Saturated || p.Saturated
 		}
 		resp.CodedRead = blk
 	}
 	if req.Write != nil {
-		wr, err := s.engine.PredictWriteContext(r.Context(), *req.Write, req.SLAs)
-		if err != nil {
+		blk := &WriteBlock{Spec: *req.Write}
+		if blk.Predictions, blk.Saturated, err = s.predict(ctx, req.Write.query(), req.SLAs); err != nil {
 			s.queryError(w, r, err)
 			return
-		}
-		blk := &WriteBlock{Spec: *req.Write, Predictions: wr}
-		for _, p := range wr {
-			blk.Saturated = blk.Saturated || p.Saturated
 		}
 		resp.Write = blk
 	}
@@ -498,60 +450,37 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	st := s.engine.Stats()
 	resp.TotalRate = st.TotalRate
 	resp.CalibrationAge = st.CalibrationAge
-	for _, p := range preds {
-		resp.Saturated = resp.Saturated || p.Saturated
-	}
 	s.served.Inc()
 	s.writeJSON(w, http.StatusOK, resp)
+}
+
+// predict answers q over the SLA grid and reports whether any answer was
+// saturated.
+func (s *Server) predict(ctx context.Context, q core.Query, slas []float64) ([]Prediction, bool, error) {
+	preds, err := s.engine.PredictContext(ctx, q, slas)
+	saturated := false
+	for _, p := range preds {
+		saturated = saturated || p.Saturated
+	}
+	return preds, saturated, err
+}
+
+// parseError answers a request ParsePredict or ParseAdvise refused.
+func (s *Server) parseError(w http.ResponseWriter, err error) {
+	if errors.Is(err, ErrMethodNotAllowed) {
+		s.writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "GET or POST required"})
+		return
+	}
+	s.badRequest(w, err)
 }
 
 // ---------------------------------------------------------------------------
 // /advise
 
-// AdviseRequest is the /advise payload; GET passes ?sla=0.05&target=0.9,
-// plus the optional codedN/codedK/codedHedge/codedDelay stripe shape. A
-// non-empty Tenants map (GET: ?tenants=gold:3,bronze:1) switches to
-// weighted multi-tenant admission: the answer adds the per-class allocation
-// that sheds the cheapest tenant first. Tenant (GET: ?tenant=gold) is the
-// single-tenant shorthand for Tenants{gold: 1}.
-type AdviseRequest struct {
-	SLA     float64            `json:"sla"`
-	Target  float64            `json:"target"`
-	Coded   *CodedReadSpec     `json:"coded,omitempty"`
-	Tenant  string             `json:"tenant,omitempty"`
-	Tenants map[string]float64 `json:"tenants,omitempty"`
-}
-
 func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
-	var req AdviseRequest
-	switch r.Method {
-	case http.MethodGet:
-		q := r.URL.Query()
-		var err error
-		if req.SLA, err = parseFloat(q.Get("sla")); err != nil {
-			s.badRequest(w, fmt.Errorf("sla: %w", err))
-			return
-		}
-		if req.Target, err = parseFloat(q.Get("target")); err != nil {
-			s.badRequest(w, fmt.Errorf("target: %w", err))
-			return
-		}
-		if req.Coded, err = parseCodedParams(q); err != nil {
-			s.badRequest(w, err)
-			return
-		}
-		if req.Tenants, err = parseTenantWeights(q.Get("tenants")); err != nil {
-			s.badRequest(w, err)
-			return
-		}
-		req.Tenant = strings.TrimSpace(q.Get("tenant"))
-	case http.MethodPost:
-		if err := decodeStrict(w, r, &req); err != nil {
-			s.badRequest(w, err)
-			return
-		}
-	default:
-		s.writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "GET or POST required"})
+	req, err := ParseAdvise(w, r)
+	if err != nil {
+		s.parseError(w, err)
 		return
 	}
 	if req.Tenant != "" && req.Tenants == nil {
@@ -561,26 +490,23 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.release()
+	var adv any
 	if len(req.Tenants) > 0 {
-		adv, err := s.engine.AdviseTenantsContext(r.Context(), req.SLA, req.Target, req.Tenants, req.Coded)
+		ta, err := s.engine.AdviseTenantsContext(r.Context(), req.query(), req.SLA, req.Target, req.Tenants)
 		if err != nil {
 			s.queryError(w, r, err)
 			return
 		}
-		s.served.Inc()
-		s.writeJSON(w, http.StatusOK, adv)
-		return
-	}
-	var adv Advice
-	var err error
-	if req.Coded != nil {
-		adv, err = s.engine.AdviseCodedContext(r.Context(), *req.Coded, req.SLA, req.Target)
+		ta.CodedRead = req.Coded
+		adv = ta
 	} else {
-		adv, err = s.engine.AdviseContext(r.Context(), req.SLA, req.Target)
-	}
-	if err != nil {
-		s.queryError(w, r, err)
-		return
+		a, err := s.engine.AdviseContext(r.Context(), req.query(), req.SLA, req.Target)
+		if err != nil {
+			s.queryError(w, r, err)
+			return
+		}
+		a.CodedRead = req.Coded
+		adv = a
 	}
 	s.served.Inc()
 	s.writeJSON(w, http.StatusOK, adv)
@@ -852,104 +778,4 @@ func decodeStrict(w http.ResponseWriter, r *http.Request, v any) error {
 		return fmt.Errorf("%w: trailing data after JSON body", ErrBadQuery)
 	}
 	return nil
-}
-
-func parseFloat(s string) (float64, error) {
-	v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-	if err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrBadQuery, err)
-	}
-	return v, nil
-}
-
-// parseCodedParams extracts the optional coded-read stripe shape from GET
-// query parameters; nil when none were supplied.
-func parseCodedParams(q url.Values) (*CodedReadSpec, error) {
-	if strings.TrimSpace(q.Get("codedN")) == "" && strings.TrimSpace(q.Get("codedK")) == "" {
-		return nil, nil
-	}
-	var spec CodedReadSpec
-	var err error
-	if spec.N, err = strconv.Atoi(strings.TrimSpace(q.Get("codedN"))); err != nil {
-		return nil, fmt.Errorf("%w: codedN: %v", ErrBadQuery, err)
-	}
-	if spec.K, err = strconv.Atoi(strings.TrimSpace(q.Get("codedK"))); err != nil {
-		return nil, fmt.Errorf("%w: codedK: %v", ErrBadQuery, err)
-	}
-	switch h := strings.TrimSpace(q.Get("codedHedge")); h {
-	case "", "0", "false":
-	case "1", "true":
-		spec.Hedge = true
-	default:
-		return nil, fmt.Errorf("%w: codedHedge %q not a boolean", ErrBadQuery, h)
-	}
-	if d := q.Get("codedDelay"); strings.TrimSpace(d) != "" {
-		if spec.HedgeDelaySeconds, err = parseFloat(d); err != nil {
-			return nil, fmt.Errorf("codedDelay: %w", err)
-		}
-	}
-	return &spec, nil
-}
-
-// parseWriteParams extracts the optional PUT replication policy from GET
-// query parameters; nil when none were supplied.
-func parseWriteParams(q url.Values) (*WriteSpec, error) {
-	if strings.TrimSpace(q.Get("writeN")) == "" && strings.TrimSpace(q.Get("writeW")) == "" {
-		return nil, nil
-	}
-	var spec WriteSpec
-	var err error
-	if spec.N, err = strconv.Atoi(strings.TrimSpace(q.Get("writeN"))); err != nil {
-		return nil, fmt.Errorf("%w: writeN: %v", ErrBadQuery, err)
-	}
-	if spec.W, err = strconv.Atoi(strings.TrimSpace(q.Get("writeW"))); err != nil {
-		return nil, fmt.Errorf("%w: writeW: %v", ErrBadQuery, err)
-	}
-	return &spec, nil
-}
-
-// parseTenantWeights parses the weighted tenant list "gold:3,bronze:1";
-// empty means nil (no weighted admission). Weight values must parse here;
-// their positivity is validated by the engine.
-func parseTenantWeights(s string) (map[string]float64, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	out := make(map[string]float64)
-	for _, part := range strings.Split(s, ",") {
-		class, weight, found := strings.Cut(part, ":")
-		if !found {
-			return nil, fmt.Errorf("%w: tenant weight %q not class:weight", ErrBadQuery, part)
-		}
-		class = strings.TrimSpace(class)
-		if class == "" {
-			return nil, fmt.Errorf("%w: tenant weight %q has an empty class", ErrBadQuery, part)
-		}
-		w, err := parseFloat(weight)
-		if err != nil {
-			return nil, fmt.Errorf("tenant %q weight: %w", class, err)
-		}
-		if _, dup := out[class]; dup {
-			return nil, fmt.Errorf("%w: tenant %q listed twice", ErrBadQuery, class)
-		}
-		out[class] = w
-	}
-	return out, nil
-}
-
-// parseFloats parses a comma-separated float list; empty means nil (use
-// defaults).
-func parseFloats(s string) ([]float64, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		v, err := parseFloat(part)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }

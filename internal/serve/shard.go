@@ -31,9 +31,11 @@ type PartialRequest struct {
 	// SLAs are the latency bounds (seconds) to evaluate; empty means the
 	// shard's configured defaults.
 	SLAs []float64 `json:"slas"`
-	// TotalRate is the tier-wide aggregate request rate the router computed
-	// from the full ingest stream: the frontend model is built at this rate
-	// (scaled by Factor) so every shard's partial shares one frontend.
+	// TotalRate is the tier-wide frontend arrival rate — requests plus PUT
+	// replica writes — the router computed from the full ingest stream: the
+	// frontend model is built at this rate (scaled by Factor) so every
+	// shard's partial shares one frontend, the one a single engine holding
+	// every device builds.
 	TotalRate float64 `json:"totalRate"`
 	// Factor proportionally scales every device's load (and the frontend
 	// rate) — the admission search's what-if knob; 0 means 1.
@@ -68,8 +70,8 @@ func (e *Engine) PartialPredictContext(ctx context.Context, req PartialRequest) 
 		slas = e.cfg.SLAs
 	}
 	for _, s := range slas {
-		if !(s > 0) || math.IsInf(s, 0) {
-			return PartialResponse{}, fmt.Errorf("%w: SLA %v must be positive and finite", ErrBadQuery, s)
+		if err := validSLA(s); err != nil {
+			return PartialResponse{}, err
 		}
 	}
 	if !(req.TotalRate > 0) || math.IsInf(req.TotalRate, 0) {
@@ -100,29 +102,28 @@ func (e *Engine) PartialPredictContext(ctx context.Context, req PartialRequest) 
 	feRate := req.TotalRate * factor
 	ctx, cancel := e.cfg.Opts.EvalContext(ctx)
 	defer cancel()
-	suffix := "|tr=" + quantStr(feRate) + "|f=" + quantStr(factor)
-	ck := gridKey("partial|"+opKey(ms), suffix, slas)
+	ck := cacheKey("partial|"+opKey(ms)+"|tr="+quantStr(feRate), core.Query{}, factor, slas)
 	v, _, err := e.cache.do(ctx, ck, func(ctx context.Context) (cachedValue, error) {
 		local := 0.0
 		for _, m := range ms {
 			local += m.Rate * factor
 		}
-		sys, err := e.buildModelFE(ms, factor, feRate)
+		sys, err := e.build(ms, core.Query{}, factor, feRate)
 		if errors.Is(err, core.ErrOverload) {
-			return cachedValue{p: local, saturated: true, ps: make([]float64, len(slas))}, nil
+			return cachedValue{rate: local, saturated: true, ps: make([]float64, len(slas))}, nil
 		}
 		if err != nil {
 			return cachedValue{}, err
 		}
-		ps, err := sys.CDFBatchContext(ctx, slas)
+		ps, err := sys.Eval(ctx, slas)
 		if err != nil {
 			return cachedValue{}, err
 		}
-		sums := make([]float64, len(ps))
-		for i, p := range ps {
+		sums := ps[0]
+		for i, p := range sums {
 			sums[i] = p * local
 		}
-		return cachedValue{p: local, ps: sums}, nil
+		return cachedValue{rate: local, ps: sums}, nil
 	})
 	if err != nil {
 		return PartialResponse{}, err
@@ -132,7 +133,7 @@ func (e *Engine) PartialPredictContext(ctx context.Context, req PartialRequest) 
 		e.saturations.Add(uint64(len(slas)))
 	}
 	resp.WeightedSums = v.ps
-	resp.Rate = v.p
+	resp.Rate = v.rate
 	resp.Saturated = v.saturated
 	// The generation may have advanced while we evaluated; report the newest
 	// so the router's gossip never pushes a shard backwards.
@@ -152,11 +153,12 @@ type ShardStateResponse struct {
 	Devices        int     `json:"devices"`
 	TotalRate      float64 `json:"totalRate"`
 	CalibrationAge float64 `json:"calibrationAgeSeconds"`
-	// DeviceRates is every device's windowed request rate (0 when idle) —
-	// the state a restarted router seeds its rate tracker from, so a fresh
-	// router fronting warm shards reports the true tier-wide rate instead
-	// of zero.
-	DeviceRates []float64 `json:"deviceRates,omitempty"`
+	// DeviceRates and DeviceWriteRates are every device's windowed request
+	// and PUT replica rates (0 when idle) — the state a restarted router
+	// seeds its rate tracker from, so a fresh router fronting warm shards
+	// reports the true tier-wide rates instead of zero.
+	DeviceRates      []float64 `json:"deviceRates,omitempty"`
+	DeviceWriteRates []float64 `json:"deviceWriteRates,omitempty"`
 }
 
 // ShardInvalidateRequest asks a shard to raise its cache generation to at
@@ -199,14 +201,16 @@ func (s *Server) handleShardState(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := s.engine.Stats()
+	reads, writes := s.engine.state.deviceRates()
 	s.writeJSON(w, http.StatusOK, ShardStateResponse{
-		Generation:     st.CacheGeneration,
-		Ingested:       st.Ingested,
-		Reporting:      st.Reporting,
-		Devices:        s.engine.Config().Devices,
-		TotalRate:      st.TotalRate,
-		CalibrationAge: st.CalibrationAge,
-		DeviceRates:    s.engine.state.deviceRates(),
+		Generation:       st.CacheGeneration,
+		Ingested:         st.Ingested,
+		Reporting:        st.Reporting,
+		Devices:          s.engine.Config().Devices,
+		TotalRate:        st.TotalRate,
+		CalibrationAge:   st.CalibrationAge,
+		DeviceRates:      reads,
+		DeviceWriteRates: writes,
 	})
 }
 

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"cosmodel/internal/core"
 )
 
 // shardEngine builds an engine with each device at a distinct rate so the
@@ -84,7 +86,7 @@ func TestPartialPredictFactorScalesLikeAdviseProbe(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sla := range eng.Config().SLAs {
-		v, _, err := eng.evaluate(ctx, ms, key, sla, factor)
+		v, _, err := eng.evaluate(ctx, ms, key, core.Query{}, factor, []float64{sla})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,8 +98,8 @@ func TestPartialPredictFactorScalesLikeAdviseProbe(t *testing.T) {
 			t.Fatalf("sla %v: saturation disagrees (scalar %v, partial %v/%v)",
 				sla, v.saturated, a.Saturated, b.Saturated)
 		}
-		if !v.saturated && math.Abs(merged-v.p) > 1e-9 {
-			t.Errorf("sla %v at factor %v: merged %v, scalar %v", sla, factor, merged, v.p)
+		if !v.saturated && math.Abs(merged-v.ps[0]) > 1e-9 {
+			t.Errorf("sla %v at factor %v: merged %v, scalar %v", sla, factor, merged, v.ps[0])
 		}
 	}
 }

@@ -234,9 +234,10 @@ func (t *stateTable) snapshotDevices(devs []int) (ms []core.OnlineMetrics, cover
 	return ms, covered, wrapIngestErr(err)
 }
 
-// deviceRates returns every device's windowed request rate (0 when idle) —
-// the warm-start state a restarted router rebuilds its rate tracker from.
-func (t *stateTable) deviceRates() []float64 { return t.table.DeviceRates() }
+// deviceRates returns every device's windowed request and PUT rates (0 when
+// idle) — the warm-start state a restarted router rebuilds its rate tracker
+// from.
+func (t *stateTable) deviceRates() (reads, writes []float64) { return t.table.DeviceRates() }
 
 // observedLatency merges the windowed latency histograms of all devices
 // (nil when no latencies were ingested).

@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 
+	"cosmodel/internal/core"
 	"cosmodel/internal/ingest"
 )
 
@@ -117,19 +118,14 @@ type TenantAdvice struct {
 	ResidualShedRate float64 `json:"residualShedRate,omitempty"`
 }
 
-// AdviseTenants is the weighted admission query; see AdviseTenantsContext.
-func (e *Engine) AdviseTenants(sla, target float64, weights map[string]float64) (TenantAdvice, error) {
-	return e.AdviseTenantsContext(context.Background(), sla, target, weights, nil)
-}
-
-// AdviseTenantsContext answers weighted multi-tenant admission control: the
-// aggregate max admissible rate is found exactly as in AdviseContext (or
-// AdviseCodedContext when a stripe shape is given), and any excess of the
-// current aggregate rate over it is shed tenant by tenant in ascending
-// weight order — the cheapest class loses traffic first, and a higher-weight
-// class is touched only once every cheaper one is fully shed. Every listed
-// tenant must have class-labelled observations in the window.
-func (e *Engine) AdviseTenantsContext(ctx context.Context, sla, target float64, weights map[string]float64, coded *CodedReadSpec) (TenantAdvice, error) {
+// AdviseTenantsContext answers weighted multi-tenant admission control
+// for q's requests: the aggregate max admissible rate is found exactly as
+// in AdviseContext, and any excess of the current aggregate rate over it
+// is shed tenant by tenant in ascending weight order — the cheapest class
+// loses traffic first, and a higher-weight class is touched only once
+// every cheaper one is fully shed. Every listed tenant must have
+// class-labelled observations in the window.
+func (e *Engine) AdviseTenantsContext(ctx context.Context, q core.Query, sla, target float64, weights map[string]float64) (TenantAdvice, error) {
 	if len(weights) == 0 {
 		return TenantAdvice{}, fmt.Errorf("%w: no tenant weights given", ErrBadQuery)
 	}
@@ -157,15 +153,7 @@ func (e *Engine) AdviseTenantsContext(ctx context.Context, sla, target float64, 
 		}
 		return sheds[i].Class < sheds[j].Class
 	})
-	var (
-		base Advice
-		err  error
-	)
-	if coded != nil {
-		base, err = e.AdviseCodedContext(ctx, *coded, sla, target)
-	} else {
-		base, err = e.AdviseContext(ctx, sla, target)
-	}
+	base, err := e.AdviseContext(ctx, q, sla, target)
 	if err != nil {
 		return TenantAdvice{}, err
 	}

@@ -1,12 +1,15 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"net/http"
 	"testing"
+
+	"cosmodel/internal/core"
 )
 
 // obsWithWrites extends obsAtRate with PUT replica traffic at writeRate
@@ -44,8 +47,13 @@ func TestWriteSpecValidate(t *testing.T) {
 			t.Errorf("%+v: error %v not ErrBadQuery", s, err)
 		}
 	}
-	if a, b := (WriteSpec{N: 3, W: 2}).cacheKey(), (WriteSpec{N: 3, W: 3}).cacheKey(); a == b {
-		t.Errorf("distinct specs share cache key %q", a)
+	keys := map[string]core.Query{}
+	for _, q := range []core.Query{{}, WriteSpec{N: 3, W: 2}.query(), WriteSpec{N: 3, W: 3}.query(), CodedReadSpec{N: 3, K: 2}.query()} {
+		k := cacheKey("op", q, 1, []float64{0.05})
+		if prev, dup := keys[k]; dup {
+			t.Errorf("%+v and %+v share cache key %q", prev, q, k)
+		}
+		keys[k] = q
 	}
 }
 
@@ -56,16 +64,16 @@ func TestPredictWrite(t *testing.T) {
 	}
 	defer eng.Close()
 	spec := WriteSpec{N: 3, W: 2}
-	if _, err := eng.PredictWrite(spec, nil); !errors.Is(err, ErrNotReady) {
+	if _, err := eng.PredictContext(context.Background(), spec.query(), nil); !errors.Is(err, ErrNotReady) {
 		t.Fatalf("predict-write before ingest: %v", err)
 	}
 	// A read-only operating point cannot answer PUT questions.
 	ingestAll(t, eng, 40)
-	if _, err := eng.PredictWrite(spec, nil); !errors.Is(err, ErrNotReady) {
+	if _, err := eng.PredictContext(context.Background(), spec.query(), nil); !errors.Is(err, ErrNotReady) {
 		t.Fatalf("predict-write on read-only window: %v", err)
 	}
 	ingestMixed(t, eng, 40, 10)
-	preds, err := eng.PredictWrite(spec, nil)
+	preds, err := eng.PredictContext(context.Background(), spec.query(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +90,7 @@ func TestPredictWrite(t *testing.T) {
 	}
 	// Waiting for more replicas can only slow the quorum: W=3 compliance
 	// must not exceed W=2 at the same operating point.
-	all, err := eng.PredictWrite(WriteSpec{N: 3, W: 3}, nil)
+	all, err := eng.PredictContext(context.Background(), WriteSpec{N: 3, W: 3}.query(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,10 +100,10 @@ func TestPredictWrite(t *testing.T) {
 				preds[i].SLA, all[i].MeetRatio, preds[i].MeetRatio)
 		}
 	}
-	if _, err := eng.PredictWrite(WriteSpec{N: 3, W: 4}, nil); !errors.Is(err, ErrBadQuery) {
+	if _, err := eng.PredictContext(context.Background(), WriteSpec{N: 3, W: 4}.query(), nil); !errors.Is(err, ErrBadQuery) {
 		t.Fatalf("W>N: %v", err)
 	}
-	if _, err := eng.PredictWrite(spec, []float64{-1}); !errors.Is(err, ErrBadQuery) {
+	if _, err := eng.PredictContext(context.Background(), spec.query(), []float64{-1}); !errors.Is(err, ErrBadQuery) {
 		t.Fatalf("negative SLA: %v", err)
 	}
 }
@@ -190,7 +198,7 @@ func TestAdviseTenantsWaterfill(t *testing.T) {
 	weights := map[string]float64{"gold": 3, "bronze": 1}
 
 	// A hard target at this load must shed; a loose one must admit both.
-	adv, err := eng.AdviseTenants(0.010, 0.9999, weights)
+	adv, err := eng.AdviseTenantsContext(context.Background(), core.Query{}, 0.010, 0.9999, weights)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +228,7 @@ func TestAdviseTenantsWaterfill(t *testing.T) {
 		t.Fatalf("admit flag inconsistent: %+v", bronze)
 	}
 
-	easy, err := eng.AdviseTenants(0.100, 0.5, weights)
+	easy, err := eng.AdviseTenantsContext(context.Background(), core.Query{}, 0.100, 0.5, weights)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,13 +239,13 @@ func TestAdviseTenantsWaterfill(t *testing.T) {
 	}
 
 	// Validation: unknown tenant, bad weight, no weights.
-	if _, err := eng.AdviseTenants(0.05, 0.9, map[string]float64{"ghost": 1}); !errors.Is(err, ErrNotReady) {
+	if _, err := eng.AdviseTenantsContext(context.Background(), core.Query{}, 0.05, 0.9, map[string]float64{"ghost": 1}); !errors.Is(err, ErrNotReady) {
 		t.Fatalf("unknown tenant: %v", err)
 	}
-	if _, err := eng.AdviseTenants(0.05, 0.9, map[string]float64{"gold": 0}); !errors.Is(err, ErrBadQuery) {
+	if _, err := eng.AdviseTenantsContext(context.Background(), core.Query{}, 0.05, 0.9, map[string]float64{"gold": 0}); !errors.Is(err, ErrBadQuery) {
 		t.Fatalf("zero weight: %v", err)
 	}
-	if _, err := eng.AdviseTenants(0.05, 0.9, nil); !errors.Is(err, ErrBadQuery) {
+	if _, err := eng.AdviseTenantsContext(context.Background(), core.Query{}, 0.05, 0.9, nil); !errors.Is(err, ErrBadQuery) {
 		t.Fatalf("no weights: %v", err)
 	}
 }
