@@ -52,7 +52,8 @@ bench-build:
 
 # Short native-fuzzing runs over the HTTP request parsers (including the
 # hand-rolled NDJSON scanner's byte-for-byte equivalence against the stdlib
-# decoder), the histogram
+# decoder), the /predict append encoder's byte-for-byte equivalence against
+# encoding/json, the histogram
 # invariants, the k-of-n order-statistic combinator, the guarded root
 # finder and the router's partial-CDF merge: enough to catch regressions in
 # the strict decoder, the quantile/bucket arithmetic, the coded-read CDF
@@ -64,6 +65,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzNDJSONScannerEquivalence$$' -fuzztime=10s ./internal/ingest
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeStrict$$' -fuzztime=10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFloats$$' -fuzztime=10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzPredictResponseEncoding$$' -fuzztime=10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzHistogramInvariants$$' -fuzztime=10s ./internal/stats
 	$(GO) test -run '^$$' -fuzz '^FuzzOrderStatisticCDF$$' -fuzztime=10s ./internal/coscode
 	$(GO) test -run '^$$' -fuzz '^FuzzBrentGuarded$$' -fuzztime=10s ./internal/numeric

@@ -1,8 +1,12 @@
 package main
 
 import (
+	"net/http/httptest"
 	"testing"
 	"time"
+
+	"cosmodel"
+	"cosmodel/internal/proctest"
 )
 
 func TestConfigureDefaults(t *testing.T) {
@@ -44,4 +48,28 @@ func TestConfigureRejectsBadInput(t *testing.T) {
 			t.Errorf("case %d (%v): no error", i, args)
 		}
 	}
+}
+
+func TestMain(m *testing.M) { proctest.Main(m, main) }
+
+// TestExitsOnSIGTERM runs the real binary in front of one in-process shard:
+// SIGTERM with an idle keep-alive connection open must drain and exit 0
+// promptly, with the prober and warm-up goroutines still running.
+func TestExitsOnSIGTERM(t *testing.T) {
+	props := cosmodel.DeviceProperties{
+		IndexDisk: cosmodel.NewGammaMeanSCV(9e-3, 0.45),
+		MetaDisk:  cosmodel.NewGammaMeanSCV(6e-3, 0.50),
+		DataDisk:  cosmodel.NewGammaMeanSCV(8e-3, 0.40),
+		ParseFE:   cosmodel.Degenerate{Value: 300e-6},
+		ParseBE:   cosmodel.Degenerate{Value: 500e-6},
+	}
+	cfg := cosmodel.DefaultServeConfig(props, 4)
+	cfg.ShardMode = true
+	shard, err := cosmodel.NewServeServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(shard.Handler())
+	defer ts.Close()
+	proctest.ExitsOnSIGTERM(t, "-nodes", ts.URL, "-replicas", "1", "-probe", "50ms")
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"cosmodel"
+	"cosmodel/internal/proctest"
 )
 
 func TestConfigure(t *testing.T) {
@@ -101,4 +102,12 @@ func TestServeSmoke(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("predict status %d", resp.StatusCode)
 	}
+}
+
+func TestMain(m *testing.M) { proctest.Main(m, main) }
+
+// TestExitsOnSIGTERM runs the real binary: SIGTERM with an idle keep-alive
+// connection open must drain and exit 0 promptly.
+func TestExitsOnSIGTERM(t *testing.T) {
+	proctest.ExitsOnSIGTERM(t, "-devices", "4")
 }

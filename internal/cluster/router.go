@@ -307,9 +307,7 @@ type errorBody struct {
 func (r *Router) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if err := json.NewEncoder(w).Encode(v); err != nil {
 		r.logf("cluster: writing %d response: %v", status, err)
 	}
 }

@@ -3,10 +3,22 @@ package serve
 import (
 	"context"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"cosmodel/internal/core"
 )
+
+// testGrid builds the SLA grid of bounds the test knows are valid.
+func testGrid(t *testing.T, slas ...float64) slaGrid {
+	t.Helper()
+	g, err := newSLAGrid(slas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
 
 // TestPredictGridMatchesScalarEvaluate pins the batched /predict path
 // against the scalar per-SLA cache path: the whole-grid evaluation must
@@ -23,12 +35,12 @@ func TestPredictGridMatchesScalarEvaluate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, key, err := eng.state.snapshotKeyed()
+	p, err := eng.state.snapshotKeyed()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, sla := range eng.cfg.SLAs {
-		v, _, err := eng.evaluate(context.Background(), ms, key, core.Query{}, 1, []float64{sla})
+		v, _, err := eng.evaluate(context.Background(), p, core.Query{}, 1, testGrid(t, sla))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +89,7 @@ func TestPredictGridCaching(t *testing.T) {
 
 // TestPredictCachedAllocs pins the warm-path allocation budget: a cached
 // grid prediction is a memoized-snapshot lookup plus one cache hit, with
-// no model build and no inversion.
+// no model build, no inversion and no evaluation timer.
 func TestPredictCachedAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector; alloc counts are not meaningful")
@@ -96,9 +108,60 @@ func TestPredictCachedAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Grid key build, context plumbing, output slice: fixed small cost.
-	if allocs > 30 {
-		t.Errorf("cached grid predict allocates %v objects per run", allocs)
+	// The grid key, the memo key and the output slice.
+	if allocs > 3 {
+		t.Errorf("cached grid predict allocates %v objects per run, want ≤ 3", allocs)
+	}
+}
+
+// discardWriter is a reusable http.ResponseWriter that drops the body, so
+// an allocation count covers the handler alone.
+type discardWriter struct {
+	h      http.Header
+	status int
+	n      int
+}
+
+func (d *discardWriter) Header() http.Header         { return d.h }
+func (d *discardWriter) WriteHeader(status int)      { d.status = status }
+func (d *discardWriter) Write(b []byte) (int, error) { d.n += len(b); return len(b), nil }
+
+// TestPredictHandlerCachedAllocs pins the allocation budget of a cached
+// GET /predict with a write block through the whole route (middleware,
+// parse, one snapshot, two cache hits, append encoding). The fixture
+// carries PUT traffic so the write block is answerable, and the operating
+// point never moves: every run must be exactly one cache hit per block.
+func TestPredictHandlerCachedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector; alloc counts are not meaningful")
+	}
+	s, err := NewServer(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestMixed(t, s.Engine(), 50, 10)
+	h := s.Handler()
+	r := httptest.NewRequest(http.MethodGet, "/predict?sla=0.01,0.05,0.1&writeN=3&writeW=2", nil)
+	w := &discardWriter{h: http.Header{}}
+	h.ServeHTTP(w, r)
+	if w.status != http.StatusOK || w.n == 0 {
+		t.Fatalf("warm-up answered %d with %d bytes", w.status, w.n)
+	}
+	const runs = 100
+	before := s.Engine().cache.stats()
+	allocs := testing.AllocsPerRun(runs, func() { h.ServeHTTP(w, r) })
+	after := s.Engine().cache.stats()
+	// AllocsPerRun makes one warm-up call before the counted runs.
+	const blocks = 2
+	if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits != blocks*(runs+1) || misses != 0 {
+		t.Fatalf("%d hits and %d misses over %d runs, want %d and 0: the fixture moved the operating point",
+			hits, misses, runs+1, blocks*(runs+1))
+	}
+	// Query parsing, the request's grid and memo keys, the two prediction
+	// slices and blocks, the Content-Type header value, and the route's own
+	// bookkeeping.
+	if allocs > 18 {
+		t.Errorf("cached GET /predict with a write block allocates %v objects per run, want ≤ 18", allocs)
 	}
 }
 
@@ -120,13 +183,13 @@ func TestAdviseValueSearchMatchesBoolean(t *testing.T) {
 	if adv.MaxAdmissibleRate <= 0 {
 		t.Fatalf("no admissible rate at a moderate load: %+v", adv)
 	}
-	ms, key, err := eng.state.snapshotKeyed()
+	p, err := eng.state.snapshotKeyed()
 	if err != nil {
 		t.Fatal(err)
 	}
 	current := adv.CurrentRate
 	meets := func(ctx context.Context, rate float64) (bool, error) {
-		v, _, err := eng.evaluate(ctx, ms, key, core.Query{}, rate/current, []float64{sla})
+		v, _, err := eng.evaluate(ctx, p, core.Query{}, rate/current, testGrid(t, sla))
 		if err != nil {
 			return false, err
 		}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -101,7 +100,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e.state = state
-	e.cache = newModelCache(cfg.CacheEntries)
+	e.cache = newModelCache(cfg.CacheEntries, e.cfg.Opts.EvalContext)
 	e.registerCacheMetrics()
 	if cfg.Calib != nil {
 		cc := *cfg.Calib
@@ -427,29 +426,41 @@ func (e *Engine) PredictContext(ctx context.Context, q core.Query, slas []float6
 	if err := q.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
 	}
+	g, err := e.grid(slas)
+	if err != nil {
+		return nil, err
+	}
+	p, err := e.state.snapshotKeyed()
+	if err != nil {
+		return nil, err
+	}
+	preds, _, err := e.predictAt(ctx, p, q, g)
+	return preds, err
+}
+
+// grid builds the SLA grid of a request; empty bounds mean the configured
+// defaults.
+func (e *Engine) grid(slas []float64) (slaGrid, error) {
 	if len(slas) == 0 {
 		slas = e.cfg.SLAs
 	}
-	for _, s := range slas {
-		if err := validSLA(s); err != nil {
-			return nil, err
-		}
-	}
-	ms, key, err := e.state.snapshotKeyed()
+	return newSLAGrid(slas)
+}
+
+// predictAt answers q over the grid g at the operating point p and reports
+// whether the point is saturated for q. The memo cache arms the evaluation
+// budget only when the lookup has to wait or compute, so a hit runs no
+// timer.
+func (e *Engine) predictAt(ctx context.Context, p *opPoint, q core.Query, g slaGrid) ([]Prediction, bool, error) {
+	v, cached, err := e.evaluate(ctx, p, q, 1, g)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	ctx, cancel := e.cfg.Opts.EvalContext(ctx)
-	defer cancel()
-	v, cached, err := e.evaluate(ctx, ms, key, q, 1, slas)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Prediction, len(slas))
-	for i, sla := range slas {
+	out := make([]Prediction, len(g.slas))
+	for i, sla := range g.slas {
 		out[i] = Prediction{SLA: sla, MeetRatio: v.ps[i], Saturated: v.saturated, Cached: cached}
 	}
-	return out, nil
+	return out, v.saturated, nil
 }
 
 func validSLA(s float64) error {
@@ -459,18 +470,19 @@ func validSLA(s float64) error {
 	return nil
 }
 
-// evaluate answers q at every SLA of the grid at the snapshot ms with every
-// device's load scaled by factor (admission probes), through the memo
-// cache: a miss builds the model once and evaluates the whole grid in one
-// batched traversal of the device mixture. A saturated operating point
+// evaluate answers q at every SLA of the grid g at the operating point p
+// with every device's load scaled by factor (admission probes), through the
+// memo cache: a miss builds the model once and evaluates the whole grid in
+// one batched traversal of the device mixture. A saturated operating point
 // caches an all-zero grid. A write query on a snapshot without writes —
 // core.ErrBadParams from the write mixture — maps to ErrNotReady: the
 // client asked a sound question the server has no write observations to
 // answer yet. The prediction and saturation counters advance by the grid
 // size.
-func (e *Engine) evaluate(ctx context.Context, ms []core.OnlineMetrics, key string, q core.Query, factor float64, slas []float64) (cachedValue, bool, error) {
-	v, cached, err := e.cache.do(ctx, cacheKey(key, q, factor, slas), func(ctx context.Context) (cachedValue, error) {
-		sys, err := e.build(ms, q, factor, -1)
+func (e *Engine) evaluate(ctx context.Context, p *opPoint, q core.Query, factor float64, g slaGrid) (cachedValue, bool, error) {
+	slas := g.slas
+	v, cached, err := e.cache.do(ctx, cacheKey(p.key, q, factor, g.key), func(ctx context.Context) (cachedValue, error) {
+		sys, err := e.build(p.ms, q, factor, -1)
 		if errors.Is(err, core.ErrOverload) {
 			return cachedValue{saturated: true, ps: make([]float64, len(slas))}, nil
 		}
@@ -599,31 +611,28 @@ func (e *Engine) AdviseContext(ctx context.Context, q core.Query, sla, target fl
 	if err := q.Validate(); err != nil {
 		return Advice{}, fmt.Errorf("%w: %v", ErrBadQuery, err)
 	}
-	if err := validSLA(sla); err != nil {
+	g, err := newSLAGrid([]float64{sla})
+	if err != nil {
 		return Advice{}, err
 	}
 	if !(target > 0) || target > 1 {
 		return Advice{}, fmt.Errorf("%w: target %v outside (0,1]", ErrBadQuery, target)
 	}
-	ms, key, err := e.state.snapshotKeyed()
+	p, err := e.state.snapshotKeyed()
 	if err != nil {
 		return Advice{}, err
 	}
 	ctx, cancel := e.cfg.Opts.EvalContext(ctx)
 	defer cancel()
-	current := 0.0
-	for _, m := range ms {
-		current += m.Rate
-	}
-	slas := []float64{sla}
-	cur, _, err := e.evaluate(ctx, ms, key, q, 1, slas)
+	current := p.rate
+	cur, _, err := e.evaluate(ctx, p, q, 1, g)
 	if err != nil {
 		return Advice{}, err
 	}
 	adv := Advice{SLA: sla, Target: target, CurrentRate: current,
 		CurrentMeetRatio: cur.ps[0], Saturated: cur.saturated}
 	margin := func(ctx context.Context, rate float64) (float64, bool, error) {
-		v, _, err := e.evaluate(ctx, ms, key, q, rate/current, slas)
+		v, _, err := e.evaluate(ctx, p, q, rate/current, g)
 		switch {
 		case err == nil:
 			if v.saturated {
@@ -732,11 +741,8 @@ func (e *Engine) Stats() EngineStats {
 	if ns := e.lastFallbackNS.Load(); ns != 0 {
 		st.LastFallbackAge = float64(e.cfg.now().UnixNano()-ns) / 1e9
 	}
-	if ms, err := e.state.snapshot(); err == nil {
-		for _, m := range ms {
-			st.TotalRate += m.Rate
-			st.TotalWriteRate += m.WriteRate
-		}
+	if p, err := e.state.snapshotKeyed(); err == nil {
+		st.TotalRate, st.TotalWriteRate = p.rate, p.writeRate
 	}
 	st.TenantClasses = len(e.state.tenantNames())
 	return st
@@ -759,36 +765,29 @@ func quantize(x float64) float64 {
 	return math.Round(x/scale) * scale
 }
 
-func quantStr(x float64) string {
-	return strconv.FormatFloat(quantize(x), 'g', -1, 64)
+// appendQuant appends quantize(x) in its shortest form.
+func appendQuant(b []byte, x float64) []byte {
+	return strconv.AppendFloat(b, quantize(x), 'g', -1, 64)
 }
 
 // opKey serializes a quantized operating point: every device's rates, miss
 // ratios, process count and disk mean. Identical keys mean (up to
 // quantization) identical model inputs.
 func opKey(ms []core.OnlineMetrics) string {
-	var b strings.Builder
+	b := make([]byte, 0, 96*len(ms))
 	for i, m := range ms {
 		if i > 0 {
-			b.WriteByte(';')
+			b = append(b, ';')
 		}
-		b.WriteString(quantStr(m.Rate))
-		b.WriteByte(',')
-		b.WriteString(quantStr(m.DataRate))
-		b.WriteByte(',')
-		b.WriteString(quantStr(m.MissIndex))
-		b.WriteByte(',')
-		b.WriteString(quantStr(m.MissMeta))
-		b.WriteByte(',')
-		b.WriteString(quantStr(m.MissData))
-		b.WriteByte(',')
-		b.WriteString(strconv.Itoa(m.Procs))
-		b.WriteByte(',')
-		b.WriteString(quantStr(m.DiskMean))
-		b.WriteByte(',')
-		b.WriteString(quantStr(m.WriteRate))
-		b.WriteByte(',')
-		b.WriteString(quantStr(m.WriteChunks))
+		for _, x := range [...]float64{m.Rate, m.DataRate, m.MissIndex, m.MissMeta, m.MissData} {
+			b = appendQuant(b, x)
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(m.Procs), 10)
+		for _, x := range [...]float64{m.DiskMean, m.WriteRate, m.WriteChunks} {
+			b = append(b, ',')
+			b = appendQuant(b, x)
+		}
 	}
-	return b.String()
+	return string(b)
 }

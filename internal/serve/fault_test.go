@@ -141,6 +141,59 @@ func TestEvalTimeoutReturns503(t *testing.T) {
 	}
 }
 
+// TestEvalTimeoutBoundsDedupedWaiters sends identical /predict misses at
+// once: one computes, the rest wait on it. When the computation runs out of
+// budget every client must get its 503 within about one budget; a waiter
+// must not take over and run a budget of its own after the owner's, which
+// would make the last of n clients wait n budgets.
+func TestEvalTimeoutBoundsDedupedWaiters(t *testing.T) {
+	const (
+		clients = 6
+		budget  = 100 * time.Millisecond
+	)
+	cfg := testConfig()
+	// An evaluation runs two rounds of inversions, 160ms: past the budget.
+	cfg.Opts.Inverter = slowInverter{d: budget * 4 / 5, inner: numeric.NewEuler()}
+	cfg.Opts.EvalTimeout = budget
+	_, ts := newTestServer(t, cfg)
+	ingestHTTP(t, ts.URL, 50, 4, nil)
+
+	type result struct {
+		status  int
+		elapsed time.Duration
+	}
+	results := make(chan result, clients)
+	for i := 0; i < clients; i++ {
+		go func() {
+			start := time.Now()
+			resp, err := http.Get(ts.URL + "/predict?sla=0.02,0.04")
+			if err != nil {
+				results <- result{status: -1, elapsed: time.Since(start)}
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			results <- result{status: resp.StatusCode, elapsed: time.Since(start)}
+		}()
+	}
+	for i := 0; i < clients; i++ {
+		r := <-results
+		if r.status != http.StatusServiceUnavailable {
+			t.Errorf("status %d, want 503", r.status)
+		}
+		// One budget plus one in-flight inversion and scheduling slack; a
+		// serialized takeover would need clients×budget.
+		if r.elapsed > 3*budget {
+			t.Errorf("a client waited %v for its 503, want ≈%v", r.elapsed, budget)
+		}
+	}
+	var m MetricsResponse
+	getJSON(t, ts.URL+"/metrics", &m)
+	if m.Shed != 0 {
+		t.Errorf("%d requests shed; the 503s must come from the budget", m.Shed)
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Numerical poisoning.
 

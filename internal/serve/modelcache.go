@@ -33,6 +33,9 @@ type modelCache struct {
 	items    map[string]*list.Element // key -> element holding *cacheEntry
 	hits     uint64                   // lookups served from memory or deduped onto an in-flight computation
 	misses   uint64                   // lookups that had to compute
+	// budget bounds a lookup that waits or computes (nil: no bound). A hit
+	// on a finished entry never arms it.
+	budget func(context.Context) (context.Context, context.CancelFunc)
 }
 
 type cacheEntry struct {
@@ -43,7 +46,7 @@ type cacheEntry struct {
 	err   error
 }
 
-func newModelCache(capacity int) *modelCache {
+func newModelCache(capacity int, budget func(context.Context) (context.Context, context.CancelFunc)) *modelCache {
 	if capacity < 1 {
 		capacity = 1
 	}
@@ -51,6 +54,7 @@ func newModelCache(capacity int) *modelCache {
 		capacity: capacity,
 		ll:       list.New(),
 		items:    make(map[string]*list.Element),
+		budget:   budget,
 	}
 }
 
@@ -65,7 +69,23 @@ func newModelCache(capacity int) *modelCache {
 // finishes and caches on its own), and a waiter whose computing owner was
 // itself cancelled retries the lookup — one request's client hanging up
 // must never poison the answer for everyone deduplicated behind it.
+//
+// The budget is armed once per call, the first time the caller has to wait
+// or compute, and spans its retries: a waiter that takes over from an owner
+// whose budget ran out inherits what is left of its own, so n identical
+// concurrent lookups all end within about one budget.
 func (c *modelCache) do(ctx context.Context, key string, fn func(context.Context) (cachedValue, error)) (v cachedValue, cached bool, err error) {
+	var cancel context.CancelFunc
+	defer func() {
+		if cancel != nil {
+			cancel()
+		}
+	}()
+	arm := func() {
+		if cancel == nil && c.budget != nil {
+			ctx, cancel = c.budget(ctx)
+		}
+	}
 	for {
 		c.mu.Lock()
 		if el, ok := c.items[key]; ok {
@@ -74,6 +94,14 @@ func (c *modelCache) do(ctx context.Context, key string, fn func(context.Context
 				c.hits++
 				c.ll.MoveToFront(el)
 				c.mu.Unlock()
+				select {
+				case <-e.ready:
+					if e.err == nil {
+						return e.val, true, nil
+					}
+				default:
+				}
+				arm()
 				select {
 				case <-e.ready:
 				case <-ctx.Done():
@@ -100,6 +128,7 @@ func (c *modelCache) do(ctx context.Context, key string, fn func(context.Context
 		}
 		c.mu.Unlock()
 
+		arm()
 		e.val, e.err = fn(ctx)
 		close(e.ready)
 		if e.err != nil {

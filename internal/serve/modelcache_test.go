@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,7 +14,7 @@ import (
 var ctxBG = context.Background()
 
 func TestModelCacheMemoizes(t *testing.T) {
-	c := newModelCache(16)
+	c := newModelCache(16, nil)
 	calls := 0
 	fn := func(context.Context) (cachedValue, error) {
 		calls++
@@ -39,8 +40,43 @@ func TestModelCacheMemoizes(t *testing.T) {
 	}
 }
 
+// TestModelCacheBudgetOnlyOffHits checks that the evaluation budget is
+// armed for the computing lookup and for a waiter, and never for a hit on
+// a finished entry.
+func TestModelCacheBudgetOnlyOffHits(t *testing.T) {
+	var armed atomic.Int32
+	c := newModelCache(16, func(ctx context.Context) (context.Context, context.CancelFunc) {
+		armed.Add(1)
+		return context.WithCancel(ctx)
+	})
+	release := make(chan struct{})
+	fn := func(context.Context) (cachedValue, error) {
+		<-release
+		return cachedValue{rate: 1}, nil
+	}
+	done := make(chan struct{})
+	go func() { c.do(ctxBG, "k", fn); close(done) }() //nolint:errcheck // only the budget count matters
+	for armed.Load() != 1 {
+		runtime.Gosched()
+	}
+	waited := make(chan struct{})
+	go func() { c.do(ctxBG, "k", fn); close(waited) }() //nolint:errcheck // only the budget count matters
+	for armed.Load() != 2 {
+		runtime.Gosched()
+	}
+	close(release)
+	<-done
+	<-waited
+	if _, cached, err := c.do(ctxBG, "k", fn); err != nil || !cached {
+		t.Fatalf("hit: cached=%v err=%v", cached, err)
+	}
+	if n := armed.Load(); n != 2 {
+		t.Errorf("budget armed %d times, want 2 (owner and waiter, not the hit)", n)
+	}
+}
+
 func TestModelCacheGeneration(t *testing.T) {
-	c := newModelCache(16)
+	c := newModelCache(16, nil)
 	calls := 0
 	fn := func(context.Context) (cachedValue, error) {
 		calls++
@@ -64,7 +100,7 @@ func TestModelCacheGeneration(t *testing.T) {
 }
 
 func TestModelCacheErrorNotCached(t *testing.T) {
-	c := newModelCache(16)
+	c := newModelCache(16, nil)
 	boom := errors.New("boom")
 	calls := 0
 	if _, _, err := c.do(ctxBG, "k", func(context.Context) (cachedValue, error) { calls++; return cachedValue{}, boom }); !errors.Is(err, boom) {
@@ -80,7 +116,7 @@ func TestModelCacheErrorNotCached(t *testing.T) {
 }
 
 func TestModelCacheEvicts(t *testing.T) {
-	c := newModelCache(4)
+	c := newModelCache(4, nil)
 	for i := 0; i < 10; i++ {
 		key := fmt.Sprintf("k%d", i)
 		c.do(ctxBG, key, func(context.Context) (cachedValue, error) { return cachedValue{rate: float64(i)}, nil }) //nolint:errcheck
@@ -103,7 +139,7 @@ func TestModelCacheEvicts(t *testing.T) {
 // TestModelCacheSingleflight checks that concurrent lookups of one key run
 // the computation exactly once and everyone gets its value.
 func TestModelCacheSingleflight(t *testing.T) {
-	c := newModelCache(16)
+	c := newModelCache(16, nil)
 	var calls atomic.Int64
 	gate := make(chan struct{})
 	const waiters = 16

@@ -71,34 +71,52 @@ func validateWire(q core.Query) error {
 	return nil
 }
 
-// cacheKey is the memo key of an evaluation of q over the SLA grid at the
-// operating point key, every device's load scaled by factor.
-func cacheKey(key string, q core.Query, factor float64, slas []float64) string {
-	var b strings.Builder
-	b.WriteString(key)
+// slaGrid is an SLA grid together with its memo-key fragment, built once
+// per request and shared by every evaluation over the grid.
+type slaGrid struct {
+	slas []float64
+	key  string
+}
+
+// newSLAGrid validates the bounds and builds their key fragment.
+func newSLAGrid(slas []float64) (slaGrid, error) {
+	var buf [64]byte
+	b := append(buf[:0], "|slas="...)
+	for i, s := range slas {
+		if err := validSLA(s); err != nil {
+			return slaGrid{}, err
+		}
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendQuant(b, s)
+	}
+	return slaGrid{slas: slas, key: string(b)}, nil
+}
+
+// cacheKey is the memo key of an evaluation of q over the SLA grid whose
+// key fragment is grid, at the operating point key, every device's load
+// scaled by factor.
+func cacheKey(key string, q core.Query, factor float64, grid string) string {
+	var buf [64]byte
+	b := buf[:0]
 	if q != (core.Query{}) {
 		sp := q.Spec
-		b.WriteString("|q=")
-		for _, v := range []int{int(q.Op), int(q.Tier), sp.N, sp.K} {
-			b.WriteString(strconv.Itoa(v))
-			b.WriteByte(',')
+		b = append(b, "|q="...)
+		for _, v := range [...]int{int(q.Op), int(q.Tier), sp.N, sp.K} {
+			b = strconv.AppendInt(b, int64(v), 10)
+			b = append(b, ',')
 		}
 		if sp.Hedge {
-			b.WriteString("h" + quantStr(sp.HedgeDelay))
+			b = append(b, 'h')
+			b = appendQuant(b, sp.HedgeDelay)
 		}
 	}
 	if factor != 1 {
-		b.WriteString("|f=")
-		b.WriteString(quantStr(factor))
+		b = append(b, "|f="...)
+		b = appendQuant(b, factor)
 	}
-	b.WriteString("|slas=")
-	for i, s := range slas {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(quantStr(s))
-	}
-	return b.String()
+	return key + string(b) + grid
 }
 
 // PredictRequest is the /predict payload; GET requests pass the bounds as

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime/debug"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -206,16 +207,14 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// writeJSON writes v as an indented JSON response. Encode failures (an
+// writeJSON writes v as a compact JSON response. Encode failures (an
 // unmarshalable value, or a client that vanished mid-write) are counted and
 // logged rather than silently dropped: a response the client never saw is
 // an operational signal, not a non-event.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if err := json.NewEncoder(w).Encode(v); err != nil {
 		s.encodeFails.Inc()
 		s.logf("serve: writing %d response: %v", status, err)
 	}
@@ -417,52 +416,83 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.release()
-	ctx := r.Context()
-	resp := PredictResponse{}
-	if resp.Predictions, resp.Saturated, err = s.predict(ctx, core.Query{}, req.SLAs); err != nil {
+	resp, err := s.engine.answerPredict(r.Context(), req)
+	if err != nil {
 		s.queryError(w, r, err)
 		return
 	}
+	s.served.Inc()
+	s.writePredict(w, &resp)
+}
+
+// answerPredict answers every block of a /predict request from one
+// snapshot of the operating point and one SLA grid, so the blocks, the
+// tenant share and the reported total rate all describe the same window.
+func (e *Engine) answerPredict(ctx context.Context, req PredictRequest) (PredictResponse, error) {
+	g, err := e.grid(req.SLAs)
+	if err != nil {
+		return PredictResponse{}, err
+	}
+	p, err := e.state.snapshotKeyed()
+	if err != nil {
+		return PredictResponse{}, err
+	}
+	resp := PredictResponse{TotalRate: p.rate, CalibrationAge: -1}
+	if resp.Predictions, resp.Saturated, err = e.predictAt(ctx, p, core.Query{}, g); err != nil {
+		return PredictResponse{}, err
+	}
 	if req.Coded != nil {
 		blk := &CodedReadBlock{Spec: *req.Coded}
-		if blk.Predictions, blk.Saturated, err = s.predict(ctx, req.Coded.query(), req.SLAs); err != nil {
-			s.queryError(w, r, err)
-			return
+		if blk.Predictions, blk.Saturated, err = e.predictAt(ctx, p, req.Coded.query(), g); err != nil {
+			return PredictResponse{}, err
 		}
 		resp.CodedRead = blk
 	}
 	if req.Write != nil {
 		blk := &WriteBlock{Spec: *req.Write}
-		if blk.Predictions, blk.Saturated, err = s.predict(ctx, req.Write.query(), req.SLAs); err != nil {
-			s.queryError(w, r, err)
-			return
+		if blk.Predictions, blk.Saturated, err = e.predictAt(ctx, p, req.Write.query(), g); err != nil {
+			return PredictResponse{}, err
 		}
 		resp.Write = blk
 	}
 	if req.Tenant != "" {
-		ts, err := s.engine.TenantStats(req.Tenant)
+		ts, err := e.tenantStats(req.Tenant, p.rate)
 		if err != nil {
-			s.queryError(w, r, err)
-			return
+			return PredictResponse{}, err
 		}
 		resp.Tenant = &ts
 	}
-	st := s.engine.Stats()
-	resp.TotalRate = st.TotalRate
-	resp.CalibrationAge = st.CalibrationAge
-	s.served.Inc()
-	s.writeJSON(w, http.StatusOK, resp)
+	if age, ok := e.state.calibrationAge(); ok {
+		resp.CalibrationAge = age
+	}
+	return resp, nil
 }
 
-// predict answers q over the SLA grid and reports whether any answer was
-// saturated.
-func (s *Server) predict(ctx context.Context, q core.Query, slas []float64) ([]Prediction, bool, error) {
-	preds, err := s.engine.PredictContext(ctx, q, slas)
-	saturated := false
-	for _, p := range preds {
-		saturated = saturated || p.Saturated
+// predictBufs recycles the /predict response buffers.
+var predictBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 1024)
+	return &b
+}}
+
+// writePredict writes a /predict answer through the append encoder with a
+// single Write: the bytes writeJSON would write, without reflection.
+func (s *Server) writePredict(w http.ResponseWriter, resp *PredictResponse) {
+	bp := predictBufs.Get().(*[]byte)
+	defer predictBufs.Put(bp)
+	b, err := appendPredictResponse((*bp)[:0], resp)
+	*bp = b
+	if err != nil {
+		s.encodeFails.Inc()
+		s.logf("serve: encoding /predict response: %v", err)
+		s.writeJSON(w, http.StatusInternalServerError, errorBody{Error: "encoding response: " + err.Error()})
+		return
 	}
-	return preds, saturated, err
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	if _, err := w.Write(b); err != nil {
+		s.encodeFails.Inc()
+		s.logf("serve: writing 200 response: %v", err)
+	}
 }
 
 // parseError answers a request ParsePredict or ParseAdvise refused.
@@ -593,7 +623,7 @@ func (s *Server) handleCalibration(w http.ResponseWriter, r *http.Request) {
 	}
 	props := s.engine.Props()
 	resp := CalibrationResponse{
-		Recalibrations: s.engine.Stats().Recalibrations,
+		Recalibrations: s.engine.recals.Value(),
 		IndexDisk:      summarize(props.IndexDisk),
 		MetaDisk:       summarize(props.MetaDisk),
 		DataDisk:       summarize(props.DataDisk),

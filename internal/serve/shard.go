@@ -65,15 +65,11 @@ type PartialResponse struct {
 // req.TotalRate·req.Factor. Zero covered devices is a legitimate empty
 // slice, not an error. Results are memoized like every other prediction.
 func (e *Engine) PartialPredictContext(ctx context.Context, req PartialRequest) (PartialResponse, error) {
-	slas := req.SLAs
-	if len(slas) == 0 {
-		slas = e.cfg.SLAs
+	g, err := e.grid(req.SLAs)
+	if err != nil {
+		return PartialResponse{}, err
 	}
-	for _, s := range slas {
-		if err := validSLA(s); err != nil {
-			return PartialResponse{}, err
-		}
-	}
+	slas := g.slas
 	if !(req.TotalRate > 0) || math.IsInf(req.TotalRate, 0) {
 		return PartialResponse{}, fmt.Errorf("%w: totalRate %v must be positive and finite", ErrBadQuery, req.TotalRate)
 	}
@@ -100,9 +96,7 @@ func (e *Engine) PartialPredictContext(ctx context.Context, req PartialRequest) 
 		return resp, nil
 	}
 	feRate := req.TotalRate * factor
-	ctx, cancel := e.cfg.Opts.EvalContext(ctx)
-	defer cancel()
-	ck := cacheKey("partial|"+opKey(ms)+"|tr="+quantStr(feRate), core.Query{}, factor, slas)
+	ck := cacheKey("partial|"+opKey(ms)+"|tr="+string(appendQuant(nil, feRate)), core.Query{}, factor, g.key)
 	v, _, err := e.cache.do(ctx, ck, func(ctx context.Context) (cachedValue, error) {
 		local := 0.0
 		for _, m := range ms {

@@ -81,12 +81,12 @@ func TestPartialPredictFactorScalesLikeAdviseProbe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, key, err := eng.state.snapshotKeyed()
+	p, err := eng.state.snapshotKeyed()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, sla := range eng.Config().SLAs {
-		v, _, err := eng.evaluate(ctx, ms, key, core.Query{}, factor, []float64{sla})
+		v, _, err := eng.evaluate(ctx, p, core.Query{}, factor, testGrid(t, sla))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -40,15 +40,13 @@ type stateTable struct {
 	classMu sync.Mutex
 	classes map[string]*ingest.Table
 
-	// Snapshot memo: the derived metrics and their quantized operating-point
-	// key are pure functions of the ingest history, so between ingests every
-	// query can reuse one immutable slice instead of re-deriving both.
+	// Snapshot memo: the derived operating point is a pure function of the
+	// ingest history, so between ingests every query reuses one immutable
+	// opPoint instead of re-deriving it.
 	snapMu    sync.Mutex
 	snapValid bool
-	snapRev   uint64 // table revision the memo was derived from
-	snapMS    []core.OnlineMetrics
-	snapKey   string
-	snapErr   error
+	snapRev   uint64   // table revision the memo was derived from
+	snap      *opPoint // nil when no device has observations
 }
 
 func newStateTable(cfg *Config) (*stateTable, error) {
@@ -193,42 +191,50 @@ func (t *stateTable) tenantNames() []string {
 	return names
 }
 
-// snapshot derives the current per-device online metrics. Idle devices are
-// omitted (they contribute nothing to the system mixture). ErrNotReady is
-// returned when no device has observations.
-func (t *stateTable) snapshot() ([]core.OnlineMetrics, error) {
-	ms := t.table.Snapshot()
-	if len(ms) == 0 {
-		return nil, ErrNotReady
-	}
-	return ms, nil
+// opPoint is one derivation of the current operating point: the
+// per-device metrics, their quantized key (opKey) and the aggregate rates.
+// It is immutable once built.
+type opPoint struct {
+	ms  []core.OnlineMetrics
+	key string
+	// rate and writeRate are the aggregate read request and PUT replica
+	// rates of the window.
+	rate, writeRate float64
 }
 
-// snapshotKeyed returns the current per-device metrics together with their
-// quantized operating-point key (opKey), memoized on the table revision:
-// repeated queries at a stable operating point share one derivation and one
-// key string. Callers must treat the returned slice as immutable.
-func (t *stateTable) snapshotKeyed() ([]core.OnlineMetrics, string, error) {
+// snapshotKeyed returns the current operating point, memoized on the table
+// revision: repeated queries at a stable operating point share one
+// derivation, one key string and one pair of rate sums. Idle devices are
+// omitted (they contribute nothing to the system mixture); ErrNotReady is
+// returned when no device has observations.
+func (t *stateTable) snapshotKeyed() (*opPoint, error) {
 	rev := t.table.Revision()
 	t.snapMu.Lock()
 	defer t.snapMu.Unlock()
 	if !t.snapValid || t.snapRev != rev {
-		t.snapMS, t.snapErr = t.snapshot()
-		t.snapKey = ""
-		if t.snapErr == nil {
-			t.snapKey = opKey(t.snapMS)
+		t.snap = nil
+		if ms := t.table.Snapshot(); len(ms) > 0 {
+			p := &opPoint{ms: ms, key: opKey(ms)}
+			for _, m := range ms {
+				p.rate += m.Rate
+				p.writeRate += m.WriteRate
+			}
+			t.snap = p
 		}
 		t.snapRev, t.snapValid = rev, true
 	}
-	return t.snapMS, t.snapKey, t.snapErr
+	if t.snap == nil {
+		return nil, ErrNotReady
+	}
+	return t.snap, nil
 }
 
 // snapshotDevices derives the current online metrics of a device subset —
 // the shard-local slice of the cluster mixture. Idle devices in the subset
 // are skipped; covered counts the subset devices that contributed an
-// operating point. Unlike snapshot, an empty result is not an error: a shard
-// that has not yet ingested for its devices legitimately contributes zero
-// weight to the merged mixture.
+// operating point. Unlike snapshotKeyed, an empty result is not an error: a
+// shard that has not yet ingested for its devices legitimately contributes
+// zero weight to the merged mixture.
 func (t *stateTable) snapshotDevices(devs []int) (ms []core.OnlineMetrics, covered int, err error) {
 	ms, covered, err = t.table.SnapshotDevices(devs)
 	return ms, covered, wrapIngestErr(err)

@@ -57,6 +57,16 @@ func tenantRates(tab *ingest.Table) (rate, writeRate float64, reporting int) {
 // TenantStats reports one tenant's windowed rates. ErrBadQuery names a
 // malformed label; ErrNotReady a class that has no observations yet.
 func (e *Engine) TenantStats(class string) (TenantStats, error) {
+	total := 0.0
+	if p, err := e.state.snapshotKeyed(); err == nil {
+		total = p.rate
+	}
+	return e.tenantStats(class, total)
+}
+
+// tenantStats reports one tenant's windowed rates against the aggregate
+// read rate total.
+func (e *Engine) tenantStats(class string, total float64) (TenantStats, error) {
 	if err := validateClassLabel(class); err != nil {
 		return TenantStats{}, err
 	}
@@ -66,12 +76,6 @@ func (e *Engine) TenantStats(class string) (TenantStats, error) {
 	}
 	ts := TenantStats{Class: class}
 	ts.Rate, ts.WriteRate, ts.Reporting = tenantRates(tab)
-	total := 0.0
-	if ms, err := e.state.snapshot(); err == nil {
-		for _, m := range ms {
-			total += m.Rate
-		}
-	}
 	if total > 0 {
 		ts.ShareOfTotal = ts.Rate / total
 	}

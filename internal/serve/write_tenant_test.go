@@ -49,7 +49,7 @@ func TestWriteSpecValidate(t *testing.T) {
 	}
 	keys := map[string]core.Query{}
 	for _, q := range []core.Query{{}, WriteSpec{N: 3, W: 2}.query(), WriteSpec{N: 3, W: 3}.query(), CodedReadSpec{N: 3, K: 2}.query()} {
-		k := cacheKey("op", q, 1, []float64{0.05})
+		k := cacheKey("op", q, 1, testGrid(t, 0.05).key)
 		if prev, dup := keys[k]; dup {
 			t.Errorf("%+v and %+v share cache key %q", prev, q, k)
 		}
