@@ -52,20 +52,20 @@ bench-build:
 
 # Short native-fuzzing runs over the HTTP request parsers (including the
 # hand-rolled NDJSON scanner's byte-for-byte equivalence against the stdlib
-# decoder), the /predict append encoder's byte-for-byte equivalence against
-# encoding/json, the histogram
-# invariants, the k-of-n order-statistic combinator, the guarded root
-# finder and the router's partial-CDF merge: enough to catch regressions in
-# the strict decoder, the quantile/bucket arithmetic, the coded-read CDF
-# bounds, the bracketed search invariants and the cluster merge invariants
-# (outputs in [0,1], monotone, single-shard passthrough) without turning
-# check into a soak.
+# decoder), the /predict and shard partial append encoders' byte-for-byte
+# equivalence against encoding/json, the histogram invariants, the k-of-n
+# order-statistic combinator, the guarded root finder and the router's
+# partial-CDF merge: enough to catch regressions in the strict decoder, the
+# quantile/bucket arithmetic, the coded-read CDF bounds, the bracketed
+# search invariants and the cluster merge invariants (outputs in [0,1],
+# monotone, single-shard passthrough) without turning check into a soak.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzNDJSONDecode$$' -fuzztime=10s ./internal/ingest
 	$(GO) test -run '^$$' -fuzz '^FuzzNDJSONScannerEquivalence$$' -fuzztime=10s ./internal/ingest
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeStrict$$' -fuzztime=10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFloats$$' -fuzztime=10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzPredictResponseEncoding$$' -fuzztime=10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzPartialResponseEncoding$$' -fuzztime=10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzHistogramInvariants$$' -fuzztime=10s ./internal/stats
 	$(GO) test -run '^$$' -fuzz '^FuzzOrderStatisticCDF$$' -fuzztime=10s ./internal/coscode
 	$(GO) test -run '^$$' -fuzz '^FuzzBrentGuarded$$' -fuzztime=10s ./internal/numeric

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 	"time"
 
 	"cosmodel/internal/ingest"
@@ -16,8 +17,9 @@ import (
 )
 
 // shardClient issues the router's HTTP calls to shard nodes: plain
-// retrying requests for ingest forwarding and state probes, and a hedged
-// racer over a replica chain for the latency-critical partial evaluations.
+// retrying requests for ingest forwarding and state probes, and the hedged
+// fan-out over replica chains for the latency-critical partial
+// evaluations.
 type shardClient struct {
 	nodes      []string
 	hc         *http.Client
@@ -33,12 +35,15 @@ type shardClient struct {
 	// cancellation of a losing hedge) so the health tracker can strike the
 	// node instead of re-dialing a corpse on every query.
 	onAttemptError func(node int, err error)
+	// onAttemptDone runs as a partial attempt's goroutine finishes, after it
+	// delivered its result.
+	onAttemptDone func(node int, err error)
 }
 
 func newShardClient(cfg Config) *shardClient {
 	hc := cfg.Client
 	if hc == nil {
-		hc = &http.Client{Timeout: 30 * time.Second}
+		hc = &http.Client{Timeout: 30 * time.Second, Transport: newTransport(cfg)}
 	}
 	return &shardClient{
 		nodes:      cfg.Nodes,
@@ -47,6 +52,31 @@ func newShardClient(cfg Config) *shardClient {
 		hedgeDelay: cfg.HedgeDelay,
 		logf:       cfg.Logf,
 	}
+}
+
+// newTransport returns net/http's default transport with an idle pool
+// sized for the router's concurrency: one idle connection per in-flight
+// query and node. The default keeps two per host, so concurrent fan-outs
+// and ingest forwards beyond that dial a fresh connection and drop it.
+func newTransport(cfg Config) http.RoundTripper {
+	dt, ok := http.DefaultTransport.(*http.Transport)
+	if !ok {
+		return nil // a replaced default: use it as is
+	}
+	t := dt.Clone()
+	t.MaxIdleConnsPerHost = cfg.MaxInflight
+	t.MaxIdleConns = cfg.MaxInflight * len(cfg.Nodes)
+	return t
+}
+
+// fanOutContext derives the context of one fan-out: its deadline is no
+// later than the client's Timeout, so net/http arms no per-call timer of
+// its own (it skips the timer when the request's context expires sooner).
+func (c *shardClient) fanOutContext(ctx context.Context) (context.Context, context.CancelFunc) {
+	if c.hc.Timeout > 0 {
+		return context.WithTimeout(ctx, c.hc.Timeout)
+	}
+	return context.WithCancel(ctx)
 }
 
 // errShardStatus marks a non-2xx shard answer with its status and body.
@@ -71,13 +101,17 @@ func (c *shardClient) doJSON(ctx context.Context, node int, method, path string,
 			return retry.Permanent(err)
 		}
 	}
-	return c.doRaw(ctx, node, method, path, payload, "application/json", out)
+	var decode func([]byte) error
+	if out != nil {
+		decode = func(b []byte) error { return json.Unmarshal(b, out) }
+	}
+	return c.doRaw(ctx, node, method, path, payload, "application/json", decode)
 }
 
-// doRaw is doJSON with a pre-encoded payload and explicit content type —
-// the NDJSON forwarding path encodes once and replays the same bytes across
-// retries.
-func (c *shardClient) doRaw(ctx context.Context, node int, method, path string, payload []byte, contentType string, out any) error {
+// doRaw is doJSON with a pre-encoded payload, an explicit content type and
+// the answer's decoder (nil discards it). The NDJSON forwarding path
+// encodes once and replays the same bytes across retries.
+func (c *shardClient) doRaw(ctx context.Context, node int, method, path string, payload []byte, contentType string, decode func([]byte) error) error {
 	attempt := 0
 	return c.policy.Do(ctx, func(ctx context.Context) error {
 		if attempt++; attempt > 1 && c.onRetry != nil {
@@ -111,15 +145,32 @@ func (c *shardClient) doRaw(ctx context.Context, node int, method, path string, 
 				return serr
 			}
 		}
-		if out == nil {
+		if decode == nil {
 			io.Copy(io.Discard, resp.Body) //nolint:errcheck
 			return nil
 		}
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		buf := bodyBufs.Get().(*bytes.Buffer)
+		defer putBodyBuf(buf)
+		buf.Reset()
+		if _, err := buf.ReadFrom(resp.Body); err != nil {
+			return fmt.Errorf("reading shard response: %w", err)
+		}
+		if err := decode(buf.Bytes()); err != nil {
 			return fmt.Errorf("decoding shard response: %w", err)
 		}
 		return nil
 	})
+}
+
+// bodyBufs recycles the buffers shard answers are read into.
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// putBodyBuf returns a buffer to the pool unless an outsized answer (a
+// large /shard/state) grew it.
+func putBodyBuf(b *bytes.Buffer) {
+	if b.Cap() <= 64<<10 {
+		bodyBufs.Put(b)
+	}
 }
 
 // postIngest dual-writes a batch to one replica over the streaming NDJSON
@@ -146,90 +197,147 @@ func (c *shardClient) postInvalidate(ctx context.Context, node int, gen uint64) 
 		serve.ShardInvalidateRequest{Generation: gen}, nil)
 }
 
-// postPartial asks a replica chain for its partial CDF, hedging and failing
-// over along the chain. Returns the answering node.
-func (c *shardClient) postPartial(ctx context.Context, chain []int, req serve.PartialRequest) (serve.PartialResponse, int, error) {
-	return race(ctx, c, chain, func(ctx context.Context, node int) (serve.PartialResponse, error) {
-		var resp serve.PartialResponse
-		err := c.doJSON(ctx, node, http.MethodPost, "/shard/partial", req, &resp)
-		return resp, err
-	})
+// partialCall is one coverage group's progress through its replica chain
+// during a fan-out, and its outcome: resp from node, or err once every
+// replica failed or the fan-out's context ended.
+type partialCall struct {
+	resp serve.PartialResponse
+	node int
+	err  error
+
+	done              bool
+	launched, pending int       // attempts started and still running
+	hedgeAt           time.Time // when to race the next replica; zero: never
+	errs              []error
 }
 
-// race runs call against chain[0], hedges to the next replica when the
-// hedge delay elapses without an answer, fails over immediately when an
-// attempt errors, and returns the first success (cancelling the rest). All
-// replicas hold the same dual-written state, so whichever answers first is
-// equally authoritative. With every attempt failed, the errors are joined.
-func race[T any](ctx context.Context, c *shardClient, chain []int, call func(context.Context, int) (T, error)) (T, int, error) {
-	var zero T
-	if len(chain) == 0 {
-		return zero, -1, ErrNoQuorum
+// partialAttempt is one attempt's answer.
+type partialAttempt struct {
+	group, node int
+	resp        serve.PartialResponse
+	err         error
+}
+
+// partials asks every coverage group for its partial CDF with a GET of
+// paths[i], in one loop. Each attempt runs on its own goroutine and
+// reports on one channel sized to every possible attempt, so an abandoned
+// attempt never blocks; one timer is armed at the earliest pending hedge.
+// Per group it tries the first live replica, hedges to the next when the
+// hedge delay passes without an answer, fails over at once on error, and
+// joins the errors when the chain is exhausted. All replicas hold the same
+// dual-written state, so whichever answers first is equally authoritative.
+// The calls come back in group order. When ctx ends first, every group
+// still open fails with its error. Attempts still running on return stop
+// when the caller cancels ctx.
+func (c *shardClient) partials(ctx context.Context, groups []CoverageGroup, paths []string) []partialCall {
+	capacity := 0
+	for _, g := range groups {
+		capacity += len(g.Chain)
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type result struct {
-		v    T
-		node int
-		err  error
-	}
-	ch := make(chan result, len(chain)) // buffered: losers never block
-	launched := 0
-	launch := func(node int) {
-		launched++
+	// One slot per possible attempt: an attempt still running when the
+	// loop returns delivers its result without a receiver.
+	results := make(chan partialAttempt, capacity)
+	calls := make([]partialCall, len(groups))
+	launch := func(gi int, now time.Time) {
+		chain, call := groups[gi].Chain, &calls[gi]
+		node, path := chain[call.launched], paths[gi]
+		call.launched++
+		call.pending++
+		call.hedgeAt = time.Time{}
+		if c.hedgeDelay > 0 && call.launched < len(chain) {
+			call.hedgeAt = now.Add(c.hedgeDelay)
+		}
 		go func() {
-			v, err := call(ctx, node)
-			ch <- result{v: v, node: node, err: err}
+			var resp serve.PartialResponse
+			err := c.doRaw(ctx, node, http.MethodGet, path, nil, "", func(b []byte) error {
+				return json.Unmarshal(b, &resp)
+			})
+			results <- partialAttempt{group: gi, node: node, resp: resp, err: err}
+			if c.onAttemptDone != nil {
+				c.onAttemptDone(node, err)
+			}
 		}()
 	}
-	launch(chain[0])
+	now := time.Now()
+	for gi := range groups {
+		launch(gi, now)
+	}
 
-	hedge := time.NewTimer(time.Hour)
-	defer hedge.Stop()
-	armHedge := func() {
-		if c.hedgeDelay > 0 && launched < len(chain) {
-			hedge.Reset(c.hedgeDelay)
-		} else {
+	var (
+		hedge   *time.Timer
+		armedAt time.Time // the hedge time the timer is armed for; zero: none
+	)
+	defer func() {
+		if hedge != nil {
 			hedge.Stop()
 		}
-	}
-	armHedge()
-
-	pending := 1
-	var errs []error
-	for {
-		select {
-		case r := <-ch:
-			pending--
-			if r.err == nil {
-				return r.v, r.node, nil
+	}()
+	for open := len(groups); open > 0; {
+		var next time.Time
+		for i := range calls {
+			if at := calls[i].hedgeAt; !calls[i].done && !at.IsZero() && (next.IsZero() || at.Before(next)) {
+				next = at
 			}
-			if c.onAttemptError != nil && !errors.Is(r.err, context.Canceled) {
-				c.onAttemptError(r.node, r.err)
-			}
-			errs = append(errs, fmt.Errorf("node %d: %w", r.node, r.err))
-			if launched < len(chain) {
-				if c.onFailover != nil {
-					c.onFailover(chain[launched])
+		}
+		var hedgeC <-chan time.Time
+		if !next.IsZero() {
+			if !next.Equal(armedAt) {
+				if hedge == nil {
+					hedge = time.NewTimer(time.Until(next))
+				} else {
+					hedge.Reset(time.Until(next))
 				}
-				launch(chain[launched])
-				pending++
-				armHedge()
-			} else if pending == 0 {
-				return zero, -1, errors.Join(errs...)
+				armedAt = next
 			}
-		case <-hedge.C:
-			if launched >= len(chain) {
-				break // stale fire from a timer racing its Stop
+			hedgeC = hedge.C
+		}
+		select {
+		case a := <-results:
+			call, chain := &calls[a.group], groups[a.group].Chain
+			call.pending--
+			if call.done {
+				break // a losing attempt of an answered group
 			}
-			if c.onHedge != nil {
-				c.onHedge(chain[launched])
+			if a.err == nil {
+				call.resp, call.node, call.done = a.resp, a.node, true
+				open--
+				break
 			}
-			launch(chain[launched])
-			pending++
-			armHedge()
+			if c.onAttemptError != nil && !errors.Is(a.err, context.Canceled) {
+				c.onAttemptError(a.node, a.err)
+			}
+			call.errs = append(call.errs, fmt.Errorf("node %d: %w", a.node, a.err))
+			if call.launched < len(chain) {
+				if c.onFailover != nil {
+					c.onFailover(chain[call.launched])
+				}
+				launch(a.group, time.Now())
+			} else if call.pending == 0 {
+				call.err, call.done = errors.Join(call.errs...), true
+				open--
+			}
+		case now := <-hedgeC:
+			// A stale fire (a timer value left from before a Reset) finds
+			// no hedge due and only re-arms.
+			armedAt = time.Time{}
+			for gi := range calls {
+				call := &calls[gi]
+				if call.done || call.hedgeAt.IsZero() || now.Before(call.hedgeAt) {
+					continue
+				}
+				if c.onHedge != nil {
+					c.onHedge(groups[gi].Chain[call.launched])
+				}
+				launch(gi, now)
+			}
 		case <-ctx.Done():
-			return zero, -1, ctx.Err()
+			for gi := range calls {
+				if call := &calls[gi]; !call.done {
+					call.err, call.done = errors.Join(append(call.errs, ctx.Err())...), true
+				}
+			}
+			return calls
 		}
 	}
+	return calls
 }

@@ -143,8 +143,9 @@ func (c Config) now() time.Time {
 
 // Topology maps storage devices to shard replica chains through the ring.
 type Topology struct {
-	ring  *ring.Ring
-	nodes int
+	ring   *ring.Ring
+	nodes  int
+	chains [][]int // per configured device, derived once
 }
 
 // NewTopology builds the device→shard assignment.
@@ -153,12 +154,24 @@ func NewTopology(cfg Config) (*Topology, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
-	return &Topology{ring: r, nodes: len(cfg.Nodes)}, nil
+	t := &Topology{ring: r, nodes: len(cfg.Nodes), chains: make([][]int, max(cfg.Devices, 0))}
+	for d := range t.chains {
+		t.chains[d] = t.chainOf(d)
+	}
+	return t, nil
 }
 
 // ChainFor returns the replica chain (node ids, primary first) responsible
-// for a storage device.
+// for a storage device. A configured device's chain is shared: callers
+// must not modify it.
 func (t *Topology) ChainFor(device int) []int {
+	if device >= 0 && device < len(t.chains) {
+		return t.chains[device]
+	}
+	return t.chainOf(device)
+}
+
+func (t *Topology) chainOf(device int) []int {
 	devs := t.ring.ReplicasOf(t.ring.PartitionOfID(uint64(device)))
 	chain := make([]int, len(devs))
 	for i, d := range devs {

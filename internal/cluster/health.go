@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"context"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -30,6 +32,9 @@ type prober struct {
 
 	mu     sync.Mutex
 	states []nodeState
+	// live is the up verdicts as an immutable bitmask, replaced under mu on
+	// every transition, so readers need no lock.
+	live atomic.Pointer[liveMask]
 
 	onTransition func(node int, up bool) // metrics hook, optional
 
@@ -55,8 +60,35 @@ func newProber(cfg Config, client *shardClient) *prober {
 	for i := range p.states {
 		p.states[i].up = true
 	}
+	p.publishLocked()
 	return p
 }
+
+// liveMask is a set of node ids as a bitmask. It is immutable once
+// published.
+type liveMask struct {
+	words []uint64
+	count int
+}
+
+func (m *liveMask) has(node int) bool { return m.words[node/64]&(1<<(node%64)) != 0 }
+
+func (m *liveMask) equal(o *liveMask) bool { return m == o || slices.Equal(m.words, o.words) }
+
+// publishLocked publishes the current up verdicts. Callers hold p.mu.
+func (p *prober) publishLocked() {
+	m := &liveMask{words: make([]uint64, (len(p.states)+63)/64)}
+	for n, st := range p.states {
+		if st.up {
+			m.words[n/64] |= 1 << (n % 64)
+			m.count++
+		}
+	}
+	p.live.Store(m)
+}
+
+// liveNodes returns the current up verdicts.
+func (p *prober) liveNodes() *liveMask { return p.live.Load() }
 
 // start launches the probe loop; with interval 0 there is no loop (tests
 // drive probeOnce explicitly). Idempotent.
@@ -94,11 +126,7 @@ func (p *prober) close() {
 }
 
 // up reports the node's current liveness verdict.
-func (p *prober) up(node int) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.states[node].up
-}
+func (p *prober) up(node int) bool { return p.liveNodes().has(node) }
 
 // note absorbs one observation of a node (probe or live traffic): success
 // revives it immediately, failures accumulate toward the threshold.
@@ -119,6 +147,9 @@ func (p *prober) note(node int, ok bool, gen uint64, fromProbe bool) {
 		}
 	}
 	now := st.up
+	if was != now {
+		p.publishLocked()
+	}
 	p.mu.Unlock()
 	if was != now && p.onTransition != nil {
 		p.onTransition(node, now)

@@ -9,8 +9,10 @@ import (
 	"math"
 	"mime"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cosmodel/internal/core"
@@ -36,6 +38,9 @@ type Router struct {
 	reg   *obs.Registry
 	sem   chan struct{}
 	start time.Time
+
+	// cov memoizes the fan-out plan for the prober's current live set.
+	cov atomic.Pointer[coverage]
 
 	served       *obs.Counter
 	shed         *obs.Counter
@@ -513,52 +518,70 @@ type fanResult struct {
 	totalRate  float64
 }
 
+// coverage is the fan-out plan for one set of live nodes. It is shared by
+// every fan-out until the set changes, so it is read-only.
+type coverage struct {
+	live    *liveMask
+	groups  []CoverageGroup
+	lost    []int
+	anyDown bool
+}
+
+// coverage returns the fan-out plan for the prober's current verdicts,
+// recomputing it only when the set of live nodes changed.
+func (r *Router) coverage() *coverage {
+	live := r.prober.liveNodes()
+	if c := r.cov.Load(); c != nil && c.live.equal(live) {
+		return c
+	}
+	c := &coverage{live: live, anyDown: live.count < len(r.cfg.Nodes)}
+	c.groups, c.lost = r.topo.Coverage(r.cfg.Devices, live.has)
+	r.cov.Store(c)
+	return c
+}
+
 // fanOut evaluates the SLA grid across every shard group at the given load
-// factor and merges the partials. Groups whose entire live chain fails at
-// call time are folded into the lost set for this answer (and reported to
-// the prober), so a shard dying between probe rounds degrades the response
-// instead of erroring it.
+// factor and merges the partials in group order, so identical requests
+// give bit-identical answers. Every shard call runs under one context
+// whose deadline is the client's timeout. Groups whose entire live chain
+// fails at call time are folded into the lost set for this answer (and
+// reported to the prober), so a shard dying between probe rounds degrades
+// the response instead of erroring it.
 func (r *Router) fanOut(ctx context.Context, slas []float64, factor float64) (fanResult, error) {
 	totalRate, feRate := r.rates.totals()
 	if totalRate <= 0 {
 		return fanResult{}, serve.ErrNotReady
 	}
-	groups, lost := r.topo.Coverage(r.cfg.Devices, r.prober.up)
-	if len(groups) == 0 {
+	cov := r.coverage()
+	if len(cov.groups) == 0 {
 		return fanResult{}, ErrNoQuorum
 	}
-	type call struct {
-		resp  serve.PartialResponse
-		group CoverageGroup
-		node  int
-		err   error
+	paths := make([]string, len(cov.groups))
+	b := make([]byte, 0, 256)
+	for i, g := range cov.groups {
+		b = append(b[:0], "/shard/partial?"...)
+		b = serve.AppendPartialQuery(b, serve.PartialRequest{
+			Devices: g.Devices, SLAs: slas, TotalRate: feRate, Factor: factor})
+		paths[i] = string(b)
 	}
-	results := make(chan call, len(groups))
-	for _, g := range groups {
-		go func(g CoverageGroup) {
-			resp, node, err := r.client.postPartial(ctx, g.Chain, serve.PartialRequest{
-				Devices:   g.Devices,
-				SLAs:      slas,
-				TotalRate: feRate,
-				Factor:    factor,
-			})
-			results <- call{resp: resp, group: g, node: node, err: err}
-		}(g)
-	}
-	res := fanResult{lost: lost, totalRate: totalRate}
-	var partials []Partial
+	callCtx, cancel := r.client.fanOutContext(ctx)
+	defer cancel()
+	calls := r.client.partials(callCtx, cov.groups, paths)
+	res := fanResult{lost: cov.lost, totalRate: totalRate}
+	partials := make([]Partial, 0, len(calls))
 	notPrimary := false
-	for range groups {
-		c := <-results
+	for i := range calls {
+		c, g := &calls[i], &cov.groups[i]
 		if c.err != nil {
 			if ctx.Err() != nil {
 				return fanResult{}, ctx.Err()
 			}
-			for _, n := range c.group.Chain {
+			for _, n := range g.Chain {
 				r.prober.noteFailure(n)
 			}
-			r.logf("cluster: partial fan-out to chain %v failed: %v", c.group.Chain, c.err)
-			res.lost = append(res.lost, c.group.Devices...)
+			r.logf("cluster: partial fan-out to chain %v failed: %v", g.Chain, c.err)
+			// The plan's lost list is shared: append to a copy.
+			res.lost = append(slices.Clip(res.lost), g.Devices...)
 			continue
 		}
 		r.prober.noteSuccess(c.node)
@@ -566,7 +589,7 @@ func (r *Router) fanOut(ctx context.Context, slas []float64, factor float64) (fa
 		if c.resp.Generation > res.generation {
 			res.generation = c.resp.Generation
 		}
-		if !c.group.Primary || c.node != c.group.Chain[0] {
+		if !g.Primary || c.node != g.Chain[0] {
 			notPrimary = true
 		}
 		partials = append(partials, Partial{
@@ -610,13 +633,7 @@ func (r *Router) fanOut(ctx context.Context, slas []float64, factor float64) (fa
 		}
 	}
 	res.merged = merged
-	anyDown := false
-	for n := range r.cfg.Nodes {
-		if !r.prober.up(n) {
-			anyDown = true
-		}
-	}
-	res.degraded = len(res.lost) > 0 || notPrimary || anyDown || underReported
+	res.degraded = len(res.lost) > 0 || notPrimary || cov.anyDown || underReported
 	if res.degraded {
 		r.degraded.Inc()
 	}

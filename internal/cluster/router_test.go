@@ -74,7 +74,13 @@ func (g *gate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		panic(http.ErrAbortHandler)
 	}
 	if delay > 0 {
-		time.Sleep(delay)
+		// A delayed shard still notices a caller that gave up on it, so a
+		// long delay does not hold the test server open after the test.
+		select {
+		case <-time.After(delay):
+		case <-r.Context().Done():
+			return
+		}
 	}
 	next.ServeHTTP(w, r)
 }

@@ -197,12 +197,18 @@ func (t *Table) Snapshot() []core.OnlineMetrics {
 // SnapshotDevices derives the current online metrics of a device subset —
 // the shard-local slice of the cluster mixture — in the order given. Idle
 // devices in the subset are skipped; covered counts the subset devices that
-// contributed an operating point.
+// contributed an operating point. A device listed twice is rejected: it
+// would enter the mixture with double weight.
 func (t *Table) SnapshotDevices(devs []int) (ms []core.OnlineMetrics, covered int, err error) {
+	seen := make([]bool, t.cfg.Devices)
 	for _, d := range devs {
 		if d < 0 || d >= t.cfg.Devices {
 			return nil, 0, fmt.Errorf("%w: device %d outside [0,%d)", ErrInvalid, d, t.cfg.Devices)
 		}
+		if seen[d] {
+			return nil, 0, fmt.Errorf("%w: device %d listed twice", ErrInvalid, d)
+		}
+		seen[d] = true
 	}
 	for _, d := range devs {
 		st := &t.stripes[d%t.nstripes]

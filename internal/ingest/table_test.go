@@ -204,7 +204,8 @@ func TestTableWindowEviction(t *testing.T) {
 	}
 }
 
-// TestSnapshotDevicesRange checks the subset path rejects out-of-range ids.
+// TestSnapshotDevicesRange checks the subset path rejects out-of-range and
+// repeated ids.
 func TestSnapshotDevicesRange(t *testing.T) {
 	tb, err := NewTable(testTableConfig(4, 2))
 	if err != nil {
@@ -212,6 +213,9 @@ func TestSnapshotDevicesRange(t *testing.T) {
 	}
 	if _, _, err := tb.SnapshotDevices([]int{0, 4}); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("out-of-range subset: err = %v, want ErrInvalid", err)
+	}
+	if _, _, err := tb.SnapshotDevices([]int{1, 0, 1}); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("repeated device: err = %v, want ErrInvalid", err)
 	}
 }
 

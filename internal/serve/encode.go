@@ -7,14 +7,14 @@ import (
 	"unicode/utf8"
 )
 
-// This file is the /predict answer's append encoder. A cached prediction
-// costs well under a microsecond to look up, so reflection-driven
-// encoding/json would dominate the handler; appendPredictResponse writes the
-// same bytes by hand. Its output is byte for byte what
-// json.NewEncoder(w).Encode writes for a PredictResponse: field order, the
-// omitempty rules, floats as floatEncoder formats them and strings escaped
-// as appendString escapes them (HTML-safe). FuzzPredictResponseEncoding pins
-// the equivalence.
+// This file is the /predict answer's append encoder, and the shard partial
+// answer's. A cached prediction costs well under a microsecond to look up,
+// so reflection-driven encoding/json would dominate the handler;
+// appendPredictResponse writes the same bytes by hand. Its output is byte
+// for byte what json.NewEncoder(w).Encode writes for a PredictResponse:
+// field order, the omitempty rules, floats as floatEncoder formats them and
+// strings escaped as appendString escapes them (HTML-safe).
+// FuzzPredictResponseEncoding pins the equivalence.
 
 // appendPredictResponse appends r's compact JSON encoding and a newline to
 // b. A NaN or infinite float is an error, as it is for encoding/json.
@@ -70,6 +70,36 @@ func appendPredictResponse(b []byte, r *PredictResponse) ([]byte, error) {
 	e.float(r.TotalRate)
 	e.b = append(e.b, `,"calibrationAgeSeconds":`...)
 	e.float(r.CalibrationAge)
+	e.b = append(e.b, "}\n"...)
+	return e.b, e.err
+}
+
+// appendPartialResponse appends a shard partial answer's compact JSON
+// encoding and a newline to b, byte for byte what encoding/json writes for
+// it (FuzzPartialResponseEncoding pins the equivalence).
+func appendPartialResponse(b []byte, r *PartialResponse) ([]byte, error) {
+	e := jsonAppender{b: b}
+	e.b = append(e.b, `{"weightedSums":`...)
+	if r.WeightedSums == nil {
+		e.b = append(e.b, "null"...)
+	} else {
+		e.b = append(e.b, '[')
+		for i, f := range r.WeightedSums {
+			if i > 0 {
+				e.b = append(e.b, ',')
+			}
+			e.float(f)
+		}
+		e.b = append(e.b, ']')
+	}
+	e.b = append(e.b, `,"rate":`...)
+	e.float(r.Rate)
+	e.b = append(e.b, `,"covered":`...)
+	e.b = strconv.AppendInt(e.b, int64(r.Covered), 10)
+	e.b = append(e.b, `,"saturated":`...)
+	e.bool(r.Saturated)
+	e.b = append(e.b, `,"generation":`...)
+	e.b = strconv.AppendUint(e.b, r.Generation, 10)
 	e.b = append(e.b, "}\n"...)
 	return e.b, e.err
 }

@@ -277,3 +277,37 @@ func TestPredictServedCompact(t *testing.T) {
 		t.Errorf("tenant share %v, want %v / %v", pr.Tenant.ShareOfTotal, pr.Tenant.Rate, pr.TotalRate)
 	}
 }
+
+// FuzzPartialResponseEncoding pins the shard partial answer's append
+// encoder byte for byte against encoding/json (json.Marshal plus the
+// newline Encode writes), over fuzzed sums, rate, coverage, saturation and
+// generation.
+func FuzzPartialResponseEncoding(f *testing.F) {
+	f.Add(true, uint8(0), 0.0, 0.0, 0.0, 0, false, uint64(0))
+	f.Add(false, uint8(0), 0.0, 0.0, 0.0, 0, false, uint64(0))
+	f.Add(false, uint8(3), 5e-324, 1e-7, 1e21, 3, true, uint64(1))
+	f.Add(false, uint8(2), 12.5, math.NaN(), 1.0, -1, false, uint64(math.MaxUint64))
+	for _, x := range edgeFloats {
+		f.Add(false, uint8(3), x, -x, x, 7, false, uint64(9))
+	}
+	f.Fuzz(func(t *testing.T, nilSums bool, n uint8, x, y, rate float64, covered int, saturated bool, gen uint64) {
+		r := &PartialResponse{Rate: rate, Covered: covered, Saturated: saturated, Generation: gen}
+		if !nilSums {
+			r.WeightedSums = make([]float64, n%4)
+			for i := range r.WeightedSums {
+				r.WeightedSums[i] = [...]float64{x, y}[i%2]
+			}
+		}
+		want, wantErr := json.Marshal(r)
+		got, err := appendPartialResponse(nil, r)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("append encoder error %v, encoding/json error %v for %+v", err, wantErr, r)
+		}
+		if wantErr != nil {
+			return
+		}
+		if want = append(want, '\n'); !bytes.Equal(got, want) {
+			t.Fatalf("append encoder diverges from encoding/json:\n got %s\nwant %s", got, want)
+		}
+	})
+}

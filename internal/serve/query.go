@@ -271,6 +271,22 @@ func parseFloats(s string) ([]float64, error) {
 	return out, nil
 }
 
+// parseInts parses a comma-separated integer list; empty means nil.
+func parseInts(s string) ([]int, error) {
+	if strings.TrimSpace(s) == "" {
+		return nil, nil
+	}
+	var out []int
+	for _, part := range strings.Split(s, ",") {
+		v, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
+		}
+		out = append(out, v)
+	}
+	return out, nil
+}
+
 // parseCodedParams extracts the optional coded-read stripe shape from GET
 // query parameters; nil when none were supplied.
 func parseCodedParams(q url.Values) (*CodedReadSpec, error) {

@@ -131,7 +131,7 @@ func (s *Server) Close() { s.engine.Close() }
 //
 // With Config.ShardMode the cluster-internal shard endpoints are added:
 //
-//	POST /shard/partial    — partial-CDF evaluation over a device subset
+//	GET/POST /shard/partial — partial-CDF evaluation over a device subset
 //	GET  /shard/state      — generation, ingest and rate state for the prober
 //	POST /shard/invalidate — raise the cache generation (gossip sync)
 //
@@ -422,7 +422,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.served.Inc()
-	s.writePredict(w, &resp)
+	s.writeAppended(w, func(b []byte) ([]byte, error) { return appendPredictResponse(b, &resp) })
 }
 
 // answerPredict answers every block of a /predict request from one
@@ -468,22 +468,22 @@ func (e *Engine) answerPredict(ctx context.Context, req PredictRequest) (Predict
 	return resp, nil
 }
 
-// predictBufs recycles the /predict response buffers.
-var predictBufs = sync.Pool{New: func() any {
+// respBufs recycles the buffers of append-encoded answers.
+var respBufs = sync.Pool{New: func() any {
 	b := make([]byte, 0, 1024)
 	return &b
 }}
 
-// writePredict writes a /predict answer through the append encoder with a
-// single Write: the bytes writeJSON would write, without reflection.
-func (s *Server) writePredict(w http.ResponseWriter, resp *PredictResponse) {
-	bp := predictBufs.Get().(*[]byte)
-	defer predictBufs.Put(bp)
-	b, err := appendPredictResponse((*bp)[:0], resp)
+// writeAppended writes a 200 answer that encode appends to a pooled buffer,
+// with a single Write: the bytes writeJSON would write, without reflection.
+func (s *Server) writeAppended(w http.ResponseWriter, encode func([]byte) ([]byte, error)) {
+	bp := respBufs.Get().(*[]byte)
+	defer respBufs.Put(bp)
+	b, err := encode((*bp)[:0])
 	*bp = b
 	if err != nil {
 		s.encodeFails.Inc()
-		s.logf("serve: encoding /predict response: %v", err)
+		s.logf("serve: encoding response: %v", err)
 		s.writeJSON(w, http.StatusInternalServerError, errorBody{Error: "encoding response: " + err.Error()})
 		return
 	}

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"net/url"
+	"strconv"
 
 	"cosmodel/internal/core"
 )
@@ -83,20 +85,20 @@ func (e *Engine) PartialPredictContext(ctx context.Context, req PartialRequest) 
 	if len(req.Devices) == 0 {
 		return PartialResponse{}, fmt.Errorf("%w: empty device list", ErrBadQuery)
 	}
-	ms, covered, err := e.state.snapshotDevices(req.Devices)
+	sub, err := e.state.snapshotDevices(req.Devices)
 	if err != nil {
 		return PartialResponse{}, err
 	}
-	resp := PartialResponse{
-		WeightedSums: make([]float64, len(slas)),
-		Covered:      covered,
-		Generation:   e.CacheGeneration(),
-	}
-	if covered == 0 {
+	resp := PartialResponse{Covered: sub.covered, Generation: e.CacheGeneration()}
+	if sub.covered == 0 {
+		resp.WeightedSums = make([]float64, len(slas))
 		return resp, nil
 	}
+	ms := sub.ms
 	feRate := req.TotalRate * factor
-	ck := cacheKey("partial|"+opKey(ms)+"|tr="+string(appendQuant(nil, feRate)), core.Query{}, factor, g.key)
+	var buf [32]byte
+	tr := appendQuant(append(buf[:0], "|tr="...), feRate)
+	ck := cacheKey("partial|"+sub.key+string(tr), core.Query{}, factor, g.key)
 	v, _, err := e.cache.do(ctx, ck, func(ctx context.Context) (cachedValue, error) {
 		local := 0.0
 		for _, m := range ms {
@@ -166,14 +168,13 @@ type ShardInvalidateResponse struct {
 	Generation uint64 `json:"generation"`
 }
 
+// handleShardPartial answers GET /shard/partial?devices=…&sla=…&totalRate=…&factor=…
+// (the router's form) or the strict POST body of a PartialRequest, and
+// writes the answer through the append encoder.
 func (s *Server) handleShardPartial(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST required"})
-		return
-	}
-	var req PartialRequest
-	if err := decodeStrict(w, r, &req); err != nil {
-		s.badRequest(w, err)
+	req, err := parsePartial(w, r)
+	if err != nil {
+		s.parseError(w, err)
 		return
 	}
 	if !s.acquire(w) {
@@ -186,7 +187,72 @@ func (s *Server) handleShardPartial(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.served.Inc()
-	s.writeJSON(w, http.StatusOK, resp)
+	s.writeAppended(w, func(b []byte) ([]byte, error) { return appendPartialResponse(b, &resp) })
+}
+
+// parsePartial reads a /shard/partial request from its GET parameters or
+// its strict POST body.
+func parsePartial(w http.ResponseWriter, r *http.Request) (PartialRequest, error) {
+	var req PartialRequest
+	err := parseRequest(w, r, &req, func(q url.Values) (err error) {
+		if req.Devices, err = parseInts(q.Get("devices")); err != nil {
+			return fmt.Errorf("devices: %w", err)
+		}
+		if req.SLAs, err = parseFloats(q.Get("sla")); err != nil {
+			return err
+		}
+		if req.TotalRate, err = parseFloat(q.Get("totalRate")); err != nil {
+			return fmt.Errorf("totalRate: %w", err)
+		}
+		if f := q.Get("factor"); f != "" {
+			if req.Factor, err = parseFloat(f); err != nil {
+				return fmt.Errorf("factor: %w", err)
+			}
+		}
+		return nil
+	})
+	return req, err
+}
+
+// AppendPartialQuery appends the GET query of a /shard/partial request for
+// req to b, without the leading '?'. Floats are written in their shortest
+// exact form, so the shard parses bit-identical values.
+func AppendPartialQuery(b []byte, req PartialRequest) []byte {
+	b = append(b, "devices="...)
+	for i, d := range req.Devices {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(d), 10)
+	}
+	if len(req.SLAs) > 0 {
+		b = append(b, "&sla="...)
+		for i, sla := range req.SLAs {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendQueryFloat(b, sla)
+		}
+	}
+	b = append(b, "&totalRate="...)
+	b = appendQueryFloat(b, req.TotalRate)
+	b = append(b, "&factor="...)
+	return appendQueryFloat(b, req.Factor)
+}
+
+// appendQueryFloat appends f's shortest exact form without '+' signs: a
+// '+' decodes as a space in a query, and ParseFloat needs no '+' to read an
+// exponent or an infinity.
+func appendQueryFloat(b []byte, f float64) []byte {
+	n := len(b)
+	b = strconv.AppendFloat(b, f, 'g', -1, 64)
+	out := b[:n]
+	for _, c := range b[n:] {
+		if c != '+' {
+			out = append(out, c)
+		}
+	}
+	return out
 }
 
 func (s *Server) handleShardState(w http.ResponseWriter, r *http.Request) {

@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -47,7 +48,19 @@ type stateTable struct {
 	snapValid bool
 	snapRev   uint64   // table revision the memo was derived from
 	snap      *opPoint // nil when no device has observations
+
+	// Device-subset memo for shard partials: the same per revision, for at
+	// most maxSubsetMemo device lists. The lists come from the request, so
+	// the memo is bounded and replaces its entries round robin.
+	subMu   sync.Mutex
+	subRev  uint64
+	subs    []*subsetPoint
+	subNext int
 }
+
+// maxSubsetMemo bounds the device-subset memo. A shard sees one device
+// list per coverage group it answers for, a handful in any topology.
+const maxSubsetMemo = 8
 
 func newStateTable(cfg *Config) (*stateTable, error) {
 	table, err := ingest.NewTable(ingest.Config{
@@ -229,15 +242,46 @@ func (t *stateTable) snapshotKeyed() (*opPoint, error) {
 	return t.snap, nil
 }
 
-// snapshotDevices derives the current online metrics of a device subset —
-// the shard-local slice of the cluster mixture. Idle devices in the subset
-// are skipped; covered counts the subset devices that contributed an
-// operating point. Unlike snapshotKeyed, an empty result is not an error: a
-// shard that has not yet ingested for its devices legitimately contributes
-// zero weight to the merged mixture.
-func (t *stateTable) snapshotDevices(devs []int) (ms []core.OnlineMetrics, covered int, err error) {
-	ms, covered, err = t.table.SnapshotDevices(devs)
-	return ms, covered, wrapIngestErr(err)
+// subsetPoint is one derivation of a device subset's operating point — the
+// shard-local slice of the cluster mixture. It is immutable once built.
+type subsetPoint struct {
+	devs []int // the requested list, owned by the memo
+	ms   []core.OnlineMetrics
+	// covered counts the listed devices that contributed an operating point.
+	covered int
+	key     string // opKey(ms)
+}
+
+// snapshotDevices returns the current operating point of a device subset,
+// memoized on the table revision and the device list like snapshotKeyed.
+// Idle devices in the subset are skipped. Unlike snapshotKeyed, an empty
+// result is not an error: a shard that has not yet ingested for its devices
+// legitimately contributes zero weight to the merged mixture.
+func (t *stateTable) snapshotDevices(devs []int) (*subsetPoint, error) {
+	rev := t.table.Revision()
+	t.subMu.Lock()
+	defer t.subMu.Unlock()
+	if t.subRev != rev {
+		clear(t.subs)
+		t.subs, t.subRev = t.subs[:0], rev
+	}
+	for _, p := range t.subs {
+		if slices.Equal(p.devs, devs) {
+			return p, nil
+		}
+	}
+	ms, covered, err := t.table.SnapshotDevices(devs)
+	if err != nil {
+		return nil, wrapIngestErr(err)
+	}
+	p := &subsetPoint{devs: slices.Clone(devs), ms: ms, covered: covered, key: opKey(ms)}
+	if len(t.subs) < maxSubsetMemo {
+		t.subs = append(t.subs, p)
+	} else {
+		t.subs[t.subNext] = p
+		t.subNext = (t.subNext + 1) % maxSubsetMemo
+	}
+	return p, nil
 }
 
 // deviceRates returns every device's windowed request and PUT rates (0 when
