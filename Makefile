@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race e2e bench bench-build fuzz-smoke loadtest chaos chaos-cluster tidy
+.PHONY: check fmt vet build test race e2e bench bench-build capacity-smoke fuzz-smoke loadtest chaos chaos-cluster tidy
 
 check: fmt vet build race e2e bench bench-build fuzz-smoke loadtest
 
@@ -49,6 +49,27 @@ bench:
 # benchmark fails here.
 bench-build:
 	cd bench && $(GO) vet ./... && $(GO) test -short .
+
+# The benchmark's real binaries, end to end: bench/run.sh builds cosserve,
+# cosrouter and the harness and runs every workload for two seconds (the
+# short test above skips these runs). Fails unless the run exits 0, each of
+# the four workloads prints a summary line with "correct":true and
+# "failed":0, and no cosserve, cosrouter or bench process outlives the run.
+# The output is kept in .bench_build/capacity-smoke.out.
+capacity-smoke:
+	@mkdir -p .bench_build; out=.bench_build/capacity-smoke.out; \
+	bash bench/run.sh -workload all -seconds 2 > $$out 2>&1; status=$$?; \
+	cat $$out; \
+	if [ $$status -ne 0 ]; then echo "capacity-smoke: bench exited $$status"; exit 1; fi; \
+	lines=$$(grep -c '^{"correct":' $$out); \
+	good=$$(grep '^{"correct":true,' $$out | grep -c '"failed":0,'); \
+	if [ "$$lines" -ne 4 ] || [ "$$good" -ne 4 ]; then \
+		echo "capacity-smoke: $$good of $$lines summary lines correct with no failures, want 4 of 4"; exit 1; \
+	fi; \
+	for p in cosserve cosrouter bench; do \
+		if pgrep -l -x $$p; then echo "capacity-smoke: $$p left running"; exit 1; fi; \
+	done; \
+	echo "capacity-smoke: 4 workloads correct, no failures, no process left"
 
 # Short native-fuzzing runs over the HTTP request parsers (including the
 # hand-rolled NDJSON scanner's byte-for-byte equivalence against the stdlib

@@ -10,8 +10,8 @@
 //
 // The subsystem deliberately separates three concerns:
 //
-//   - estimator: per-device exponentially-weighted moments, windowed raw
-//     sample buffers and live Gamma refits (estimator.go);
+//   - estimator: per-device exponentially-weighted moments and windowed raw
+//     sample rings (estimator.go);
 //   - detectors: two-sided Page–Hinkley on the windowed overall disk service
 //     mean, CUSUM on the data-read miss ratio, and a Kolmogorov–Smirnov check
 //     of recent raw samples against the currently-served family

@@ -76,6 +76,10 @@ type Controller struct {
 	applyErrors uint64
 	lastRecal   time.Time
 	lastSource  string
+	// cooled holds every device's state from just before a recalibration
+	// cooled them all down, for the Observe call that fired it; nil
+	// otherwise.
+	cooled []DeviceState
 }
 
 // New builds a controller. base is the currently served device-properties
@@ -118,24 +122,29 @@ func (c *Controller) Observe(ws WindowStats) (recalibrated bool, err error) {
 		return false, err
 	}
 	c.mu.Lock()
-	// Snapshot every device's state: a recalibration cools down all of
-	// them, so transitions are not confined to ws.Device.
-	var before []DeviceState
-	if c.cfg.OnTransition != nil {
-		before = make([]DeviceState, len(c.devs))
-		for i, d := range c.devs {
-			before[i] = d.state()
-		}
-	}
+	// Only ws.Device can change state, unless a recalibration cools every
+	// device down; recalibrate then records the others' prior states in
+	// c.cooled.
+	d := c.devs[ws.Device]
+	from := d.state()
 	recalibrated, err = c.observeLocked(ws)
 	type transition struct {
 		device   int
 		from, to DeviceState
 	}
-	var changed []transition
-	for i := range before {
-		if to := c.devs[i].state(); to != before[i] {
-			changed = append(changed, transition{i, before[i], to})
+	var one [1]transition
+	changed := one[:0]
+	if c.cfg.OnTransition != nil {
+		if c.cooled != nil {
+			c.cooled[ws.Device] = from
+			for i, prior := range c.cooled {
+				if to := c.devs[i].state(); to != prior {
+					changed = append(changed, transition{i, prior, to})
+				}
+			}
+			c.cooled = nil
+		} else if to := d.state(); to != from {
+			changed = append(changed, transition{ws.Device, from, to})
 		}
 	}
 	c.mu.Unlock()
@@ -205,7 +214,11 @@ func (c *Controller) detect(d *deviceCalib, ws WindowStats, b float64) bool {
 	served := [3]dist.Distribution{c.base.IndexDisk, c.base.MetaDisk, c.base.DataDisk}
 	d.ksStat, d.ksThr = 0, 0
 	for class := 0; class < 3; class++ {
-		stat, thr, flag := ksCheck(d.est.classes[class].all(), served[class], c.cfg.KSFactor, c.cfg.MinKSSamples)
+		buf := d.est.classes[class]
+		if buf.count() < c.cfg.MinKSSamples {
+			continue // ksCheck would report (0, 0, false); skip reading the buffer
+		}
+		stat, thr, flag := ksCheck(buf.all(), served[class], c.cfg.KSFactor, c.cfg.MinKSSamples)
 		if flag {
 			flagged = true
 		}
@@ -272,6 +285,12 @@ func (c *Controller) recalibrate(confirming *deviceCalib) error {
 	// swap path every window helps nobody.
 	confirming.recals++
 	confirming.lastRecal = c.cfg.now()
+	if c.cfg.OnTransition != nil {
+		c.cooled = make([]DeviceState, len(c.devs))
+		for i, d := range c.devs {
+			c.cooled[i] = d.state()
+		}
+	}
 	for _, d := range c.devs {
 		d.resetDetectors()
 		d.cooldown = c.cfg.CooldownWindows

@@ -2,6 +2,7 @@ package calib
 
 import (
 	"math"
+	"sort"
 
 	"cosmodel/internal/dist"
 )
@@ -98,7 +99,8 @@ func (c *CUSUM) Reset() { *c = CUSUM{slack: c.slack, threshold: c.threshold} }
 // makes the check blind to pure mean drift — which the model's online §IV-B
 // tracking already absorbs — so only genuine shape changes flag. It returns
 // the statistic, the threshold and the verdict; below minSamples it reports
-// (0, 0, false).
+// (0, 0, false). It sorts samples in place (the mean is summed first, in
+// the order given), so callers pass a scratch copy.
 func ksCheck(samples []float64, served dist.Distribution, factor float64, minSamples int) (stat, threshold float64, flagged bool) {
 	if len(samples) < minSamples || served == nil {
 		return 0, 0, false
@@ -111,7 +113,8 @@ func ksCheck(samples []float64, served dist.Distribution, factor float64, minSam
 	if !(m > 0) {
 		return 0, 0, false
 	}
-	stat = dist.KolmogorovSmirnov(samples, dist.ScaleToMean(served, m))
+	sort.Float64s(samples)
+	stat = dist.KolmogorovSmirnovSorted(samples, dist.ScaleToMean(served, m))
 	threshold = factor / math.Sqrt(float64(len(samples)))
 	return stat, threshold, stat > threshold
 }

@@ -1,9 +1,6 @@
 package calib
 
-import (
-	"cosmodel/internal/core"
-	"cosmodel/internal/dist"
-)
+import "cosmodel/internal/core"
 
 // ewma is an exponentially weighted mean: the streaming moment tracker
 // behind the subsystem's live estimates.
@@ -25,46 +22,51 @@ func (e *ewma) value() float64 { return e.v }
 
 // winBuf keeps the raw samples of the most recent max windows, oldest
 // evicted whole-window at a time — the population for the K-S shape check.
+// It is a ring of max window slots whose storage is reused, read oldest
+// first into one reused concatenation buffer: once the slots have held
+// windows as large as the arriving ones, add and all allocate nothing.
 type winBuf struct {
-	wins [][]float64
-	max  int
-	n    int
+	wins [][]float64 // ring of window slots
+	head int         // slot of the oldest buffered window
+	k    int         // buffered windows
+	n    int         // buffered samples
+	cat  []float64   // all's buffer
 }
 
-func newWinBuf(max int) *winBuf { return &winBuf{max: max} }
+func newWinBuf(max int) *winBuf { return &winBuf{wins: make([][]float64, max)} }
 
 // add appends one window's samples (empty windows still count for eviction,
 // so a quiet class ages out of the buffer rather than pinning stale shape).
 func (b *winBuf) add(samples []float64) {
-	b.wins = append(b.wins, append([]float64(nil), samples...))
-	b.n += len(samples)
-	for len(b.wins) > b.max {
-		b.n -= len(b.wins[0])
-		b.wins[0] = nil
-		b.wins = b.wins[1:]
+	if b.k == len(b.wins) {
+		b.n -= len(b.wins[b.head])
+		b.head = (b.head + 1) % len(b.wins)
+		b.k--
 	}
+	i := (b.head + b.k) % len(b.wins)
+	b.wins[i] = append(b.wins[i][:0], samples...)
+	b.k++
+	b.n += len(samples)
 }
 
 func (b *winBuf) count() int { return b.n }
 
-// all concatenates the buffered samples, newest last.
+// all concatenates the buffered samples, newest last, into a buffer that
+// the next call reuses: the result is valid until then, and the caller may
+// reorder it.
 func (b *winBuf) all() []float64 {
-	out := make([]float64, 0, b.n)
-	for _, w := range b.wins {
-		out = append(out, w...)
+	b.cat = b.cat[:0]
+	for i := 0; i < b.k; i++ {
+		b.cat = append(b.cat, b.wins[(b.head+i)%len(b.wins)]...)
 	}
-	return out
+	return b.cat
 }
 
-func (b *winBuf) reset() {
-	b.wins = nil
-	b.n = 0
-}
+func (b *winBuf) reset() { b.head, b.k, b.n = 0, 0, 0 }
 
 // estimator holds one device's streaming calibration estimates: EW moments
 // of the overall disk service mean and the latency-threshold miss ratio,
-// plus per-class rolling raw-sample buffers feeding the live fits and the
-// shape check.
+// plus per-class rolling raw-sample buffers feeding the shape check.
 type estimator struct {
 	diskMean ewma
 	missLat  ewma // latency-threshold miss ratio; init only once latencies arrive
@@ -111,12 +113,6 @@ func (e *estimator) observe(cfg *Config, ws WindowStats) float64 {
 		e.missLat.add(core.MissRatioByThreshold(ws.OpLatencies, cfg.missThreshold()))
 	}
 	return b
-}
-
-// fit returns the live Gamma fit (Degenerate for constant-rate devices) of
-// the buffered samples for one operation class.
-func (e *estimator) fit(class int) (dist.Distribution, error) {
-	return dist.FitGammaOrDegenerate(e.classes[class].all())
 }
 
 // missByLatency returns the EW latency-threshold miss ratio, or -1 before

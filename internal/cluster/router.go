@@ -413,7 +413,8 @@ func (r *Router) decodeIngest(w http.ResponseWriter, req *http.Request) ([]serve
 		var observations []serve.Observation
 		_, err := ingest.DecodeNDJSON(http.MaxBytesReader(w, req.Body, 1<<20), r.cfg.Devices, 0,
 			func(chunk []serve.Observation) error {
-				observations = append(observations, chunk...)
+				// The chunk's sample arrays are the decoder's: copy them out.
+				observations, _ = ingest.AppendOwned(observations, nil, chunk)
 				return nil
 			})
 		if err != nil {

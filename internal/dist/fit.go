@@ -195,6 +195,16 @@ func KolmogorovSmirnov(samples []float64, d Distribution) float64 {
 	}
 	s := append([]float64(nil), samples...)
 	sort.Float64s(s)
+	return KolmogorovSmirnovSorted(s, d)
+}
+
+// KolmogorovSmirnovSorted is KolmogorovSmirnov over samples already sorted
+// ascending (by sort.Float64s, for the same statistic to the last bit); it
+// neither copies nor reorders them.
+func KolmogorovSmirnovSorted(s []float64, d Distribution) float64 {
+	if len(s) == 0 {
+		return math.NaN()
+	}
 	n := float64(len(s))
 	maxDev := 0.0
 	for i, x := range s {

@@ -24,7 +24,7 @@ func FuzzNDJSONDecode(f *testing.F) {
 		run := func() (int, []Observation, error) {
 			var got []Observation
 			n, err := DecodeNDJSON(bytes.NewReader(data), devices, 7, func(chunk []Observation) error {
-				got = append(got, chunk...)
+				got, _ = AppendOwned(got, nil, chunk) // the chunk's arrays are the decoder's
 				return nil
 			})
 			return n, got, err

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -39,14 +40,20 @@ type LineError struct {
 func (e *LineError) Error() string { return fmt.Sprintf("line %d: %v", e.Line, e.Err) }
 func (e *LineError) Unwrap() error { return e.Err }
 
-// chunkPool recycles decode chunks so a sustained NDJSON stream allocates
-// observation slices once, not per chunk.
+// chunkPool recycles observation slices for callers that regroup decoded
+// observations (the tenant partition pass), so a steady ingest stream
+// allocates them once, not per batch.
 var chunkPool = sync.Pool{
 	New: func() any {
 		s := make([]Observation, 0, DefaultChunkSize)
 		return &s
 	},
 }
+
+// maxPooledChunk bounds the observation slices the pools keep: a caller
+// that once used a huge chunk must not pin that memory for the process's
+// lifetime.
+const maxPooledChunk = 4 * DefaultChunkSize
 
 // GetBatch borrows an empty observation slice from the shared pool.
 func GetBatch() *[]Observation {
@@ -55,18 +62,106 @@ func GetBatch() *[]Observation {
 	return b
 }
 
-// PutBatch returns a borrowed slice to the pool.
+// PutBatch returns a borrowed slice to the pool, dropping its references to
+// the observations (and their sample arrays) it held.
 func PutBatch(b *[]Observation) {
+	clear(*b)
 	*b = (*b)[:0]
-	chunkPool.Put(b)
+	if cap(*b) <= maxPooledChunk {
+		chunkPool.Put(b)
+	}
+}
+
+// Sizes of the pooled decode state. The line buffer is the scanner's
+// initial buffer (a longer line makes the scanner grow a private one, up to
+// maxLineBytes, which is never pooled). The arena starts large enough for a
+// default chunk of observations carrying a few dozen samples each; an arena
+// that grew past maxPooledArena is dropped instead of pooled, so one
+// oversized request cannot pin its memory. maxInterned bounds the class
+// labels one decode state remembers.
+const (
+	lineBufBytes   = 64 << 10
+	arenaFloats    = 4 << 10
+	maxPooledArena = 64 << 10
+	maxInterned    = 64
+)
+
+// decodeState is the pooled per-call state of DecodeNDJSON: the scanner and
+// its line buffer, the chunk being filled, the float arena every sample
+// array of that chunk is a sub-slice of, and the class labels seen so far.
+// The arena is reset at every emitted chunk, so its size is bounded by one
+// chunk's samples, not by the stream's.
+type decodeState struct {
+	sc      bufio.Scanner
+	line    []byte
+	chunk   []Observation
+	floats  []float64
+	classes map[string]string
+	// o is the observation being decoded; it lives here because its address
+	// escapes into the stdlib fallback decoder.
+	o Observation
+}
+
+var decodePool = sync.Pool{
+	New: func() any {
+		return &decodeState{
+			line:    make([]byte, lineBufBytes),
+			chunk:   make([]Observation, 0, DefaultChunkSize),
+			floats:  make([]float64, 0, arenaFloats),
+			classes: make(map[string]string),
+		}
+	},
+}
+
+func getDecodeState(r io.Reader) *decodeState {
+	st := decodePool.Get().(*decodeState)
+	st.sc = *bufio.NewScanner(r)
+	st.sc.Buffer(st.line, maxLineBytes)
+	return st
+}
+
+// release drops every reference the state holds into the request and pools
+// it, unless a large request grew it past the pooling bounds.
+func (st *decodeState) release() {
+	st.sc = bufio.Scanner{}
+	st.o = Observation{}
+	st.reset()
+	if cap(st.floats) <= maxPooledArena && cap(st.chunk) <= maxPooledChunk {
+		decodePool.Put(st)
+	}
+}
+
+// reset empties the chunk and the arena for the next chunk.
+func (st *decodeState) reset() {
+	clear(st.chunk)
+	st.chunk = st.chunk[:0]
+	st.floats = st.floats[:0]
+}
+
+// intern returns the class label b as a string, reusing the string of an
+// earlier identical label so a labelled stream allocates each label once.
+func (st *decodeState) intern(b []byte) string {
+	if s, ok := st.classes[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if len(st.classes) < maxInterned {
+		st.classes[s] = s
+	}
+	return s
 }
 
 // DecodeNDJSON reads newline-delimited observations from r, validating each
 // line against the deployment size, and emits them in chunks of up to
-// chunkSize (0 selects DefaultChunkSize). The chunk slice passed to emit is
-// pooled: it is valid only for the duration of the call, and emit must copy
-// anything it retains (the state table copies on ingest, so the serving
-// path needs no extra copy).
+// chunkSize (0 selects DefaultChunkSize).
+//
+// Ownership: the chunk passed to emit, and every sample array of its
+// observations, belongs to the decoder and is valid only for the duration
+// of the call. The arrays are capacity-clipped sub-slices of one pooled
+// arena (appending to one copies it rather than overwriting a neighbour),
+// and the arena is reused for the next chunk. emit must copy anything it
+// keeps: the state table keeps no sample array, and a consumer that
+// retains observations copies them with AppendOwned.
 //
 // accepted counts observations successfully handed to emit. Blank lines are
 // skipped. A malformed or invalid line aborts the stream with a *LineError
@@ -91,37 +186,35 @@ func decodeNDJSON(r io.Reader, devices, chunkSize int, emit func([]Observation) 
 	if chunkSize <= 0 {
 		chunkSize = DefaultChunkSize
 	}
-	chunk := GetBatch()
-	defer PutBatch(chunk)
+	st := getDecodeState(r)
+	defer st.release()
 	flush := func() error {
-		if len(*chunk) == 0 {
+		if len(st.chunk) == 0 {
 			return nil
 		}
-		if err := emit(*chunk); err != nil {
+		if err := emit(st.chunk); err != nil {
 			return err
 		}
-		accepted += len(*chunk)
-		*chunk = (*chunk)[:0]
+		accepted += len(st.chunk)
+		st.reset()
 		return nil
 	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64<<10), maxLineBytes)
+	sc := &st.sc
 	line := 0
-	// o lives outside the loop: its address escapes into the decoders, so a
-	// per-iteration declaration would be one heap allocation per line.
-	var o Observation
 	for sc.Scan() {
 		line++
 		raw := bytes.TrimSpace(sc.Bytes())
 		if len(raw) == 0 {
 			continue
 		}
-		o = Observation{}
-		if !fast || !scanObservation(raw, &o) {
-			o = Observation{} // discard any partial fast-path state
+		mark := len(st.floats)
+		st.o = Observation{}
+		if !fast || !scanObservation(raw, st) {
+			st.floats = st.floats[:mark] // discard any partial fast-path state
+			st.o = Observation{}
 			dec := json.NewDecoder(bytes.NewReader(raw))
 			dec.DisallowUnknownFields()
-			if err := dec.Decode(&o); err != nil {
+			if err := dec.Decode(&st.o); err != nil {
 				// A reader error (a capped body, a dropped connection) makes the
 				// scanner surface its buffered remainder as a final, truncated
 				// token; that token failing to parse is the reader's fault, not
@@ -135,12 +228,15 @@ func decodeNDJSON(r io.Reader, devices, chunkSize int, emit func([]Observation) 
 			if dec.More() {
 				return accepted, &LineError{Line: line, Err: fmt.Errorf("%w: trailing data after observation", ErrInvalid)}
 			}
+			o := &st.o
+			o.Latencies, o.DiskIndexLat = slices.Clip(o.Latencies), slices.Clip(o.DiskIndexLat)
+			o.DiskMetaLat, o.DiskDataLat = slices.Clip(o.DiskMetaLat), slices.Clip(o.DiskDataLat)
 		}
-		if err := o.Validate(devices); err != nil {
+		if err := st.o.Validate(devices); err != nil {
 			return accepted, &LineError{Line: line, Err: err}
 		}
-		*chunk = append(*chunk, o)
-		if len(*chunk) >= chunkSize {
+		st.chunk = append(st.chunk, st.o)
+		if len(st.chunk) >= chunkSize {
 			if err := flush(); err != nil {
 				return accepted, err
 			}
@@ -154,6 +250,38 @@ func decodeNDJSON(r io.Reader, devices, chunkSize int, emit func([]Observation) 
 		return accepted, err
 	}
 	return accepted, flush()
+}
+
+// AppendOwned appends copies of batch to dst whose sample arrays are copied
+// into floats, and returns both grown slices. The copies share no memory
+// with batch, so a consumer keeping decoded observations past DecodeNDJSON's
+// emit call (a queue, a forwarder) stays valid after the decoder reuses its
+// arena. floats is grown at most once, and the copied arrays keep the
+// decoder's shape: nil stays nil, empty stays empty and non-nil, and every
+// array has len == cap.
+func AppendOwned(dst []Observation, floats []float64, batch []Observation) ([]Observation, []float64) {
+	n := 0
+	for i := range batch {
+		o := &batch[i]
+		n += len(o.Latencies) + len(o.DiskIndexLat) + len(o.DiskMetaLat) + len(o.DiskDataLat)
+	}
+	if floats = slices.Grow(floats, n); floats == nil {
+		floats = []float64{} // an empty array must copy as empty, not nil
+	}
+	own := func(s []float64) []float64 {
+		if s == nil {
+			return nil
+		}
+		lo := len(floats)
+		floats = append(floats, s...)
+		return floats[lo:len(floats):len(floats)]
+	}
+	for _, o := range batch {
+		o.Latencies, o.DiskIndexLat = own(o.Latencies), own(o.DiskIndexLat)
+		o.DiskMetaLat, o.DiskDataLat = own(o.DiskMetaLat), own(o.DiskDataLat)
+		dst = append(dst, o)
+	}
+	return dst, floats
 }
 
 // EncodeNDJSON writes batch in the streaming wire format: one JSON

@@ -268,42 +268,48 @@ func (s *lineScan) slowFloat(start int) (float64, bool) {
 	return v, true
 }
 
-// floatArray parses a flat array of JSON numbers, appending into dst
-// (reused across lines by the caller when possible).
-func (s *lineScan) floatArray(dst []float64) ([]float64, bool) {
+// floatArray parses a flat array of JSON numbers onto the end of arena and
+// returns them as a capacity-clipped sub-slice of it, so a later append to
+// the result copies instead of overwriting the next array.
+func (s *lineScan) floatArray(arena *[]float64) ([]float64, bool) {
 	if !s.consume('[') {
 		return nil, false
 	}
-	s.ws()
-	if s.consume(']') {
-		if dst == nil {
-			dst = make([]float64, 0)
-		}
-		return dst, true // `[]` decodes to an empty, non-nil slice
+	if *arena == nil {
+		*arena = make([]float64, 0, arenaFloats) // `[]` must decode non-nil
 	}
-	for {
-		s.ws()
-		v, ok := s.floatVal()
-		if !ok {
+	lo := len(*arena)
+	s.ws()
+	if !s.consume(']') {
+		for {
+			s.ws()
+			v, ok := s.floatVal()
+			if !ok {
+				return nil, false
+			}
+			*arena = append(*arena, v)
+			s.ws()
+			if s.consume(',') {
+				continue
+			}
+			if s.consume(']') {
+				break
+			}
 			return nil, false
 		}
-		dst = append(dst, v)
-		s.ws()
-		if s.consume(',') {
-			continue
-		}
-		if s.consume(']') {
-			return dst, true
-		}
-		return nil, false
 	}
+	a := *arena
+	return a[lo:len(a):len(a)], true
 }
 
 // scanObservation attempts the fast parse of one trimmed NDJSON line into
-// o. It reports false — leaving o in an undefined partial state — whenever
-// the line needs the stdlib's full semantics; it reports true only when the
-// resulting Observation is exactly what encoding/json would have produced.
-func scanObservation(raw []byte, o *Observation) bool {
+// st.o, its sample arrays onto st.floats and its class label through
+// st.intern. It reports false — leaving st.o and the arena's tail in an
+// undefined partial state — whenever the line needs the stdlib's full
+// semantics; it reports true only when the resulting Observation is exactly
+// what encoding/json would have produced.
+func scanObservation(raw []byte, st *decodeState) bool {
+	o := &st.o
 	s := lineScan{buf: raw}
 	if !s.consume('{') {
 		return false
@@ -339,7 +345,7 @@ func scanObservation(raw []byte, o *Observation) bool {
 			if seg, ok = s.str(); !ok {
 				return false
 			}
-			o.Class = string(seg)
+			o.Class = st.intern(seg)
 		case fInterval:
 			if o.Interval, ok = s.floatVal(); !ok {
 				return false
@@ -349,19 +355,19 @@ func scanObservation(raw []byte, o *Observation) bool {
 				return false
 			}
 		case fLatencies:
-			if o.Latencies, ok = s.floatArray(o.Latencies[:0]); !ok {
+			if o.Latencies, ok = s.floatArray(&st.floats); !ok {
 				return false
 			}
 		case fDiskIndexLat:
-			if o.DiskIndexLat, ok = s.floatArray(o.DiskIndexLat[:0]); !ok {
+			if o.DiskIndexLat, ok = s.floatArray(&st.floats); !ok {
 				return false
 			}
 		case fDiskMetaLat:
-			if o.DiskMetaLat, ok = s.floatArray(o.DiskMetaLat[:0]); !ok {
+			if o.DiskMetaLat, ok = s.floatArray(&st.floats); !ok {
 				return false
 			}
 		case fDiskDataLat:
-			if o.DiskDataLat, ok = s.floatArray(o.DiskDataLat[:0]); !ok {
+			if o.DiskDataLat, ok = s.floatArray(&st.floats); !ok {
 				return false
 			}
 		default:

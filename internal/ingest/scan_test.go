@@ -1,7 +1,9 @@
 package ingest
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -10,7 +12,9 @@ import (
 // FuzzNDJSONScannerEquivalence pins the hand-rolled line scanner against
 // the stdlib-only decode path: identical accepted observations (deep
 // equality, nil-vs-empty slices included), identical accepted counts, and
-// identical error text for every input.
+// identical error text for every input. Both paths hand out capacity-
+// clipped arrays, and an absent array decodes nil while `[]` decodes empty
+// and non-nil (checked against the line's raw keys).
 func FuzzNDJSONScannerEquivalence(f *testing.F) {
 	f.Add([]byte(`{"device":0,"interval":1,"requests":5}` + "\n"))
 	f.Add([]byte(`{"device":1,"interval":0.5,"class":"gold","writes":3,"writeChunks":7}` + "\n"))
@@ -34,8 +38,15 @@ func FuzzNDJSONScannerEquivalence(f *testing.F) {
 			var got []Observation
 			n, err := decodeNDJSON(bytes.NewReader(data), devices, 7, func(chunk []Observation) error {
 				for _, o := range chunk {
-					got = append(got, o)
+					for _, s := range [][]float64{o.Latencies, o.DiskIndexLat, o.DiskMetaLat, o.DiskDataLat} {
+						if len(s) != cap(s) {
+							t.Fatalf("fast=%v: decoded array len %d cap %d", fast, len(s), cap(s))
+						}
+					}
 				}
+				// The chunk's arrays live in the decoder's arena, reused for
+				// the next chunk: keep copies.
+				got, _ = AppendOwned(got, nil, chunk)
 				return nil
 			}, fast)
 			msg := ""
@@ -52,7 +63,54 @@ func FuzzNDJSONScannerEquivalence(f *testing.F) {
 		if !reflect.DeepEqual(gotF, gotS) {
 			t.Fatalf("scanner observations diverge:\n fast: %+v\nstdlib: %+v", gotF, gotS)
 		}
+		checkArrayPresence(t, data, gotF)
 	})
+}
+
+// arrayValues captures the raw JSON value each sample-array key took on a
+// line, under the stdlib's own key matching (case folding, last duplicate
+// wins): nil when the key is absent.
+type arrayValues struct {
+	Latencies    json.RawMessage `json:"latencies"`
+	DiskIndexLat json.RawMessage `json:"diskIndexLat"`
+	DiskMetaLat  json.RawMessage `json:"diskMetaLat"`
+	DiskDataLat  json.RawMessage `json:"diskDataLat"`
+}
+
+// checkArrayPresence asserts that each accepted observation's sample arrays
+// are nil exactly when the line left the key out (or set it to null): an
+// absent array is nil and `[]` is empty but non-nil. Accepted observations
+// are the stream's first non-blank lines, in order.
+func checkArrayPresence(t *testing.T, data []byte, got []Observation) {
+	t.Helper()
+	sc := bufio.NewScanner(bytes.NewReader(data))
+	sc.Buffer(nil, maxLineBytes)
+	for i := 0; i < len(got); {
+		if !sc.Scan() {
+			t.Fatalf("%d observations accepted from fewer lines", len(got))
+		}
+		raw := bytes.TrimSpace(sc.Bytes())
+		if len(raw) == 0 {
+			continue
+		}
+		var v arrayValues
+		if err := json.Unmarshal(raw, &v); err != nil {
+			t.Fatalf("accepted line %q does not decode: %v", raw, err)
+		}
+		o := got[i]
+		for _, f := range []struct {
+			name string
+			raw  json.RawMessage
+			arr  []float64
+		}{{"latencies", v.Latencies, o.Latencies}, {"diskIndexLat", v.DiskIndexLat, o.DiskIndexLat},
+			{"diskMetaLat", v.DiskMetaLat, o.DiskMetaLat}, {"diskDataLat", v.DiskDataLat, o.DiskDataLat}} {
+			absent := f.raw == nil || string(f.raw) == "null"
+			if absent != (f.arr == nil) {
+				t.Fatalf("line %q: %s is %q but decoded %#v", raw, f.name, f.raw, f.arr)
+			}
+		}
+		i++
+	}
 }
 
 // TestScannerHandlesWriteAndClassFields spot-checks the new wire fields

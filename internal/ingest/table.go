@@ -3,6 +3,7 @@ package ingest
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,6 +11,24 @@ import (
 	"cosmodel/internal/core"
 	"cosmodel/internal/stats"
 )
+
+// ingestScratch is Ingest's pooled per-batch scratch: the batch's window
+// entries grouped by stripe, and the per-stripe group cursors.
+type ingestScratch struct {
+	entries []windowEntry
+	next    []int
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(ingestScratch) }}
+
+// release drops the entries' references and pools the scratch, unless an
+// oversized batch grew it past the chunk bound.
+func (sc *ingestScratch) release() {
+	clear(sc.entries)
+	if cap(sc.entries) <= maxPooledChunk {
+		scratchPool.Put(sc)
+	}
+}
 
 // Config sizes a state Table.
 type Config struct {
@@ -127,8 +146,21 @@ func (t *Table) Ingest(batch []Observation, now time.Time) error {
 			return err
 		}
 	}
-	// Build entries (including latency histograms) outside any lock.
-	byStripe := make([][]windowEntry, t.nstripes)
+	// Build entries (including latency histograms) outside any lock,
+	// grouped by stripe in batch order.
+	sc := scratchPool.Get().(*ingestScratch)
+	defer sc.release()
+	entries := slices.Grow(sc.entries[:0], len(batch))[:len(batch)]
+	next := slices.Grow(sc.next[:0], t.nstripes)[:t.nstripes]
+	clear(next)
+	for _, o := range batch {
+		next[o.Device%t.nstripes]++
+	}
+	lo := 0
+	for s, n := range next {
+		next[s] = lo
+		lo += n
+	}
 	for _, o := range batch {
 		e := windowEntry{obs: o}
 		if len(o.Latencies) > 0 {
@@ -136,27 +168,31 @@ func (t *Table) Ingest(batch []Observation, now time.Time) error {
 			for _, l := range o.Latencies {
 				e.lat.Observe(l)
 			}
-			e.obs.Latencies = nil // retained as a histogram, not raw samples
 		}
-		// Raw disk samples feed the calibration controller, not the
-		// sliding windows; don't retain them here.
-		e.obs.DiskIndexLat, e.obs.DiskMetaLat, e.obs.DiskDataLat = nil, nil, nil
+		// Raw latencies are retained as a histogram, and raw disk samples
+		// feed the calibration controller, not the sliding windows: the
+		// window keeps no sample array, so the caller may reuse them.
+		e.obs.Latencies, e.obs.DiskIndexLat, e.obs.DiskMetaLat, e.obs.DiskDataLat = nil, nil, nil, nil
 		s := o.Device % t.nstripes
-		byStripe[s] = append(byStripe[s], e)
+		entries[next[s]] = e
+		next[s]++
 	}
-	for s := range byStripe {
-		if len(byStripe[s]) == 0 {
+	sc.entries, sc.next = entries, next
+	lo = 0
+	for s, hi := range next {
+		if lo == hi {
 			continue
 		}
 		st := &t.stripes[s]
 		st.mu.Lock()
-		for _, e := range byStripe[s] {
+		for _, e := range entries[lo:hi] {
 			st.windows[e.obs.Device/t.nstripes].add(e, t.cfg.Window, t.cfg.MaxEntries)
 		}
 		if now.After(st.lastIngest) {
 			st.lastIngest = now
 		}
 		st.mu.Unlock()
+		lo = hi
 	}
 	t.ingested.Add(uint64(len(batch)))
 	t.revision.Add(1)
@@ -251,7 +287,9 @@ func (t *Table) ObservedLatency() *stats.Histogram {
 		st := &t.stripes[s]
 		st.mu.Lock()
 		for li := range st.windows {
-			for _, e := range st.windows[li].entries {
+			w := &st.windows[li]
+			for i := 0; i < w.n; i++ {
+				e := w.at(i)
 				if e.lat == nil {
 					continue
 				}

@@ -13,25 +13,55 @@ type windowEntry struct {
 	lat *stats.Histogram // nil when the observation carried no latencies
 }
 
-// deviceWindow is the sliding window of one device's observations, newest
-// last.
+// deviceWindow is the sliding window of one device's observations: a ring
+// read oldest first, so every sum over it runs in the order the entries
+// arrived. The ring grows by doubling up to the entry bound and is then
+// reused in place; a steady stream adds and evicts without allocating.
 type deviceWindow struct {
-	entries []windowEntry
-	span    float64 // summed intervals of the retained entries
+	ring []windowEntry
+	head int     // ring index of the oldest entry
+	n    int     // retained entries
+	span float64 // summed intervals of the retained entries
 }
+
+// at returns the i-th retained entry, oldest first.
+func (w *deviceWindow) at(i int) *windowEntry { return &w.ring[(w.head+i)%len(w.ring)] }
 
 // add appends an entry and evicts the oldest ones that fall outside the
 // window span or the entry-count bound. At least one entry is always kept
-// so a device that reports rarely still has an operating point.
+// so a device that reports rarely still has an operating point. The span
+// adds the new interval before subtracting any evicted one: that order fixes
+// the span's last bits, and with them every windowed rate.
 func (w *deviceWindow) add(e windowEntry, window float64, maxEntries int) {
-	w.entries = append(w.entries, e)
 	w.span += e.obs.Interval
-	for len(w.entries) > 1 &&
-		(w.span-w.entries[0].obs.Interval >= window || len(w.entries) > maxEntries) {
-		w.span -= w.entries[0].obs.Interval
-		w.entries[0] = windowEntry{}
-		w.entries = w.entries[1:]
+	if w.n >= maxEntries {
+		w.evict()
+	} else if w.n == len(w.ring) {
+		w.grow(maxEntries)
 	}
+	*w.at(w.n) = e
+	w.n++
+	for w.n > 1 && w.span-w.at(0).obs.Interval >= window {
+		w.evict()
+	}
+}
+
+// evict drops the oldest entry, releasing its histogram.
+func (w *deviceWindow) evict() {
+	w.span -= w.ring[w.head].obs.Interval
+	w.ring[w.head] = windowEntry{}
+	w.head = (w.head + 1) % len(w.ring)
+	w.n--
+}
+
+// grow doubles the ring (from 8, never past maxEntries), re-laying the
+// entries oldest first.
+func (w *deviceWindow) grow(maxEntries int) {
+	ring := make([]windowEntry, min(max(8, 2*len(w.ring)), maxEntries))
+	for i := 0; i < w.n; i++ {
+		ring[i] = *w.at(i)
+	}
+	w.ring, w.head = ring, 0
 }
 
 // metrics derives the device's current online metrics from the window.
@@ -47,7 +77,8 @@ func (w *deviceWindow) metrics(procs int) (core.OnlineMetrics, bool) {
 		writes, writeChunks    uint64
 		diskBusy               float64
 	)
-	for _, e := range w.entries {
+	for i := 0; i < w.n; i++ {
+		e := w.at(i)
 		requests += e.obs.Requests
 		dataReads += e.obs.DataReads
 		idxH += e.obs.IndexHits

@@ -60,8 +60,9 @@ type Engine struct {
 	// ring, so ingest latency never includes drift-detector processing.
 	// When the ring is full the batch still lands in the state table but
 	// its calibration feed is dropped — counted by calibDropped, never
-	// silent.
-	calibQ       *ingest.Ring[*[]Observation]
+	// silent. calibFree recycles the queued batches' memory.
+	calibQ       *ingest.Ring[*calibBatch]
+	calibFree    chan *calibBatch
 	calibDone    chan struct{}
 	calibFed     atomic.Uint64 // batches the feeder finished processing
 	calibDropped *obs.Counter  // observations dropped from the calibration feed
@@ -119,7 +120,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if qsize == 0 {
 		qsize = defaultIngestQueue
 	}
-	e.calibQ = ingest.NewRing[*[]Observation](qsize)
+	e.calibQ = ingest.NewRing[*calibBatch](qsize)
+	e.calibFree = make(chan *calibBatch, min(qsize, maxFreeCalibBatches))
 	e.calibDone = make(chan struct{})
 	e.calibDropped = e.reg.Counter("cosserve_ingest_queue_dropped_total",
 		"Observations whose calibration feed was dropped because the hand-off ring was full.", nil)
@@ -282,11 +284,15 @@ func (e *Engine) Ingest(batch []Observation) error {
 
 // IngestQueued absorbs a batch like Ingest but hands the calibration feed to
 // the feeder goroutine through the bounded ring: the caller pays only for
-// validation and the striped window update, never for drift detection. When
-// the ring is full (or the engine is closed) the batch still lands in the
-// state table; the skipped calibration feed is counted per observation in
-// cosserve_ingest_queue_dropped_total. The batch slice is copied before
-// queueing, so callers may recycle it immediately (NDJSON chunks are pooled).
+// validation, the striped window update and one copy, never for drift
+// detection. When the ring is full (or the engine is closed) the batch
+// still lands in the state table; the skipped calibration feed is counted
+// per observation in cosserve_ingest_queue_dropped_total.
+//
+// Ownership: the queued batch is a copy of the observations and their
+// sample arrays in memory the engine owns, so callers may recycle batch and
+// its arrays as soon as IngestQueued returns (NDJSON chunks and their
+// sample arena are pooled).
 func (e *Engine) IngestQueued(batch []Observation) error {
 	if err := e.state.ingest(batch); err != nil {
 		return err
@@ -294,40 +300,77 @@ func (e *Engine) IngestQueued(batch []Observation) error {
 	if e.calibrator == nil {
 		return nil // nothing downstream consumes the feed
 	}
-	buf := ingest.GetBatch()
-	*buf = append((*buf)[:0], batch...)
-	if !e.calibQ.TryPush(buf) {
-		ingest.PutBatch(buf)
+	b := e.getCalibBatch()
+	b.obs, b.floats = ingest.AppendOwned(b.obs, b.floats, batch)
+	if !e.calibQ.TryPush(b) {
+		e.putCalibBatch(b)
 		e.calibDropped.Add(uint64(len(batch)))
 	}
 	return nil
 }
 
+// calibBatch is one queued calibration feed: copies of an accepted batch's
+// observations whose sample arrays are sub-slices of floats.
+type calibBatch struct {
+	obs    []Observation
+	floats []float64
+}
+
+// The free list keeps at most maxFreeCalibBatches queued batches' memory,
+// and none whose slices grew past these bounds, so a burst of large
+// batches is returned to the collector instead of pinned. The bounds fit
+// a default NDJSON chunk (with slack for allocation size-class rounding)
+// carrying up to 64 samples per observation.
+const (
+	maxFreeCalibBatches = 32
+	maxFreeCalibObs     = 2 * ingest.DefaultChunkSize
+	maxFreeCalibFloats  = 16 << 10
+)
+
+// getCalibBatch takes an empty batch from the free list, or makes one.
+func (e *Engine) getCalibBatch() *calibBatch {
+	select {
+	case b := <-e.calibFree:
+		return b
+	default:
+		return new(calibBatch)
+	}
+}
+
+// putCalibBatch empties b and returns it to the free list when it fits.
+func (e *Engine) putCalibBatch(b *calibBatch) {
+	clear(b.obs)
+	b.obs, b.floats = b.obs[:0], b.floats[:0]
+	if cap(b.obs) > maxFreeCalibObs || cap(b.floats) > maxFreeCalibFloats {
+		return
+	}
+	select {
+	case e.calibFree <- b:
+	default:
+	}
+}
+
 // calibrationFeeder drains the hand-off ring, feeding queued batches to the
-// drift controller and recycling their pooled buffers. Each wakeup drains
-// the whole backlog at once (Ring.PopAll) and coalesces it into a single
-// batched feed — under a burst the feeder takes the ring lock once per
-// backlog, not once per batch, so it catches up instead of ping-ponging with
-// producers. calibFed advances only after the coalesced feed completed,
-// preserving WaitCalibrationIdle's fed==pushed accounting. The feeder exits
-// — after draining what is already queued — once Close closes the ring.
+// drift controller in order and recycling their memory once fed. Each
+// wakeup drains the whole backlog at once (Ring.PopAll): under a burst the
+// feeder takes the ring lock once per backlog, not once per batch, so it
+// catches up instead of ping-ponging with producers. calibFed advances only
+// after the backlog was fed, preserving WaitCalibrationIdle's fed==pushed
+// accounting. The feeder exits — after draining what is already queued —
+// once Close closes the ring.
 func (e *Engine) calibrationFeeder() {
 	defer close(e.calibDone)
-	var (
-		bufs   []*[]Observation
-		merged []Observation
-	)
+	var bufs []*calibBatch
 	for {
 		var ok bool
 		bufs, ok = e.calibQ.PopAll(bufs[:0])
+		for _, b := range bufs {
+			e.feedCalibration(b.obs)
+			e.putCalibBatch(b)
+		}
 		if len(bufs) > 0 {
-			merged = merged[:0]
-			for _, buf := range bufs {
-				merged = append(merged, (*buf)...)
-				ingest.PutBatch(buf)
-			}
-			e.feedCalibration(merged)
 			e.calibFed.Add(uint64(len(bufs)))
+			clear(bufs)
 		}
 		if !ok {
 			return

@@ -130,30 +130,38 @@ func (t *stateTable) checkClassBound(batch []Observation) error {
 
 // ingestClasses routes the class-labelled observations of an already
 // accepted batch into their tenant partitions, creating partitions lazily.
-// The batch passed aggregate validation, so the per-class ingests cannot
-// reject; a partition-construction failure would be a config bug and is
-// surfaced through the aggregate path's validation at engine start.
+// Each class present takes one pass over the batch into a pooled scratch
+// slice; a batch carries a handful of classes, so the passes cost less than
+// a per-batch map. The batch passed aggregate validation, so the per-class
+// ingests cannot reject; a partition-construction failure would be a config
+// bug and is surfaced through the aggregate path's validation at engine
+// start.
 func (t *stateTable) ingestClasses(batch []Observation) {
-	var byClass map[string][]Observation
-	for _, o := range batch {
-		if o.Class == "" {
-			continue
+	var seen [4]string
+	classes := seen[:0]
+	for i := range batch {
+		if c := batch[i].Class; c != "" && !slices.Contains(classes, c) {
+			classes = append(classes, c)
 		}
-		if byClass == nil {
-			byClass = make(map[string][]Observation)
-		}
-		byClass[o.Class] = append(byClass[o.Class], o)
 	}
-	if byClass == nil {
+	if len(classes) == 0 {
 		return
 	}
+	sub := ingest.GetBatch()
+	defer ingest.PutBatch(sub)
 	now := t.cfg.now()
-	for class, sub := range byClass {
+	for _, class := range classes {
 		tab, err := t.classTable(class)
 		if err != nil {
 			continue // bounded above; unreachable after checkClassBound
 		}
-		tab.Ingest(sub, now) //nolint:errcheck // validated by the aggregate ingest
+		*sub = (*sub)[:0]
+		for i := range batch {
+			if batch[i].Class == class {
+				*sub = append(*sub, batch[i])
+			}
+		}
+		tab.Ingest(*sub, now) //nolint:errcheck // validated by the aggregate ingest
 	}
 }
 
