@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race e2e bench bench-build capacity-smoke fuzz-smoke loadtest chaos chaos-cluster tidy
+.PHONY: check fmt vet build test race e2e bench bench-build deadcode capacity-smoke fuzz-smoke loadtest chaos chaos-cluster tidy
 
-check: fmt vet build race e2e bench bench-build fuzz-smoke loadtest
+check: fmt vet build race e2e bench bench-build deadcode fuzz-smoke loadtest
 
 # gofmt -l prints offending files; fail when it prints anything.
 fmt:
@@ -49,6 +49,13 @@ bench:
 # benchmark fails here.
 bench-build:
 	cd bench && $(GO) vet ./... && $(GO) test -short .
+
+# The dead-code gate: builds every cmd/*, examples/* and bench binary plus a
+# program linking the root package API, and fails on any non-test function
+# under internal/ that none of them links and internal/deadcode/allowlist.txt
+# does not list with a reason. Tagged, so plain go test ./... skips it.
+deadcode:
+	$(GO) test -tags deadcode -count=1 ./internal/deadcode
 
 # The benchmark's real binaries, end to end: bench/run.sh builds cosserve,
 # cosrouter and the harness and runs every workload for two seconds (the

@@ -173,7 +173,9 @@ var (
 // ---------------------------------------------------------------------------
 // Laplace inversion.
 
-// Inverter performs numerical Laplace-transform inversion.
+// Inverter is a numerical Laplace-inversion rule, given by its quadrature
+// nodes and weights (AppendNodes); the model inverts every transform
+// through them.
 type Inverter = numeric.Inverter
 
 // Inversion algorithm constructors.

@@ -72,12 +72,6 @@ func benchScenario(b *testing.B, sc cosmodel.ScenarioConfig) {
 	}
 }
 
-// legacyInverter hides the node-based quadrature API behind a plain
-// Inverter, forcing the model down the pre-engine evaluation path (every
-// composed transform closure inverted independently). It benchmarks the
-// shared-subexpression engine against its predecessor on identical inputs.
-type legacyInverter struct{ cosmodel.Inverter }
-
 // fig6Sweep simulates the quick S1 sweep once and shares the captured
 // windows across all prediction-sweep benchmarks.
 var fig6Sweep = sync.OnceValues(func() (*cosmodel.SweepData, error) {
@@ -90,9 +84,8 @@ var fig6Sweep = sync.OnceValues(func() (*cosmodel.SweepData, error) {
 // in isolation — the full rate × SLA × variant prediction sweep over a
 // pre-captured simulation — which is what PR 2's evaluation engine
 // accelerates (BenchmarkFig6ScenarioS1 is dominated by simulation time).
-// Sub-benchmarks: "baseline" is the pre-engine path (independent closure
-// inversions, sequential), "sequential" the shared-subexpression engine on
-// one goroutine, "parallel" the engine with the default worker pool.
+// Sub-benchmarks: "sequential" is the shared-subexpression engine on one
+// goroutine, "parallel" the engine with the default worker pool.
 func BenchmarkFig6PredictionSweep(b *testing.B) {
 	data, err := fig6Sweep()
 	if err != nil {
@@ -109,9 +102,6 @@ func BenchmarkFig6PredictionSweep(b *testing.B) {
 			}
 		}
 	}
-	b.Run("baseline", func(b *testing.B) {
-		run(b, cosmodel.Options{Inverter: legacyInverter{cosmodel.NewEuler()}, Workers: 1})
-	})
 	b.Run("sequential", func(b *testing.B) {
 		run(b, cosmodel.Options{Workers: 1})
 	})

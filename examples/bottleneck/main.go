@@ -71,7 +71,10 @@ func main() {
 	}
 
 	fmt.Printf("system-wide: P(latency <= %.0fms) = %.4f\n\n", sla*1e3, sys.CDF(sla))
-	diag := sys.Diagnose(sla)
+	diag, err := sys.Diagnose(sla)
+	if err != nil {
+		log.Fatal(err)
+	}
 	if err := cosmodel.RenderDiagnosis(os.Stdout, diag, sla); err != nil {
 		log.Fatal(err)
 	}

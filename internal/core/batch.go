@@ -36,17 +36,17 @@ func floats(buf []float64, n int) []float64 {
 
 // mixtureCDFBatch is the evaluation engine: it computes the rate-weighted
 // mixture CDF for every mode in modes at every threshold in ts, writing
-// out[m][j] for (modes[m], ts[j]). With a node-exposing inverter the whole
-// request is one traversal of the mixture: nodes for all thresholds are
-// appended once, the frontend factor is computed once per node, and each
-// group's per-node device factors are evaluated once and accumulated into
-// every (mode, threshold) cell. An opaque inverter fills the same cells by
-// inverting each group's composed transform. Either way every cell is
-// validated (walking the fallback chain on an invalid value) and reduced
-// in group order, so a threshold's answer does not depend on the other
-// thresholds in the batch, and a single threshold reproduces the
-// per-threshold inversion bit for bit.
-func (s *SystemModel) mixtureCDFBatch(ctx context.Context, modes []evalMode, ts []float64, out [][]float64) error {
+// out[m][j] for (modes[m], ts[j]). The whole request is one traversal of
+// the mixture: nodes for all thresholds are appended once, the frontend
+// factor is computed once per node, and each group's per-node device
+// factors are evaluated once and accumulated into every (mode, threshold)
+// cell. Every cell is validated (walking the fallback chain on an invalid
+// value) and reduced in group order, so a threshold's answer does not
+// depend on the other thresholds in the batch, and a single threshold
+// reproduces the per-threshold inversion bit for bit. A non-nil perGroup
+// (one entry per group) receives group i's validated CDF at (modes[0],
+// ts[0]): the per-device breakdown Diagnose ranks.
+func (s *SystemModel) mixtureCDFBatch(ctx context.Context, modes []evalMode, ts []float64, out [][]float64, perGroup []float64) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -71,83 +71,62 @@ func (s *SystemModel) mixtureCDFBatch(ctx context.Context, modes []evalMode, ts 
 	sums := floats(a.sums, len(s.groups)*stride)
 	a.sums = sums
 
-	var run func(i int) error
-	if ni, ok := s.opts.inverter().(numeric.NodeInverter); ok {
-		nodes, ws := a.nodes[:0], a.ws[:0]
-		offs := a.offs[:0]
-		for _, t := range ts {
-			offs = append(offs, len(nodes))
-			if t > 0 {
-				nodes, ws = ni.AppendNodes(nodes, ws, t)
-			}
-		}
+	inv := s.opts.inverter()
+	nodes, ws := a.nodes[:0], a.ws[:0]
+	offs := a.offs[:0]
+	for _, t := range ts {
 		offs = append(offs, len(nodes))
-		fe := a.fe[:0]
-		if needFE {
-			sq := s.frontend.Sojourn().F
-			for _, sk := range nodes {
-				fe = append(fe, sq(sk))
-			}
+		if t > 0 {
+			nodes, ws = inv.AppendNodes(nodes, ws, t)
 		}
-		a.nodes, a.ws, a.fe, a.offs = nodes, ws, fe, offs
-		// One pass over the mixture: each group walks all thresholds'
-		// nodes, evaluating the device factors once per node and folding
-		// them into every requested mode. Groups write disjoint sum
-		// ranges, so the fan-out is race-free and the reduction below is
-		// deterministic.
-		run = func(i int) error {
-			gs := sums[i*stride : (i+1)*stride]
-			dev := s.groups[i].dev
-			// A read-only device contributes nothing to write modes: its
-			// write factors are never evaluated and its write cells stay
-			// 0 (the reduction skips them by zero weight).
-			devWrite := needWrite && s.groups[i].writeWeight > 0
-			for j := range ts {
-				for k := offs[j]; k < offs[j+1]; k++ {
-					var wa, sbe, wwa, swr complex128
-					if needRead {
-						wa, sbe = dev.responseNode(nodes[k])
-					}
-					if devWrite {
-						wwa, swr = dev.writeNode(nodes[k])
-					}
-					for m, mode := range modes {
-						var v complex128
-						if mode.write {
-							if !devWrite {
-								continue
-							}
-							v = nodeValue(mode.shape, fe, k, wwa, swr)
-						} else {
-							v = nodeValue(mode.shape, fe, k, wa, sbe)
+	}
+	offs = append(offs, len(nodes))
+	fe := a.fe[:0]
+	if needFE {
+		sq := s.frontend.Sojourn().F
+		for _, sk := range nodes {
+			fe = append(fe, sq(sk))
+		}
+	}
+	a.nodes, a.ws, a.fe, a.offs = nodes, ws, fe, offs
+	// One pass over the mixture: each group walks all thresholds' nodes,
+	// evaluating the device factors once per node and folding them into
+	// every requested mode. Groups write disjoint sum ranges, so the
+	// fan-out is race-free and the reduction below is deterministic.
+	run := func(i int) error {
+		gs := sums[i*stride : (i+1)*stride]
+		dev := s.groups[i].dev
+		// A read-only device contributes nothing to write modes: its write
+		// factors are never evaluated and its write cells stay 0 (the
+		// reduction skips them by zero weight).
+		devWrite := needWrite && s.groups[i].writeWeight > 0
+		for j := range ts {
+			for k := offs[j]; k < offs[j+1]; k++ {
+				var wa, sbe, wwa, swr complex128
+				if needRead {
+					wa, sbe = dev.responseNode(nodes[k])
+				}
+				if devWrite {
+					wwa, swr = dev.writeNode(nodes[k])
+				}
+				for m, mode := range modes {
+					var v complex128
+					if mode.write {
+						if !devWrite {
+							continue
 						}
-						// The same arithmetic as groupEvaluator, term for
-						// term, so a cell's sum is bit-identical to the
-						// per-threshold form the fallback chain uses.
-						gs[m*nt+j] += real(ws[k] * (v / nodes[k]))
+						v = nodeValue(mode.shape, fe, k, wwa, swr)
+					} else {
+						v = nodeValue(mode.shape, fe, k, wa, sbe)
 					}
+					// The same arithmetic as groupEvaluator, term for
+					// term, so a cell's sum is bit-identical to the
+					// per-threshold form the fallback chain uses.
+					gs[m*nt+j] += real(ws[k] * (v / nodes[k]))
 				}
 			}
-			return nil
 		}
-	} else {
-		// Opaque custom inverter: no quadrature to share — invert each
-		// group's composed transform per (mode, threshold).
-		inv := s.opts.inverter()
-		run = func(i int) error {
-			gs := sums[i*stride : (i+1)*stride]
-			for m, mode := range modes {
-				if mode.write && s.groups[i].writeWeight == 0 {
-					continue
-				}
-				for j, t := range ts {
-					if t > 0 {
-						gs[m*nt+j] = s.groupEvaluator(inv, t, mode)(i)
-					}
-				}
-			}
-			return nil
-		}
+		return nil
 	}
 	pool := s.pool
 	if len(s.groups) < minDevicesParallel {
@@ -180,6 +159,9 @@ func (s *SystemModel) mixtureCDFBatch(ctx context.Context, modes []evalMode, ts 
 				v, err := s.groupCDF(sums[i*stride+m*nt+j], i, t, mode)
 				if err != nil {
 					return err
+				}
+				if perGroup != nil && m == 0 && j == 0 {
+					perGroup[i] = v
 				}
 				total += weight * v
 			}

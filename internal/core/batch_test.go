@@ -144,31 +144,6 @@ func TestCDFBatchCancelledContext(t *testing.T) {
 	}
 }
 
-func TestCDFBatchOpaqueInverterFallback(t *testing.T) {
-	opts := Options{
-		Inverter:  opaqueInverter{numeric.NewEuler()},
-		Fallbacks: []numeric.Inverter{},
-	}
-	if _, ok := opts.Inverter.(numeric.NodeInverter); ok {
-		t.Fatal("fixture error: opaqueInverter must not expose nodes")
-	}
-	sys := buildHeteroSystem(t, 3, opts)
-	ts := batchGrid()
-	out, err := sys.Eval(context.Background(), ts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, x := range ts {
-		want, err := sys.mixtureCDF(context.Background(), x, modeFull)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out[0][i] != want {
-			t.Errorf("opaque Eval(%g) = %v, scalar %v", x, out[0][i], want)
-		}
-	}
-}
-
 // TestCDFBatchSteadyStateAllocs pins the scratch-arena reuse: once the
 // pooled arena has grown, a batched evaluation allocates only its output
 // slices and a handful of fixed-size descriptors — not per-node or

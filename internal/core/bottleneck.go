@@ -1,12 +1,12 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
 
 	"cosmodel/internal/benchkit"
-	"cosmodel/internal/lst"
 )
 
 // DeviceDiagnosis summarizes one device's modeled health — the raw material
@@ -26,18 +26,33 @@ type DeviceDiagnosis struct {
 	// MeanBackend is the modeled mean backend response time.
 	MeanBackend float64
 	// SLAContribution is the device's share of predicted SLA misses:
-	// rate-weighted (1 - Sbe-CDF at the SLA), normalized over devices.
+	// rate-weighted (1 - CDF of its frontend-observed response
+	// Sq ∗ Wa ∗ Sbe at the SLA), normalized over devices.
 	SLAContribution float64
 }
 
 // Diagnose ranks the system's devices by their contribution to predicted
 // SLA violations at the given latency bound, worst first. Ties in
-// contribution break toward higher utilization.
-func (s *SystemModel) Diagnose(sla float64) []DeviceDiagnosis {
+// contribution break toward higher utilization. Each device's miss comes
+// from the evaluation engine's validated per-group CDF, so an invalid
+// inversion that no fallback recovers is an error (numeric.ErrNumerical),
+// never a silent 100% miss. Options.EvalTimeout bounds the call.
+func (s *SystemModel) Diagnose(sla float64) ([]DeviceDiagnosis, error) {
+	ctx, cancel := s.opts.EvalContext(context.Background())
+	defer cancel()
+	perGroup := make([]float64, len(s.groups))
+	row := []float64{0}
+	if err := s.mixtureCDFBatch(ctx, []evalMode{{shape: shapeFull}}, []float64{sla}, [][]float64{row}, perGroup); err != nil {
+		return nil, err
+	}
+	group := make(map[*DeviceModel]float64, len(s.groups))
+	for i, g := range s.groups {
+		group[g.dev] = perGroup[i]
+	}
 	out := make([]DeviceDiagnosis, len(s.devices))
 	totalMisses := 0.0
 	for j, d := range s.devices {
-		miss := d.Rate() * (1 - lst.CDF(s.opts.inverter(), s.responses[j], sla))
+		miss := d.Rate() * (1 - group[d])
 		out[j] = DeviceDiagnosis{
 			Device:          j,
 			Rate:            d.Rate(),
@@ -59,15 +74,18 @@ func (s *SystemModel) Diagnose(sla float64) []DeviceDiagnosis {
 		}
 		return out[a].Utilization > out[b].Utilization
 	})
-	return out
+	return out, nil
 }
 
 // Bottleneck returns the device contributing most to predicted SLA misses
 // and that contribution (0..1). With no predicted misses it returns the
-// most utilized device and a zero share.
-func (s *SystemModel) Bottleneck(sla float64) (device int, share float64) {
-	diag := s.Diagnose(sla)
-	return diag[0].Device, diag[0].SLAContribution
+// most utilized device and a zero share. It fails as Diagnose does.
+func (s *SystemModel) Bottleneck(sla float64) (device int, share float64, err error) {
+	diag, err := s.Diagnose(sla)
+	if err != nil {
+		return 0, 0, err
+	}
+	return diag[0].Device, diag[0].SLAContribution, nil
 }
 
 // RenderDiagnosis writes the ranked device report.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -80,15 +81,16 @@ func TestCDFContextCancelled(t *testing.T) {
 	}
 }
 
-// slowInverter delays every inversion, making evaluation budgets bite.
+// slowInverter delays every inversion — each node set it hands out — making
+// evaluation budgets bite.
 type slowInverter struct {
 	d     time.Duration
 	inner numeric.Inverter
 }
 
-func (s slowInverter) Invert(f numeric.TransformFunc, t float64) float64 {
+func (s slowInverter) AppendNodes(sk, wk []complex128, t float64) ([]complex128, []complex128) {
 	time.Sleep(s.d)
-	return s.inner.Invert(f, t)
+	return s.inner.AppendNodes(sk, wk, t)
 }
 func (s slowInverter) Name() string { return "slow-" + s.inner.Name() }
 
@@ -110,11 +112,22 @@ func TestEvalTimeoutBoundsCall(t *testing.T) {
 	}
 }
 
-// nanInverter poisons every inversion.
-type nanInverter struct{}
+// nanInverter poisons every inversion: its one node carries a NaN weight.
+type nanInverter struct{ name string }
 
-func (nanInverter) Invert(numeric.TransformFunc, float64) float64 { return math.NaN() }
-func (nanInverter) Name() string                                  { return "nan" }
+func (nanInverter) AppendNodes(s, w []complex128, t float64) ([]complex128, []complex128) {
+	if t <= 0 {
+		return s, w
+	}
+	return append(s, 1), append(w, complex(math.NaN(), 0))
+}
+
+func (n nanInverter) Name() string {
+	if n.name == "" {
+		return "nan"
+	}
+	return n.name
+}
 
 func TestFallbackRecoversPoisonedInverter(t *testing.T) {
 	var fired atomic.Int64
@@ -180,19 +193,50 @@ func TestDisabledFallbacksSurfaceErrNumerical(t *testing.T) {
 	}
 }
 
+// TestFallbackChainExhaustion walks the whole chain: nil entries and a
+// fallback sharing the primary's name are skipped, every other one is
+// tried in order, and exhaustion names them all in the InversionError. A
+// nonpositive threshold is 0 without consulting any inverter.
+func TestFallbackChainExhaustion(t *testing.T) {
+	opts := Options{
+		Inverter:  nanInverter{name: "primary"},
+		Fallbacks: []numeric.Inverter{nanInverter{name: "primary"}, nil, nanInverter{name: "fb2"}},
+	}
+	sys := buildSystem(t, 2, opts)
+	_, err := evalAt(sys, Query{}, 0.05)
+	var ie *numeric.InversionError
+	if !errors.As(err, &ie) || !errors.Is(err, numeric.ErrNumerical) {
+		t.Fatalf("err = %v, want an *InversionError wrapping ErrNumerical", err)
+	}
+	if ie.T != 0.05 || len(ie.Tried) != 2 || ie.Tried[0] != "primary" || ie.Tried[1] != "fb2" {
+		t.Errorf("InversionError %+v, want t=0.05 and tried [primary fb2]", ie)
+	}
+	if !strings.Contains(err.Error(), "primary, fb2") {
+		t.Errorf("error %q should name the inverters tried", err)
+	}
+	out, err := sys.Eval(context.Background(), []float64{-1, 0})
+	if err != nil || out[0][0] != 0 || out[0][1] != 0 {
+		t.Errorf("nonpositive thresholds: %v, %v; want 0s and no error", out, err)
+	}
+}
+
 // sequenceInverter replays scripted CDF values call by call — a harness for
-// driving the bisection into pathological shapes.
+// driving the bisection into pathological shapes. Each node set is one real
+// node s0 near 0, where every response transform is 1 to within s0 times
+// its mean, weighted s0·v so the inverted CDF F(s0)/s0 · s0·v reads the
+// scripted value v (to ~1e-10 for the test models' sub-second means).
 type sequenceInverter struct {
 	calls *atomic.Int64
 	vals  []float64
 }
 
-func (s sequenceInverter) Invert(numeric.TransformFunc, float64) float64 {
+func (s sequenceInverter) AppendNodes(sk, wk []complex128, t float64) ([]complex128, []complex128) {
+	const s0 = 1e-9
 	i := int(s.calls.Add(1)) - 1
 	if i >= len(s.vals) {
 		i = len(s.vals) - 1
 	}
-	return s.vals[i]
+	return append(sk, s0), append(wk, complex(s0*s.vals[i], 0))
 }
 func (s sequenceInverter) Name() string { return "sequence" }
 

@@ -7,12 +7,9 @@ import (
 	"testing"
 
 	"cosmodel/internal/dist"
+	"cosmodel/internal/lst"
 	"cosmodel/internal/numeric"
 )
-
-// opaqueInverter hides the NodeInverter quadrature of the wrapped inverter,
-// forcing SystemModel down the legacy per-transform closure path.
-type opaqueInverter struct{ numeric.Inverter }
 
 // engineDevices builds n device models with distinct per-device metrics.
 func engineDevices(t testing.TB, n, procs int, opts Options) []*DeviceModel {
@@ -53,7 +50,8 @@ func engineSystem(t testing.TB, n, procs int, opts Options) *SystemModel {
 
 // TestEngineMatchesLegacyClosures compares the node-sharing evaluation
 // engine against the legacy path (independent inversion of each composed
-// transform closure) across every model variant the engine specializes.
+// transform closure, closureCDF) across every model variant the engine
+// specializes.
 func TestEngineMatchesLegacyClosures(t *testing.T) {
 	variants := []struct {
 		name  string
@@ -73,12 +71,18 @@ func TestEngineMatchesLegacyClosures(t *testing.T) {
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
 			engine := engineSystem(t, 3, v.procs, v.opts)
-			legacyOpts := v.opts
-			legacyOpts.Inverter = opaqueInverter{numeric.NewEuler()}
-			legacy := engineSystem(t, 3, v.procs, legacyOpts)
+			// The quantile bracket seed: the mean of the composed
+			// closures, bit for bit.
+			mean := 0.0
+			for _, d := range engine.devices {
+				mean += d.Rate() * lst.Convolve(engine.frontend.Sojourn(), d.WTA(), d.Backend()).Mean
+			}
+			if got, want := engine.MeanResponse(), mean/engine.totalRate; got != want {
+				t.Errorf("MeanResponse %v, composed closures %v", got, want)
+			}
 			for _, q := range []Query{{}, backendQ} {
 				for _, x := range ts {
-					got, want := mustEvalAt(t, engine, q, x), mustEvalAt(t, legacy, q, x)
+					got, want := mustEvalAt(t, engine, q, x), closureCDF(engine, q.Tier == TierBackend, x)
 					if math.Abs(got-want) > 1e-12 {
 						t.Errorf("%+v at %v: engine %v, legacy %v (diff %g)", q, x, got, want, got-want)
 					}
@@ -86,6 +90,24 @@ func TestEngineMatchesLegacyClosures(t *testing.T) {
 			}
 		})
 	}
+}
+
+// closureCDF is the legacy-closure oracle of a plain read: every mixture
+// group's composed transform — lst.Convolve of the frontend sojourn, the
+// device's accept wait and its backend response, or the backend response
+// alone — inverted independently with numeric.InvertCDF and rate-weighted
+// in group order.
+func closureCDF(sys *SystemModel, backend bool, x float64) float64 {
+	inv := sys.opts.inverter()
+	total := 0.0
+	for _, g := range sys.groups {
+		tr := lst.Convolve(sys.frontend.Sojourn(), g.dev.WTA(), g.dev.Backend())
+		if backend {
+			tr = g.dev.Backend()
+		}
+		total += g.weight * numeric.InvertCDF(inv, tr.F, x)
+	}
+	return numeric.Clamp01(total / sys.totalRate)
 }
 
 // TestParallelMatchesSequentialCDF is the determinism property test: the
@@ -134,7 +156,7 @@ func TestSystemModelConcurrentCDF(t *testing.T) {
 // TestQuantileSaturatedReturnsInf is the regression test for Quantile
 // silently returning its internal 1e6-second search cap as if it were a
 // real latency: a model whose response mass sits beyond the cap must report
-// +Inf, matching lst.Quantile's contract.
+// +Inf.
 func TestQuantileSaturatedReturnsInf(t *testing.T) {
 	props := testProps()
 	props.IndexDisk = dist.NewGammaMeanSCV(2e5, 0.45)

@@ -426,7 +426,10 @@ func TestSystemModelMixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deviceCDF := func(j int, sla float64) float64 { return lst.CDF(inv, sys.responses[j], sla) }
+	devs := []*DeviceModel{dFast, dSlow}
+	deviceCDF := func(j int, sla float64) float64 {
+		return lst.CDF(inv, lst.Convolve(fe.Sojourn(), devs[j].WTA(), devs[j].Backend()), sla)
+	}
 	for _, sla := range []float64{0.01, 0.05, 0.1} {
 		want := (20*deviceCDF(0, sla) + 60*deviceCDF(1, sla)) / 80
 		if got := sys.CDF(sla); math.Abs(got-want) > 1e-9 {

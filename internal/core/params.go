@@ -202,8 +202,9 @@ const (
 // Options configure a model instance. The zero value is the paper's model
 // with the Euler inverter.
 type Options struct {
-	// Inverter performs the numerical Laplace inversion; nil means
-	// numeric.NewEuler().
+	// Inverter is the numerical Laplace-inversion rule whose quadrature
+	// nodes the evaluation engine shares across the device mixture; nil
+	// means numeric.NewEuler().
 	Inverter numeric.Inverter
 	// WTA selects the accept-waiting model.
 	WTA WTAMode
@@ -269,8 +270,8 @@ type EvalEvent struct {
 	// out over (0 for spans without a single underlying model, like
 	// admission searches).
 	Groups int
-	// Nodes is the quadrature node count of the configured inverter (0
-	// when the inverter does not expose its nodes).
+	// Nodes is the quadrature node count of the configured inverter at
+	// one threshold.
 	Nodes int
 	// Probes counts the mixture thresholds the span evaluated: the grid
 	// size of a plain evaluation, every order-statistic probe of a k-of-n

@@ -190,7 +190,7 @@ func (s *SystemModel) eval(ctx context.Context, ts []float64, qs []Query, out []
 	probes := 0
 	if len(modes) > 0 {
 		probes = len(ts) * len(modes)
-		if err := s.mixtureCDFBatch(ctx, modes, ts, rows); err != nil {
+		if err := s.mixtureCDFBatch(ctx, modes, ts, rows, nil); err != nil {
 			return 0, err
 		}
 	}
@@ -255,7 +255,7 @@ func (s *SystemModel) orderStatistic(ctx context.Context, q Query, ts []float64,
 		return 0, err
 	}
 	vals := make([]float64, len(xs))
-	if err := s.mixtureCDFBatch(ctx, []evalMode{q.mode()}, xs, [][]float64{vals}); err != nil {
+	if err := s.mixtureCDFBatch(ctx, []evalMode{q.mode()}, xs, [][]float64{vals}, nil); err != nil {
 		return 0, err
 	}
 	next := 0

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"cosmodel/internal/lst"
 	"cosmodel/internal/numeric"
 	"cosmodel/internal/parallel"
 )
@@ -19,18 +18,12 @@ const minDevicesParallel = 3
 // deployments pass the same model for every slot) collapse into one group,
 // so the engine inverts each distinct backend transform once.
 type mixGroup struct {
-	dev      *DeviceModel
-	weight   float64
-	response lst.Transform // Sq ∗ Wa ∗ Sbe, for non-node inverters
-	beResp   lst.Transform // Wa ∗ Sbe, for non-node inverters
-	noWTA    lst.Transform // Sq ∗ Sbe, for non-node inverters
-
-	// Write-class mixture weight and compositions; writeWeight is 0 for
-	// a read-only device, which then contributes nothing to write-mode
+	dev    *DeviceModel
+	weight float64
+	// writeWeight is the write-class mixture weight; it is 0 for a
+	// read-only device, which then contributes nothing to write-mode
 	// mixtures and is skipped without evaluation.
 	writeWeight float64
-	writeFull   lst.Transform // Sq ∗ Wa ∗ Swr, for non-node inverters
-	writeResp   lst.Transform // Wa ∗ Swr, for non-node inverters
 }
 
 // shape is one composition of the per-device factors the shared-
@@ -70,23 +63,20 @@ type evalMode struct {
 //	S(t) = Σ_j r_j·Sj(t) / Σ_j r_j
 //
 // Every prediction is a Query answered by Eval (or inverted by Quantile)
-// through one shared-subexpression engine: when the configured inverter
-// exposes its quadrature (numeric.NodeInverter, as all built-in inverters
-// do), the frontend factor Sq(s_k) is computed once per inversion node and
-// shared across the whole device mixture, each device's leaf transforms
-// are evaluated once per node (DeviceModel.responseNode), and distinct
-// devices are fanned across a bounded worker pool (Options.Workers) when
-// the mixture is at least minDevicesParallel wide. Results are reduced in
-// device order, so they are deterministic and agree with the sequential
-// path exactly.
+// through one shared-subexpression engine over the inverter's quadrature
+// (numeric.Inverter): the frontend factor Sq(s_k) is computed once per
+// inversion node and shared across the whole device mixture, each device's
+// leaf transforms are evaluated once per node (DeviceModel.responseNode),
+// and distinct devices are fanned across a bounded worker pool
+// (Options.Workers) when the mixture is at least minDevicesParallel wide.
+// Results are reduced in device order, so they are deterministic and agree
+// with the sequential path exactly.
 type SystemModel struct {
 	frontend *FrontendModel
 	devices  []*DeviceModel
 	opts     Options
 	pool     *parallel.Pool
 
-	responses      []lst.Transform // per device: Sq ∗ Wa ∗ Sbe
-	weights        []float64
 	groups         []mixGroup
 	totalRate      float64
 	totalWriteRate float64
@@ -110,14 +100,11 @@ func NewSystemModel(fe *FrontendModel, devices []*DeviceModel, opts Options) (*S
 		return nil, fmt.Errorf("%w: at least one device model required", ErrBadParams)
 	}
 	s := &SystemModel{frontend: fe, devices: devices, opts: opts, pool: opts.pool()}
-	sq := fe.Sojourn()
 	seen := make(map[*DeviceModel]int, len(devices))
 	for _, d := range devices {
 		if d == nil {
 			return nil, fmt.Errorf("%w: nil device model", ErrBadParams)
 		}
-		s.responses = append(s.responses, lst.Convolve(sq, d.WTA(), d.Backend()))
-		s.weights = append(s.weights, d.Rate())
 		s.totalRate += d.Rate()
 		s.totalWriteRate += d.WriteRate()
 		if g, ok := seen[d]; ok {
@@ -125,29 +112,15 @@ func NewSystemModel(fe *FrontendModel, devices []*DeviceModel, opts Options) (*S
 			s.groups[g].writeWeight += d.WriteRate()
 		} else {
 			seen[d] = len(s.groups)
-			g := mixGroup{
-				dev:         d,
-				weight:      d.Rate(),
-				writeWeight: d.WriteRate(),
-				response:    s.responses[len(s.responses)-1],
-				beResp:      lst.Convolve(d.WTA(), d.Backend()),
-				noWTA:       lst.Convolve(sq, d.Backend()),
-			}
-			if d.WriteRate() > 0 {
-				g.writeFull = lst.Convolve(sq, d.WTA(), d.WriteResponse())
-				g.writeResp = lst.Convolve(d.WTA(), d.WriteResponse())
-			}
-			s.groups = append(s.groups, g)
+			s.groups = append(s.groups, mixGroup{dev: d, weight: d.Rate(), writeWeight: d.WriteRate()})
 		}
 	}
 	if s.totalRate <= 0 {
 		return nil, fmt.Errorf("%w: zero total device rate", ErrBadParams)
 	}
 	if opts.Observer != nil {
-		if ni, ok := opts.inverter().(numeric.NodeInverter); ok {
-			nodes, _ := ni.AppendNodes(nil, nil, 1)
-			s.nodeCount = len(nodes)
-		}
+		nodes, _ := opts.inverter().AppendNodes(nil, nil, 1)
+		s.nodeCount = len(nodes)
 	}
 	return s, nil
 }
@@ -165,45 +138,36 @@ func (s *SystemModel) Frontend() *FrontendModel { return s.frontend }
 func (s *SystemModel) Devices() []*DeviceModel { return s.devices }
 
 // groupEvaluator builds the raw (unclamped) per-group CDF evaluator at t
-// for one inverter, composing the per-device factors selected by mode.
-// The batch engine shares its quadrature across thresholds itself; this
-// per-threshold form serves the opaque-inverter path and the fallback
-// chain.
+// for one inverter, composing the per-device factors selected by mode. The
+// batch engine shares its quadrature across thresholds itself; this
+// per-threshold form serves the fallback chain.
 func (s *SystemModel) groupEvaluator(inv numeric.Inverter, t float64, mode evalMode) func(i int) float64 {
-	if ni, ok := inv.(numeric.NodeInverter); ok {
-		// 32 covers every built-in quadrature (Euler 27, Talbot 32,
-		// Gaver-Stehfest 14) without append regrowth.
-		nodes, ws := ni.AppendNodes(make([]complex128, 0, 32), make([]complex128, 0, 32), t)
-		var fe []complex128
-		if mode.shape == shapeFull || mode.shape == shapeNoWTA {
-			// The frontend sojourn factor is identical across the
-			// mixture: evaluate it once per inversion node.
-			sq := s.frontend.Sojourn().F
-			fe = make([]complex128, len(nodes))
-			for k, sk := range nodes {
-				fe[k] = sq(sk)
-			}
-		}
-		return func(i int) float64 {
-			dev := s.groups[i].dev
-			var sum float64
-			for k, sk := range nodes {
-				var wa, resp complex128
-				if mode.write {
-					wa, resp = dev.writeNode(sk)
-				} else {
-					wa, resp = dev.responseNode(sk)
-				}
-				sum += real(ws[k] * (nodeValue(mode.shape, fe, k, wa, resp) / sk))
-			}
-			return sum
+	// 32 covers every built-in quadrature (Euler 27, Talbot 32,
+	// Gaver-Stehfest 14) without append regrowth.
+	nodes, ws := inv.AppendNodes(make([]complex128, 0, 32), make([]complex128, 0, 32), t)
+	var fe []complex128
+	if mode.shape == shapeFull || mode.shape == shapeNoWTA {
+		// The frontend sojourn factor is identical across the mixture:
+		// evaluate it once per inversion node.
+		sq := s.frontend.Sojourn().F
+		fe = make([]complex128, len(nodes))
+		for k, sk := range nodes {
+			fe[k] = sq(sk)
 		}
 	}
-	// Opaque custom inverter: invert each group's composed transform
-	// closure independently.
 	return func(i int) float64 {
-		tr := s.groupTransform(i, mode)
-		return inv.Invert(func(sc complex128) complex128 { return tr.F(sc) / sc }, t)
+		dev := s.groups[i].dev
+		var sum float64
+		for k, sk := range nodes {
+			var wa, resp complex128
+			if mode.write {
+				wa, resp = dev.writeNode(sk)
+			} else {
+				wa, resp = dev.responseNode(sk)
+			}
+			sum += real(ws[k] * (nodeValue(mode.shape, fe, k, wa, resp) / sk))
+		}
+		return sum
 	}
 }
 
@@ -220,28 +184,6 @@ func nodeValue(sh shape, fe []complex128, k int, wa, sbe complex128) complex128 
 		return wa * sbe
 	default:
 		return sbe
-	}
-}
-
-// groupTransform picks group i's composed transform for mode — the opaque
-// (non-node) inverter path.
-func (s *SystemModel) groupTransform(i int, mode evalMode) lst.Transform {
-	g := &s.groups[i]
-	switch mode {
-	case evalMode{shape: shapeFull}:
-		return g.response
-	case evalMode{shape: shapeNoWTA}:
-		return g.noWTA
-	case evalMode{shape: shapeResponse}:
-		return g.beResp
-	case evalMode{shape: shapeBackend}:
-		return g.dev.Backend()
-	case evalMode{shape: shapeFull, write: true}:
-		return g.writeFull
-	case evalMode{shape: shapeResponse, write: true}:
-		return g.writeResp
-	default:
-		return g.dev.WriteResponse()
 	}
 }
 
@@ -272,11 +214,14 @@ func (s *SystemModel) groupCDF(v float64, i int, t float64, mode evalMode) (floa
 	return 0, &numeric.InversionError{T: t, Value: v, Reason: reason, Tried: tried}
 }
 
-// MeanResponse returns the rate-weighted mean response latency.
+// MeanResponse returns the rate-weighted mean response latency, from the
+// component means of each device's Sq ∗ Wa ∗ Sbe (summed in lst.Convolve's
+// order, so it equals the convolved transform's mean exactly).
 func (s *SystemModel) MeanResponse() float64 {
+	sq := s.frontend.Sojourn().Mean
 	total := 0.0
-	for j, tr := range s.responses {
-		total += s.weights[j] * tr.Mean
+	for _, d := range s.devices {
+		total += d.Rate() * (sq + d.WTA().Mean + d.Backend().Mean)
 	}
 	return total / s.totalRate
 }
@@ -288,10 +233,11 @@ func (s *SystemModel) meanWriteResponse() float64 {
 	if s.totalWriteRate <= 0 {
 		return 0
 	}
+	sq := s.frontend.Sojourn().Mean
 	total := 0.0
 	for _, g := range s.groups {
 		if g.writeWeight > 0 {
-			total += g.writeWeight * g.writeFull.Mean
+			total += g.writeWeight * (sq + g.dev.WTA().Mean + g.dev.WriteResponse().Mean)
 		}
 	}
 	return total / s.totalWriteRate

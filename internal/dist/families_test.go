@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -106,17 +107,13 @@ func TestErlangSampling(t *testing.T) {
 }
 
 func TestNewHyperExpValidation(t *testing.T) {
-	cases := []struct{ rates, weights []float64 }{
-		{nil, nil},
-		{[]float64{1}, []float64{1, 2}},
-		{[]float64{-1}, []float64{1}},
-		{[]float64{1}, []float64{-1}},
-		{[]float64{1, 2}, []float64{0, 0}},
-		{[]float64{math.NaN()}, []float64{1}},
-	}
-	for i, c := range cases {
-		if _, err := NewHyperExp(c.rates, c.weights); err == nil {
-			t.Errorf("case %d should fail", i)
+	inf := math.Inf(1)
+	for _, c := range []struct{ mean, scv float64 }{
+		{0, 2}, {-1, 2}, {math.NaN(), 2}, {inf, 2},
+		{1, 0.5}, {1, -1}, {1, math.NaN()}, {1, inf},
+	} {
+		if _, err := NewHyperExpMeanSCV(c.mean, c.scv); !errors.Is(err, ErrBadHyperExp) {
+			t.Errorf("mean=%v scv=%v: err = %v, want ErrBadHyperExp", c.mean, c.scv, err)
 		}
 	}
 }
@@ -170,9 +167,6 @@ func TestHyperExpLSTInversion(t *testing.T) {
 			t.Errorf("inverted CDF at q%v = %v", p, got)
 		}
 	}
-	if h.Branches() != 2 {
-		t.Errorf("branches = %d", h.Branches())
-	}
 	if s := h.String(); s == "" {
 		t.Error("empty String()")
 	}
@@ -204,14 +198,15 @@ func TestHyperExpSampling(t *testing.T) {
 	}
 }
 
-// TestHyperExpSCVAlwaysAtLeastOne: the defining property of the family.
+// TestHyperExpSCVAlwaysAtLeastOne: the defining property of the family,
+// for arbitrary branch rates and weights.
 func TestHyperExpSCVAlwaysAtLeastOne(t *testing.T) {
 	f := func(r1, r2, w raw) bool {
-		rates := []float64{0.1 + math.Abs(float64(r1)), 0.1 + math.Abs(float64(r2))}
-		weights := []float64{0.1 + math.Abs(float64(w)), 1}
-		h, err := NewHyperExp(rates, weights)
-		if err != nil {
-			return false
+		p1 := (0.1 + math.Abs(float64(w))) / (1.1 + math.Abs(float64(w)))
+		h := &HyperExp{
+			rates:   []float64{0.1 + math.Abs(float64(r1)), 0.1 + math.Abs(float64(r2))},
+			weights: []float64{p1, 1 - p1},
+			cum:     []float64{p1, 1},
 		}
 		return SCV(h) >= 1-1e-9
 	}

@@ -9,45 +9,17 @@ import (
 )
 
 // ErrBadHyperExp reports invalid hyperexponential parameters.
-var ErrBadHyperExp = errors.New("dist: hyperexponential needs matching positive rates and weights")
+var ErrBadHyperExp = errors.New("dist: invalid hyperexponential mean or SCV")
 
-// HyperExp is a hyperexponential (mixture-of-exponentials) distribution:
-// with probability Weights[i] the value is Exponential(Rates[i]). Its SCV is
+// HyperExp is a two-branch hyperexponential (mixture-of-exponentials)
+// distribution: with probability weights[i] the value is
+// Exponential(rates[i]). Its SCV is
 // always >= 1, which makes it the standard two-moment match for
 // high-variability service times in queueing models.
 type HyperExp struct {
 	rates   []float64
 	weights []float64 // normalized
 	cum     []float64
-}
-
-// NewHyperExp builds a hyperexponential from branch rates and weights.
-func NewHyperExp(rates, weights []float64) (*HyperExp, error) {
-	if len(rates) == 0 || len(rates) != len(weights) {
-		return nil, ErrBadHyperExp
-	}
-	total := 0.0
-	for i := range rates {
-		if rates[i] <= 0 || weights[i] < 0 || math.IsNaN(rates[i]) || math.IsNaN(weights[i]) {
-			return nil, ErrBadHyperExp
-		}
-		total += weights[i]
-	}
-	if total <= 0 {
-		return nil, ErrBadHyperExp
-	}
-	h := &HyperExp{
-		rates:   append([]float64(nil), rates...),
-		weights: make([]float64, len(weights)),
-		cum:     make([]float64, len(weights)),
-	}
-	acc := 0.0
-	for i, w := range weights {
-		h.weights[i] = w / total
-		acc += w / total
-		h.cum[i] = acc
-	}
-	return h, nil
 }
 
 // NewHyperExpMeanSCV builds a balanced two-branch H2 distribution matching
@@ -57,19 +29,17 @@ func NewHyperExp(rates, weights []float64) (*HyperExp, error) {
 //	p1 = (1 + sqrt((scv-1)/(scv+1)))/2,  p2 = 1-p1
 //	r1 = 2·p1/mean,                      r2 = 2·p2/mean
 func NewHyperExpMeanSCV(mean, scv float64) (*HyperExp, error) {
-	if mean <= 0 || scv < 1 {
-		return nil, fmt.Errorf("%w: mean=%v scv=%v (need scv >= 1)", ErrBadHyperExp, mean, scv)
+	if !(mean > 0) || math.IsInf(mean, 1) || !(scv >= 1) || math.IsInf(scv, 1) {
+		return nil, fmt.Errorf("%w: mean=%v scv=%v (need a finite mean > 0 and scv >= 1)", ErrBadHyperExp, mean, scv)
 	}
 	p1 := (1 + math.Sqrt((scv-1)/(scv+1))) / 2
 	p2 := 1 - p1
-	return NewHyperExp(
-		[]float64{2 * p1 / mean, 2 * p2 / mean},
-		[]float64{p1, p2},
-	)
+	return &HyperExp{
+		rates:   []float64{2 * p1 / mean, 2 * p2 / mean},
+		weights: []float64{p1, p2},
+		cum:     []float64{p1, 1},
+	}, nil
 }
-
-// Branches returns the number of exponential branches.
-func (h *HyperExp) Branches() int { return len(h.rates) }
 
 // Mean implements Distribution.
 func (h *HyperExp) Mean() float64 {

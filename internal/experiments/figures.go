@@ -9,13 +9,6 @@ import (
 	"cosmodel/internal/stats"
 )
 
-// RunFig6 reproduces Fig. 6: scenario S1 (one process per device),
-// prediction curves for every SLA across the rate sweep.
-func RunFig6() (*ScenarioResult, error) { return RunScenario(DefaultS1()) }
-
-// RunFig7 reproduces Fig. 7: scenario S16 (sixteen processes per device).
-func RunFig7() (*ScenarioResult, error) { return RunScenario(DefaultS16()) }
-
 // SLASeries extracts, for SLA index i, the per-step series — one subfigure
 // of Fig. 6/Fig. 7. Columns: rate, the observed fraction with its 95%
 // Wilson interval, the three frontend-tier model predictions, our model's

@@ -176,7 +176,7 @@ func CDF(inv numeric.Inverter, t Transform, x float64) float64 {
 }
 
 // CDFAtNodes evaluates a CDF from precomputed inversion nodes and weights
-// (see numeric.NodeInverter): Σ_k Re(w_k · f(s_k)/s_k), clamped to [0,1].
+// (see numeric.Inverter): Σ_k Re(w_k · f(s_k)/s_k), clamped to [0,1].
 // Given nodes for time x it equals CDF(inv, Transform{F: f}, x); sharing the
 // nodes lets an evaluation engine invert many transforms with common factors
 // without re-deriving the quadrature.
@@ -188,26 +188,17 @@ func CDFAtNodes(s, w []complex128, f numeric.TransformFunc) float64 {
 	return numeric.Clamp01(sum)
 }
 
-// CDFBatch inverts the CDF behind t at every threshold in ts. When inv
-// exposes its quadrature (numeric.NodeInverter) one node/weight buffer is
-// reused across all thresholds, so evaluating a whole SLA grid pays the
-// slice setup once; each entry equals CDF(inv, t, ts[i]) exactly — the
-// node-path dot product and Inverter.Invert accumulate in the same order.
+// CDFBatch inverts the CDF behind t at every threshold in ts, reusing one
+// node/weight buffer across all thresholds, so evaluating a whole SLA grid
+// pays the slice setup once; each entry equals CDF(inv, t, ts[i]) exactly.
 func CDFBatch(inv numeric.Inverter, t Transform, ts []float64) []float64 {
 	out := make([]float64, len(ts))
-	ni, ok := inv.(numeric.NodeInverter)
-	if !ok {
-		for i, x := range ts {
-			out[i] = CDF(inv, t, x)
-		}
-		return out
-	}
 	var nodes, ws []complex128
 	for i, x := range ts {
 		if x <= 0 {
 			continue // out[i] stays 0, matching CDF
 		}
-		nodes, ws = ni.AppendNodes(nodes[:0], ws[:0], x)
+		nodes, ws = inv.AppendNodes(nodes[:0], ws[:0], x)
 		out[i] = CDFAtNodes(nodes, ws, t.F)
 	}
 	return out
@@ -219,39 +210,11 @@ func PDF(inv numeric.Inverter, t Transform, x float64) float64 {
 	if x <= 0 {
 		return 0
 	}
-	v := inv.Invert(t.F, x)
+	v := numeric.Invert(inv, t.F, x)
 	if v < 0 || math.IsNaN(v) {
 		return 0
 	}
 	return v
-}
-
-// Quantile inverts the CDF of t numerically: the smallest x with
-// CDF(x) >= p, found by bracketed bisection around the mean.
-func Quantile(inv numeric.Inverter, t Transform, p float64) float64 {
-	if p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return math.Inf(1)
-	}
-	hi := math.Max(t.Mean, 1e-9)
-	for CDF(inv, t, hi) < p {
-		hi *= 2
-		if hi > 1e12 {
-			return math.Inf(1)
-		}
-	}
-	lo := 0.0
-	for i := 0; i < 80; i++ {
-		mid := (lo + hi) / 2
-		if CDF(inv, t, mid) < p {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
 }
 
 // SecondMomentNumeric estimates E[X²] from the transform by central second

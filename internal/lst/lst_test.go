@@ -178,22 +178,6 @@ func TestFixedCompound(t *testing.T) {
 	}
 }
 
-func TestQuantileRoundTrip(t *testing.T) {
-	g := FromDist(dist.Gamma{Shape: 2.5, Rate: 50})
-	for _, p := range []float64{0.1, 0.5, 0.9, 0.99} {
-		q := Quantile(inv, g, p)
-		if got := CDF(inv, g, q); math.Abs(got-p) > 1e-3 {
-			t.Errorf("CDF(Quantile(%v)) = %v", p, got)
-		}
-	}
-	if Quantile(inv, g, 0) != 0 {
-		t.Error("Quantile(0) should be 0")
-	}
-	if !math.IsInf(Quantile(inv, g, 1), 1) {
-		t.Error("Quantile(1) should be +Inf")
-	}
-}
-
 func TestSecondMomentNumeric(t *testing.T) {
 	e := FromDist(dist.Exponential{Rate: 2}) // E[X²] = 2/λ² = 0.5
 	got := SecondMomentNumeric(e)
@@ -241,9 +225,8 @@ func TestCDFAtNodesMatchesCDF(t *testing.T) {
 		Delay(0.001),
 		PoissonCompound(FromDist(dist.Gamma{Shape: 1.5, Rate: 80}), 0.6),
 	)
-	var ni numeric.NodeInverter = inv
 	for _, x := range []float64{0.005, 0.02, 0.1, 0.3} {
-		s, w := ni.AppendNodes(nil, nil, x)
+		s, w := inv.AppendNodes(nil, nil, x)
 		got := CDFAtNodes(s, w, u.F)
 		want := CDF(inv, u, x)
 		if math.Abs(got-want) > 1e-12 {

@@ -68,44 +68,3 @@ var defaultFallbacks = []Inverter{NewEuler(), NewGaverStehfest()}
 // different failure surface). The returned slice is shared; callers must
 // not modify it.
 func DefaultFallbacks() []Inverter { return defaultFallbacks }
-
-// InvertCDFGuarded inverts the transform of a probability density into its
-// CDF at t, validating the result and retrying across fallbacks when the
-// primary inverter produces an invalid value. Fallbacks whose Name matches
-// an already-tried inverter are skipped. On success it returns the clamped
-// CDF value and the name of the inverter that produced it; when every
-// inverter fails it returns a *InversionError (wrapping ErrNumerical)
-// instead of garbage.
-func InvertCDFGuarded(primary Inverter, fallbacks []Inverter, pdfTransform TransformFunc, t float64) (float64, string, error) {
-	if t <= 0 {
-		return 0, primary.Name(), nil
-	}
-	cdfT := func(s complex128) complex128 { return pdfTransform(s) / s }
-	v := primary.Invert(cdfT, t)
-	reason := CheckCDF(v)
-	if reason == "" {
-		return Clamp01(v), primary.Name(), nil
-	}
-	tried := []string{primary.Name()}
-	for _, fb := range fallbacks {
-		if fb == nil || triedName(tried, fb.Name()) {
-			continue
-		}
-		tried = append(tried, fb.Name())
-		fv := fb.Invert(cdfT, t)
-		if CheckCDF(fv) == "" {
-			return Clamp01(fv), fb.Name(), nil
-		}
-		v = fv
-	}
-	return 0, "", &InversionError{T: t, Value: v, Reason: reason, Tried: tried}
-}
-
-func triedName(names []string, name string) bool {
-	for _, n := range names {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}

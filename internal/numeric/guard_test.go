@@ -1,9 +1,7 @@
 package numeric
 
 import (
-	"errors"
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -26,100 +24,9 @@ func TestCheckCDF(t *testing.T) {
 	}
 }
 
-// brokenInverter always produces the same invalid value.
-type brokenInverter struct {
-	name string
-	v    float64
-}
-
-func (b brokenInverter) Invert(TransformFunc, float64) float64 { return b.v }
-func (b brokenInverter) Name() string                          { return b.name }
-
 // expPDF100 is the transform of an Exp(λ=100) density; its CDF at t is
 // 1-exp(-100t).
 func expPDF100(s complex128) complex128 { return 100 / (s + 100) }
-
-func TestInvertCDFGuardedPrimarySucceeds(t *testing.T) {
-	v, by, err := InvertCDFGuarded(NewEuler(), DefaultFallbacks(), expPDF100, 0.02)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 1 - math.Exp(-2)
-	if math.Abs(v-want) > 1e-6 {
-		t.Errorf("CDF = %v, want %v", v, want)
-	}
-	if by != NewEuler().Name() {
-		t.Errorf("answered by %q, want the primary", by)
-	}
-}
-
-func TestInvertCDFGuardedFallsBack(t *testing.T) {
-	v, by, err := InvertCDFGuarded(brokenInverter{"nan", math.NaN()}, DefaultFallbacks(), expPDF100, 0.02)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if by != NewEuler().Name() {
-		t.Errorf("answered by %q, want the first fallback", by)
-	}
-	if math.Abs(v-(1-math.Exp(-2))) > 1e-6 {
-		t.Errorf("fallback CDF = %v", v)
-	}
-}
-
-func TestInvertCDFGuardedExhaustion(t *testing.T) {
-	fallbacks := []Inverter{brokenInverter{"fb1", 7}, nil, brokenInverter{"fb2", math.Inf(1)}}
-	_, _, err := InvertCDFGuarded(brokenInverter{"primary", math.NaN()}, fallbacks, expPDF100, 0.02)
-	if !errors.Is(err, ErrNumerical) {
-		t.Fatalf("err = %v, want ErrNumerical", err)
-	}
-	var ie *InversionError
-	if !errors.As(err, &ie) {
-		t.Fatalf("err = %T, want *InversionError", err)
-	}
-	if ie.T != 0.02 || ie.Reason == "" {
-		t.Errorf("InversionError %+v", ie)
-	}
-	if len(ie.Tried) != 3 {
-		t.Errorf("tried %v, want primary and both fallbacks", ie.Tried)
-	}
-	if !strings.Contains(err.Error(), "primary") {
-		t.Errorf("error %q should name the inverters tried", err)
-	}
-}
-
-func TestInvertCDFGuardedSkipsDuplicateFallback(t *testing.T) {
-	// The primary IS Euler; the chain must not retry the same algorithm.
-	calls := 0
-	counting := inverterFunc{
-		name: NewEuler().Name(),
-		fn: func(f TransformFunc, t float64) float64 {
-			calls++
-			return math.NaN()
-		},
-	}
-	_, _, err := InvertCDFGuarded(counting, []Inverter{counting, NewGaverStehfest()}, expPDF100, 0.02)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 1 {
-		t.Errorf("same-name inverter ran %d times, want 1", calls)
-	}
-}
-
-func TestInvertCDFGuardedNonPositiveT(t *testing.T) {
-	v, _, err := InvertCDFGuarded(brokenInverter{"nan", math.NaN()}, nil, expPDF100, 0)
-	if err != nil || v != 0 {
-		t.Errorf("t=0: v=%v err=%v, want 0, nil without invoking the inverter", v, err)
-	}
-}
-
-type inverterFunc struct {
-	name string
-	fn   func(TransformFunc, float64) float64
-}
-
-func (i inverterFunc) Invert(f TransformFunc, t float64) float64 { return i.fn(f, t) }
-func (i inverterFunc) Name() string                              { return i.name }
 
 // TestDefaultFallbacksDiffer sanity-checks the chain offers genuinely
 // distinct algorithms (distinct names drive the dedup).
@@ -137,7 +44,7 @@ func TestDefaultFallbacksDiffer(t *testing.T) {
 	}
 	// Both must actually invert a well-behaved transform.
 	for _, fb := range fbs {
-		v := fb.Invert(func(s complex128) complex128 { return expPDF100(s) / s }, 0.02)
+		v := Invert(fb, func(s complex128) complex128 { return expPDF100(s) / s }, 0.02)
 		if math.Abs(v-(1-math.Exp(-2))) > 1e-3 {
 			t.Errorf("%s inverted to %v", fb.Name(), v)
 		}

@@ -36,32 +36,6 @@ func adaptiveSimpson(f func(float64) float64, a, b, fa, fm, fb, whole, tol float
 		adaptiveSimpson(f, m, b, fm, frm, fb, right, tol/2, depth-1)
 }
 
-// IntegrateToInfinity computes ∫_a^∞ f(x) dx for an integrand that decays to
-// zero, by integrating successive octaves until the contribution of an octave
-// falls below tol.
-func IntegrateToInfinity(f func(float64) float64, a, tol float64) float64 {
-	if tol <= 0 {
-		tol = 1e-10
-	}
-	lo := a
-	width := 1.0
-	if a > 0 {
-		width = a
-	}
-	total := 0.0
-	for i := 0; i < 80; i++ {
-		hi := lo + width
-		part := IntegrateAdaptive(f, lo, hi, tol/8)
-		total += part
-		if math.Abs(part) < tol && i > 2 {
-			break
-		}
-		lo = hi
-		width *= 2
-	}
-	return total
-}
-
 // Trapezoid integrates pre-tabulated samples ys at abscissae xs.
 // The slices must have equal length >= 2 and xs must be increasing.
 func Trapezoid(xs, ys []float64) float64 {

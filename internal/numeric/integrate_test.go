@@ -26,18 +26,6 @@ func TestIntegrateAdaptiveEmptyInterval(t *testing.T) {
 	}
 }
 
-func TestIntegrateToInfinityExponential(t *testing.T) {
-	got := IntegrateToInfinity(func(x float64) float64 { return math.Exp(-x) }, 0, 1e-10)
-	if math.Abs(got-1) > 1e-8 {
-		t.Errorf("∫e^-x = %v, want 1", got)
-	}
-	got = IntegrateToInfinity(func(x float64) float64 { return math.Exp(-2 * x) }, 1, 1e-10)
-	want := math.Exp(-2) / 2
-	if math.Abs(got-want) > 1e-8 {
-		t.Errorf("tail integral = %v, want %v", got, want)
-	}
-}
-
 func TestTrapezoid(t *testing.T) {
 	xs := []float64{0, 1, 2, 3}
 	ys := []float64{0, 1, 2, 3}

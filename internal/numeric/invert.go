@@ -15,42 +15,46 @@ import (
 // (a Laplace–Stieltjes transform, LST) or of a CDF (LST divided by s).
 type TransformFunc func(s complex128) complex128
 
-// Inverter numerically inverts a Laplace transform, recovering the original
-// time-domain function at a given point t > 0.
+// Inverter is a numerical Laplace-inversion rule of the quadrature form
+//
+//	f(t) ≈ Σ_k Re(w_k · F(s_k)),
+//
+// described by its nodes s_k and weights w_k for a time t; Invert applies
+// them. Exposing the quadrature lets an
+// evaluation engine invert many transforms that share factors — e.g. a
+// mixture of per-device convolutions with a common frontend term — by
+// evaluating the shared factor once per node and only the distinct factors
+// per member, with results identical to independent Invert calls.
 //
 // Safety contract: every implementation in this package is safe for
 // concurrent use by multiple goroutines once constructed — all coefficient
 // tables are computed in the constructors (with a sync.Once fallback for
-// zero values), and Invert never mutates the receiver. Custom
+// zero values), and AppendNodes never mutates the receiver. Custom
 // implementations passed into the model are expected to honor the same
 // contract: the evaluation engine shares one Inverter across its worker
 // pool. Parameter fields (Euler.A, Talbot.M, ...) must not be modified
-// after the first Invert call.
+// after the first AppendNodes call.
 type Inverter interface {
-	// Invert evaluates the inverse transform of f at time t. t must be
-	// positive; behaviour for t <= 0 is implementation-defined (the
-	// implementations in this package return 0).
-	Invert(f TransformFunc, t float64) float64
 	// Name identifies the algorithm, for reports and ablation tables.
 	Name() string
-}
-
-// NodeInverter is an Inverter whose rule is a fixed weighted sum of
-// transform evaluations:
-//
-//	Invert(f, t) = Σ_k Re(w_k · f(s_k))
-//
-// Exposing the quadrature lets an evaluation engine invert many transforms
-// that share factors — e.g. a mixture of per-device convolutions with a
-// common frontend term — by evaluating the shared factor once per node and
-// only the distinct factors per member, with results identical to
-// independent Invert calls. All inverters in this package implement it.
-type NodeInverter interface {
-	Inverter
 	// AppendNodes appends the quadrature nodes and matching weights for
 	// time t to s and w and returns the extended slices. For t <= 0 the
-	// slices are returned unchanged (Invert is identically 0 there).
+	// slices are returned unchanged (the inverse is taken as 0 there).
 	AppendNodes(s, w []complex128, t float64) ([]complex128, []complex128)
+}
+
+// Invert evaluates the inverse transform of f at time t with inv's rule:
+// Σ_k Re(w_k · f(s_k)), accumulated in node order. It is 0 for t <= 0.
+func Invert(inv Inverter, f TransformFunc, t float64) float64 {
+	// 32 covers every built-in quadrature (Euler 27, Talbot 32,
+	// Gaver-Stehfest 14) without append regrowth.
+	var sb, wb [32]complex128
+	s, w := inv.AppendNodes(sb[:0], wb[:0], t)
+	var sum float64
+	for k, sk := range s {
+		sum += real(w[k] * f(sk))
+	}
+	return sum
 }
 
 // Euler implements the Abate–Whitt "EULER" algorithm: a Fourier-series
@@ -92,7 +96,7 @@ func NewEulerN(a float64, terms, mTerms int) *Euler {
 }
 
 // init precomputes the node weights exactly once; constructors call it
-// eagerly so constructed inverters are immutable, and Invert calls it
+// eagerly so constructed inverters are immutable, and AppendNodes calls it
 // through the sync.Once to keep manually-filled values safe.
 func (e *Euler) init() {
 	e.once.Do(func() {
@@ -128,23 +132,7 @@ func (e *Euler) init() {
 // Name implements Inverter.
 func (e *Euler) Name() string { return "euler" }
 
-// Invert implements Inverter.
-func (e *Euler) Invert(f TransformFunc, t float64) float64 {
-	if t <= 0 {
-		return 0
-	}
-	e.init()
-	x := e.A / (2 * t)
-	h := math.Pi / t
-	u := math.Exp(e.A/2) / t
-	var sum float64
-	for k, w := range e.weights {
-		sum += (u * w) * real(f(complex(x, float64(k)*h)))
-	}
-	return sum
-}
-
-// AppendNodes implements NodeInverter.
+// AppendNodes implements Inverter.
 func (e *Euler) AppendNodes(s, w []complex128, t float64) ([]complex128, []complex128) {
 	if t <= 0 {
 		return s, w
@@ -198,20 +186,7 @@ func (tb *Talbot) node(k int, t float64) (s, w complex128) {
 	return s, w
 }
 
-// Invert implements Inverter.
-func (tb *Talbot) Invert(f TransformFunc, t float64) float64 {
-	if t <= 0 {
-		return 0
-	}
-	var sum float64
-	for k := 0; k < tb.nodes(); k++ {
-		s, w := tb.node(k, t)
-		sum += real(w * f(s))
-	}
-	return sum
-}
-
-// AppendNodes implements NodeInverter.
+// AppendNodes implements Inverter.
 func (tb *Talbot) AppendNodes(s, w []complex128, t float64) ([]complex128, []complex128) {
 	if t <= 0 {
 		return s, w
@@ -278,21 +253,7 @@ func (g *GaverStehfest) init() {
 	})
 }
 
-// Invert implements Inverter.
-func (g *GaverStehfest) Invert(f TransformFunc, t float64) float64 {
-	if t <= 0 {
-		return 0
-	}
-	g.init()
-	ln2t := math.Ln2 / t
-	var sum float64
-	for k := 1; k <= g.n; k++ {
-		sum += (ln2t * g.coef[k]) * real(f(complex(float64(k)*ln2t, 0)))
-	}
-	return sum
-}
-
-// AppendNodes implements NodeInverter.
+// AppendNodes implements Inverter.
 func (g *GaverStehfest) AppendNodes(s, w []complex128, t float64) ([]complex128, []complex128) {
 	if t <= 0 {
 		return s, w
@@ -320,7 +281,7 @@ func InvertCDF(inv Inverter, pdfTransform TransformFunc, t float64) float64 {
 	if t <= 0 {
 		return 0
 	}
-	v := inv.Invert(func(s complex128) complex128 {
+	v := Invert(inv, func(s complex128) complex128 {
 		return pdfTransform(s) / s
 	}, t)
 	return Clamp01(v)

@@ -33,7 +33,7 @@ func TestInvertExponentialDensity(t *testing.T) {
 			tol = 5e-4 // fragile in float64, by design
 		}
 		for _, x := range []float64{0.05, 0.2, 0.5, 1, 2, 4} {
-			got := inv.Invert(expPDF(rate), x)
+			got := Invert(inv, expPDF(rate), x)
 			want := rate * math.Exp(-rate*x)
 			if math.Abs(got-want) > tol*(1+want) {
 				t.Errorf("%s: pdf(%v) = %v, want %v", inv.Name(), x, got, want)
@@ -114,10 +114,10 @@ func TestInvertDegenerateShift(t *testing.T) {
 
 func TestInvertAtNonPositiveTime(t *testing.T) {
 	for _, inv := range inverters() {
-		if got := inv.Invert(expPDF(1), 0); got != 0 {
+		if got := Invert(inv, expPDF(1), 0); got != 0 {
 			t.Errorf("%s: Invert at t=0 = %v, want 0", inv.Name(), got)
 		}
-		if got := inv.Invert(expPDF(1), -1); got != 0 {
+		if got := Invert(inv, expPDF(1), -1); got != 0 {
 			t.Errorf("%s: Invert at t<0 = %v, want 0", inv.Name(), got)
 		}
 	}
@@ -164,7 +164,7 @@ func TestFactorial(t *testing.T) {
 // every inverter from many goroutines, including zero-value instances whose
 // coefficient tables are initialized lazily through the sync.Once. Run with
 // -race this is the regression test for the former lazy-init data race
-// (Euler.binom / GaverStehfest.coef were populated inside Invert without
+// (Euler.binom / GaverStehfest.coef were populated on first use without
 // synchronization).
 func TestSharedInverterGoroutineSafety(t *testing.T) {
 	shared := []Inverter{
@@ -178,7 +178,7 @@ func TestSharedInverterGoroutineSafety(t *testing.T) {
 	for _, inv := range shared {
 		want := make([]float64, 8)
 		for i := range want {
-			want[i] = inv.Invert(f, 0.1*float64(i+1))
+			want[i] = Invert(inv, f, 0.1*float64(i+1))
 		}
 		var wg sync.WaitGroup
 		for g := 0; g < 16; g++ {
@@ -186,7 +186,7 @@ func TestSharedInverterGoroutineSafety(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := range want {
-					if got := inv.Invert(f, 0.1*float64(i+1)); got != want[i] {
+					if got := Invert(inv, f, 0.1*float64(i+1)); got != want[i] {
 						t.Errorf("%s: concurrent Invert = %v, want %v", inv.Name(), got, want[i])
 						return
 					}
@@ -197,35 +197,101 @@ func TestSharedInverterGoroutineSafety(t *testing.T) {
 	}
 }
 
-// TestAppendNodesMatchesInvert asserts the NodeInverter contract: the
-// weighted node sum reproduces Invert to within a few ulps (the
-// implementations share their arithmetic; only the complex multiply by a
-// purely real weight differs).
+// The oracles below are the per-inverter Invert loops that numeric.Invert
+// replaced, kept verbatim as references: Invert must reproduce each of them
+// bit for bit.
+
+func eulerInvertLoop(e *Euler, f TransformFunc, t float64) float64 {
+	if t <= 0 {
+		return 0
+	}
+	e.init()
+	x := e.A / (2 * t)
+	h := math.Pi / t
+	u := math.Exp(e.A/2) / t
+	var sum float64
+	for k, w := range e.weights {
+		sum += (u * w) * real(f(complex(x, float64(k)*h)))
+	}
+	return sum
+}
+
+func talbotInvertLoop(tb *Talbot, f TransformFunc, t float64) float64 {
+	if t <= 0 {
+		return 0
+	}
+	var sum float64
+	for k := 0; k < tb.nodes(); k++ {
+		s, w := tb.node(k, t)
+		sum += real(w * f(s))
+	}
+	return sum
+}
+
+func gaverStehfestInvertLoop(g *GaverStehfest, f TransformFunc, t float64) float64 {
+	if t <= 0 {
+		return 0
+	}
+	g.init()
+	ln2t := math.Ln2 / t
+	var sum float64
+	for k := 1; k <= g.n; k++ {
+		sum += (ln2t * g.coef[k]) * real(f(complex(float64(k)*ln2t, 0)))
+	}
+	return sum
+}
+
+// mg1WaitingPDF is the Pollaczek–Khinchine transform of the M/G/1 waiting
+// time with arrival rate lambda and service transform b:
+// W(s) = (1-ρ)s / (s - λ(1 - B(s))).
+func mg1WaitingPDF(lambda, mean float64, b TransformFunc) TransformFunc {
+	rho := complex(lambda*mean, 0)
+	l := complex(lambda, 0)
+	return func(s complex128) complex128 {
+		return (1 - rho) * s / (s - l*(1-b(s)))
+	}
+}
+
+// TestAppendNodesMatchesInvert pins numeric.Invert — the one weighted node
+// sum Σ Re(w_k·f(s_k)) over AppendNodes — bit for bit to the per-inverter
+// Invert loops it replaced, for density and CDF transforms of Gamma, M/G/1
+// waiting and pure-delay variables, and checks the node sets themselves.
 func TestAppendNodesMatchesInvert(t *testing.T) {
-	fs := []TransformFunc{expPDF(2.5), gammaPDF(2.5, 4), gammaPDF(0.8, 10)}
-	for _, inv := range inverters() {
-		ni, ok := inv.(NodeInverter)
-		if !ok {
-			t.Fatalf("%s does not implement NodeInverter", inv.Name())
-		}
-		for _, f := range fs {
-			for _, x := range []float64{0.05, 0.3, 1, 4} {
-				nodes, weights := ni.AppendNodes(nil, nil, x)
-				if len(nodes) == 0 || len(nodes) != len(weights) {
-					t.Fatalf("%s: bad node set (%d nodes, %d weights)", inv.Name(), len(nodes), len(weights))
-				}
-				var sum float64
-				for k := range nodes {
-					sum += real(weights[k] * f(nodes[k]))
-				}
-				want := inv.Invert(f, x)
-				if math.Abs(sum-want) > 1e-12*(1+math.Abs(want)) {
-					t.Errorf("%s: node sum at t=%v = %v, Invert = %v", inv.Name(), x, sum, want)
+	delay := func(s complex128) complex128 { return cmplx.Exp(-s * 0.3) }
+	fs := map[string]TransformFunc{
+		"gamma":     gammaPDF(2.5, 4),
+		"gammaSub1": gammaPDF(0.8, 10),
+		"mg1":       mg1WaitingPDF(6, 0.1, gammaPDF(2, 20)),
+		"delay":     delay,
+	}
+	for name, f := range fs {
+		f := f
+		fs[name+"CDF"] = func(s complex128) complex128 { return f(s) / s }
+	}
+	euler, talbot, gs := NewEuler(), NewTalbot(), NewGaverStehfest()
+	oracles := []struct {
+		inv  Inverter
+		loop func(TransformFunc, float64) float64
+	}{
+		{euler, func(f TransformFunc, t float64) float64 { return eulerInvertLoop(euler, f, t) }},
+		{talbot, func(f TransformFunc, t float64) float64 { return talbotInvertLoop(talbot, f, t) }},
+		{gs, func(f TransformFunc, t float64) float64 { return gaverStehfestInvertLoop(gs, f, t) }},
+	}
+	for _, o := range oracles {
+		for name, f := range fs {
+			for _, x := range []float64{-1, 0, 0.05, 0.3, 1, 4} {
+				got, want := Invert(o.inv, f, x), o.loop(f, x)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%s %s at t=%v: Invert = %v, replaced loop = %v", o.inv.Name(), name, x, got, want)
 				}
 			}
 		}
-		if s, w := ni.AppendNodes(nil, nil, 0); len(s) != 0 || len(w) != 0 {
-			t.Errorf("%s: AppendNodes at t=0 returned %d nodes", inv.Name(), len(s))
+		nodes, weights := o.inv.AppendNodes(nil, nil, 0.3)
+		if len(nodes) == 0 || len(nodes) != len(weights) {
+			t.Fatalf("%s: bad node set (%d nodes, %d weights)", o.inv.Name(), len(nodes), len(weights))
+		}
+		if s, w := o.inv.AppendNodes(nil, nil, 0); len(s) != 0 || len(w) != 0 {
+			t.Errorf("%s: AppendNodes at t=0 returned %d nodes", o.inv.Name(), len(s))
 		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"cosmodel/internal/dist"
 	"cosmodel/internal/numeric"
 	"cosmodel/internal/retry"
 )
@@ -23,30 +24,43 @@ import (
 // ---------------------------------------------------------------------------
 // Fault-injection inverters (test doubles for the numeric layer).
 
-// slowInverter delays every inversion before delegating, turning each model
-// evaluation into a request that takes real wall-clock time.
+// slowInverter delays every inversion — each node set it hands out —
+// before delegating, turning each model evaluation into a request that
+// takes real wall-clock time.
 type slowInverter struct {
 	d     time.Duration
 	inner numeric.Inverter
 }
 
-func (s slowInverter) Invert(f numeric.TransformFunc, t float64) float64 {
+func (s slowInverter) AppendNodes(sk, wk []complex128, t float64) ([]complex128, []complex128) {
 	time.Sleep(s.d)
-	return s.inner.Invert(f, t)
+	return s.inner.AppendNodes(sk, wk, t)
 }
 func (s slowInverter) Name() string { return "slow-" + s.inner.Name() }
 
-// nanInverter poisons every inversion.
+// nanInverter poisons every inversion: its one node carries a NaN weight.
 type nanInverter struct{}
 
-func (nanInverter) Invert(numeric.TransformFunc, float64) float64 { return math.NaN() }
-func (nanInverter) Name() string                                  { return "nan" }
+func (nanInverter) AppendNodes(s, w []complex128, t float64) ([]complex128, []complex128) {
+	if t <= 0 {
+		return s, w
+	}
+	return append(s, 1), append(w, complex(math.NaN(), 0))
+}
+func (nanInverter) Name() string { return "nan" }
 
-// panicInverter blows up inside the pooled evaluation.
-type panicInverter struct{}
+// panicLST is a device distribution whose transform blows up off the real
+// axis. Building a model evaluates transforms only at real points (moment
+// estimates); the complex inversion nodes are evaluated inside the engine's
+// pooled per-group fan-out, so the panic fires there.
+type panicLST struct{ dist.Distribution }
 
-func (panicInverter) Invert(numeric.TransformFunc, float64) float64 { panic("inverter exploded") }
-func (panicInverter) Name() string                                  { return "panic" }
+func (p panicLST) LST(s complex128) complex128 {
+	if imag(s) != 0 {
+		panic("device transform exploded")
+	}
+	return p.Distribution.LST(s)
+}
 
 // waitMetrics polls /metrics until cond is satisfied or the deadline passes,
 // returning the last snapshot either way. The polling schedule rides the
@@ -276,13 +290,13 @@ func TestFallbackRecoversAndDegradesHealth(t *testing.T) {
 // ---------------------------------------------------------------------------
 // Panics.
 
-// TestPanicInEvaluationRecovered injects an inverter that panics inside the
-// pooled evaluation: every request gets a structured 500, the panic is
-// counted, and — the actual point — no in-flight slot or pool worker leaks,
-// so the server keeps answering at full capacity afterwards.
+// TestPanicInEvaluationRecovered injects a device transform that panics
+// inside the pooled evaluation: every request gets a structured 500, the
+// panic is counted, and — the actual point — no in-flight slot or pool
+// worker leaks, so the server keeps answering at full capacity afterwards.
 func TestPanicInEvaluationRecovered(t *testing.T) {
 	cfg := testConfig()
-	cfg.Opts.Inverter = panicInverter{}
+	cfg.Props.ParseBE = panicLST{cfg.Props.ParseBE}
 	s, ts := newTestServer(t, cfg)
 	ingestHTTP(t, ts.URL, 50, 4, nil)
 
@@ -300,8 +314,8 @@ func TestPanicInEvaluationRecovered(t *testing.T) {
 		if err := json.Unmarshal(body, &eb); err != nil {
 			t.Fatalf("request %d: body %q not structured: %v", i, body, err)
 		}
-		if !strings.Contains(eb.Error, "panic") {
-			t.Errorf("request %d: error %q does not mention the panic", i, eb.Error)
+		if !strings.Contains(eb.Error, "task panicked") {
+			t.Errorf("request %d: error %q is not the pool's recovered panic", i, eb.Error)
 		}
 	}
 	var m MetricsResponse

@@ -6,11 +6,9 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"time"
 
 	"cosmodel/internal/core"
 	"cosmodel/internal/ingest"
-	"cosmodel/internal/stats"
 )
 
 // Observation is one batch of per-device measurements covering Interval
@@ -297,12 +295,6 @@ func (t *stateTable) snapshotDevices(devs []int) (*subsetPoint, error) {
 // from.
 func (t *stateTable) deviceRates() (reads, writes []float64) { return t.table.DeviceRates() }
 
-// observedLatency merges the windowed latency histograms of all devices
-// (nil when no latencies were ingested).
-func (t *stateTable) observedLatency() *stats.Histogram {
-	return t.table.ObservedLatency()
-}
-
 // calibrationAge returns the seconds since the last accepted ingest, and
 // whether any ingest happened at all.
 func (t *stateTable) calibrationAge() (float64, bool) {
@@ -320,6 +312,3 @@ func (t *stateTable) stats() (ingested uint64, reporting int) {
 
 // stripes returns the effective lock-stripe count of the state table.
 func (t *stateTable) stripes() int { return t.table.Stripes() }
-
-// lastIngestTime exposes the newest accepted-ingest timestamp.
-func (t *stateTable) lastIngestTime() (time.Time, bool) { return t.table.LastIngest() }
