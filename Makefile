@@ -118,10 +118,11 @@ chaos:
 # Cluster fault injection: drive the sharded tier with simulator-measured
 # traffic, kill a shard node mid-sweep and require the surviving replica to
 # keep clearing the paper's MAE bar, flag degradation and rejoin in place;
-# plus the router's loss, quorum and gossip suites.
+# plus the router's loss, quorum and gossip suites and its answer-memo
+# exactness suite (read-your-writes against one engine).
 chaos-cluster:
 	$(GO) test -race -count=1 \
-		-run 'ChaosCluster|RouterSurvives|RouterLostDevices|RouterNoQuorum|RouterIngestRejected|GenerationGossip' \
+		-run 'ChaosCluster|RouterSurvives|RouterLostDevices|RouterNoQuorum|RouterIngestRejected|GenerationGossip|RouterMemo' \
 		./internal/cluster
 
 tidy:

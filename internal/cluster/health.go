@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"cosmodel/internal/serve"
 )
 
 // nodeState is one shard node's health bookkeeping.
@@ -13,6 +15,7 @@ type nodeState struct {
 	up    bool
 	fails int    // consecutive failures (probe or live traffic)
 	gen   uint64 // last observed cache generation
+	rev   uint64 // last probed table revision
 }
 
 // prober tracks shard liveness by periodically fetching /shard/state and by
@@ -24,11 +27,17 @@ type nodeState struct {
 // recalibration invalidates stale predictions cluster-wide (the sync takes
 // max-of-generations on the shard side, so gossip converges and a stale
 // push can never roll a shard backwards).
+//
+// Every change a merged answer can see moves the router epoch through
+// bump: a new live set, and a node's generation or table revision
+// differing from the last one seen. "Differing", not "growing": a
+// restarted shard's drop back to zero is a change too.
 type prober struct {
 	client    *shardClient
 	interval  time.Duration
 	threshold int
 	logf      func(format string, args ...any)
+	bump      func()
 
 	mu     sync.Mutex
 	states []nodeState
@@ -44,12 +53,13 @@ type prober struct {
 	done      chan struct{}
 }
 
-func newProber(cfg Config, client *shardClient) *prober {
+func newProber(cfg Config, client *shardClient, bump func()) *prober {
 	p := &prober{
 		client:    client,
 		interval:  cfg.ProbeInterval,
 		threshold: cfg.FailThreshold,
 		logf:      cfg.Logf,
+		bump:      bump,
 		states:    make([]nodeState, len(cfg.Nodes)),
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
@@ -75,7 +85,8 @@ func (m *liveMask) has(node int) bool { return m.words[node/64]&(1<<(node%64)) !
 
 func (m *liveMask) equal(o *liveMask) bool { return m == o || slices.Equal(m.words, o.words) }
 
-// publishLocked publishes the current up verdicts. Callers hold p.mu.
+// publishLocked publishes the current up verdicts and moves the router
+// epoch. Callers hold p.mu.
 func (p *prober) publishLocked() {
 	m := &liveMask{words: make([]uint64, (len(p.states)+63)/64)}
 	for n, st := range p.states {
@@ -85,6 +96,7 @@ func (p *prober) publishLocked() {
 		}
 	}
 	p.live.Store(m)
+	p.bump()
 }
 
 // liveNodes returns the current up verdicts.
@@ -130,16 +142,13 @@ func (p *prober) up(node int) bool { return p.liveNodes().has(node) }
 
 // note absorbs one observation of a node (probe or live traffic): success
 // revives it immediately, failures accumulate toward the threshold.
-func (p *prober) note(node int, ok bool, gen uint64, fromProbe bool) {
+func (p *prober) note(node int, ok bool) {
 	p.mu.Lock()
 	st := &p.states[node]
 	was := st.up
 	if ok {
 		st.fails = 0
 		st.up = true
-		if fromProbe {
-			st.gen = gen
-		}
 	} else {
 		st.fails++
 		if st.fails >= p.threshold {
@@ -157,17 +166,32 @@ func (p *prober) note(node int, ok bool, gen uint64, fromProbe bool) {
 }
 
 // noteSuccess / noteFailure absorb live-traffic outcomes from the router.
-func (p *prober) noteSuccess(node int) { p.note(node, true, 0, false) }
-func (p *prober) noteFailure(node int) { p.note(node, false, 0, false) }
+func (p *prober) noteSuccess(node int) { p.note(node, true) }
+func (p *prober) noteFailure(node int) { p.note(node, false) }
 
 // observeGeneration records a generation seen on a live response (partial
 // answers piggyback it), keeping gossip fresh between probe rounds.
 func (p *prober) observeGeneration(node int, gen uint64) {
 	p.mu.Lock()
-	if gen > p.states[node].gen {
-		p.states[node].gen = gen
-	}
+	st := &p.states[node]
+	changed := st.gen != gen
+	st.gen = gen
 	p.mu.Unlock()
+	if changed {
+		p.bump()
+	}
+}
+
+// observeState records a probed node's generation and table revision.
+func (p *prober) observeState(node int, st serve.ShardStateResponse) {
+	p.mu.Lock()
+	ns := &p.states[node]
+	changed := ns.gen != st.Generation || ns.rev != st.Revision
+	ns.gen, ns.rev = st.Generation, st.Revision
+	p.mu.Unlock()
+	if changed {
+		p.bump()
+	}
 }
 
 // snapshot returns a copy of the per-node states.
@@ -189,10 +213,11 @@ func (p *prober) probeOnce(ctx context.Context) {
 			defer wg.Done()
 			st, err := p.client.getState(ctx, node)
 			if err != nil {
-				p.note(node, false, 0, true)
+				p.note(node, false)
 				return
 			}
-			p.note(node, true, st.Generation, true)
+			p.note(node, true)
+			p.observeState(node, st)
 		}(n)
 	}
 	wg.Wait()

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -25,9 +26,10 @@ import (
 // of a device's shard, answers /predict and /advise by merging per-shard
 // partial CDFs, and keeps serving from warm standbys when shards die.
 // "Stateless" means no model state: the router's only memory is the
-// device-rate tracker (rebuilt from the ingest stream in one window) and
-// the health prober's verdicts — a restarted router is fully functional
-// after one observation window, with no recovery protocol.
+// device-rate tracker (rebuilt from the ingest stream in one window), the
+// health prober's verdicts and the answers of the current epoch — a
+// restarted router is fully functional after one observation window, with
+// no recovery protocol.
 type Router struct {
 	cfg    Config
 	topo   *Topology
@@ -41,6 +43,8 @@ type Router struct {
 
 	// cov memoizes the fan-out plan for the prober's current live set.
 	cov atomic.Pointer[coverage]
+	// memo holds the /predict answers of the current router epoch.
+	memo answerMemo
 
 	served       *obs.Counter
 	shed         *obs.Counter
@@ -50,6 +54,8 @@ type Router struct {
 	hedges       *obs.Counter
 	failovers    *obs.Counter
 	retries      *obs.Counter
+	memoHits     *obs.Counter
+	memoMisses   *obs.Counter
 }
 
 // NewRouter validates the configuration and assembles the fan-out tier.
@@ -71,7 +77,7 @@ func NewRouter(cfg Config) (*Router, error) {
 		sem:    make(chan struct{}, cfg.MaxInflight),
 		start:  cfg.now(),
 	}
-	r.prober = newProber(cfg, r.client)
+	r.prober = newProber(cfg, r.client, r.memo.bump)
 	r.served = r.reg.Counter("cosrouter_queries_served_total",
 		"Prediction and advice queries answered successfully.", nil)
 	r.shed = r.reg.Counter("cosrouter_shed_total",
@@ -88,6 +94,10 @@ func NewRouter(cfg Config) (*Router, error) {
 		"Partial evaluations failed over to the next replica after an error.", nil)
 	r.retries = r.reg.Counter("cosrouter_shard_retries_total",
 		"Shard calls retried on backoff or Retry-After.", nil)
+	r.memoHits = r.reg.Counter("cosrouter_predict_memo_hits_total",
+		"Predictions answered from the current epoch's memo, without a fan-out.", nil)
+	r.memoMisses = r.reg.Counter("cosrouter_predict_memo_misses_total",
+		"Predictions that fanned out to the shards.", nil)
 	r.client.onHedge = func(int) { r.hedges.Inc() }
 	r.client.onFailover = func(int) { r.failovers.Inc() }
 	r.client.onRetry = func(int) { r.retries.Inc() }
@@ -144,7 +154,8 @@ func (r *Router) Start() {
 // agree; a lagging one under-reports). Only
 // devices with no live entries are seeded — forwarded traffic that arrived
 // before the warmup answer always wins. Returns the number of devices
-// seeded. Safe to call at any time; a fully warm tracker makes it a no-op.
+// seeded; seeding any moves the router epoch. Safe to call at any time; a
+// fully warm tracker makes it a no-op.
 func (r *Router) WarmupOnce(ctx context.Context) int {
 	best := make([]float64, r.cfg.Devices)
 	bestWrites := make([]float64, r.cfg.Devices)
@@ -169,6 +180,9 @@ func (r *Router) WarmupOnce(ctx context.Context) int {
 		if r.rates.seed(d, rate, bestWrites[d]) {
 			seeded++
 		}
+	}
+	if seeded > 0 {
+		r.memo.bump()
 	}
 	return seeded
 }
@@ -314,6 +328,14 @@ func (r *Router) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.WriteHeader(status)
 	if err := json.NewEncoder(w).Encode(v); err != nil {
 		r.logf("cluster: writing %d response: %v", status, err)
+	}
+}
+
+// writeBody writes an encoded 200 answer.
+func (r *Router) writeBody(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	if _, err := w.Write(body); err != nil {
+		r.logf("cluster: writing 200 response: %v", err)
 	}
 }
 
@@ -487,6 +509,7 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 	}
 	// Coverage check: every observation must have landed on at least one
 	// replica, else its device would silently vanish from the mixture.
+	uncovered := -1
 	for _, o := range observations {
 		covered := false
 		for _, n := range r.topo.ChainFor(o.Device) {
@@ -496,13 +519,23 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 			}
 		}
 		if !covered {
-			r.writeJSON(w, http.StatusBadGateway, errorBody{
-				Error: fmt.Sprintf("no replica of device %d's shard accepted the batch", o.Device)})
-			return
+			uncovered = o.Device
+			break
 		}
 	}
-	for _, o := range observations {
-		r.rates.add(o)
+	if uncovered < 0 {
+		for _, o := range observations {
+			r.rates.add(o)
+		}
+	}
+	// Every forward has returned, and any of them may have changed a shard
+	// (a failed one too), so the epoch moves before the client hears back:
+	// no answer fanned out before this batch is served after its ack.
+	r.memo.bump()
+	if uncovered >= 0 {
+		r.writeJSON(w, http.StatusBadGateway, errorBody{
+			Error: fmt.Sprintf("no replica of device %d's shard accepted the batch", uncovered)})
+		return
 	}
 	r.writeJSON(w, http.StatusOK, serve.IngestResponse{Accepted: len(observations)})
 }
@@ -692,6 +725,18 @@ func (r *Router) handlePredict(w http.ResponseWriter, req *http.Request) {
 			return
 		}
 	}
+	// The epoch is read before anything the answer depends on: an answer
+	// fanned out at it is exact for as long as the epoch stays put.
+	var kb [64]byte
+	key := appendGridKey(kb[:0], slas)
+	epoch := r.memo.epoch.Load()
+	if body, ok := r.memo.get(key, epoch); ok {
+		r.memoHits.Inc()
+		r.served.Inc()
+		r.writeBody(w, body)
+		return
+	}
+	r.memoMisses.Inc()
 	if !r.acquire(w) {
 		return
 	}
@@ -719,8 +764,18 @@ func (r *Router) handlePredict(w http.ResponseWriter, req *http.Request) {
 			Saturated: res.merged.Saturated,
 		}
 	}
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(resp); err != nil {
+		r.queryError(w, req, err)
+		return
+	}
+	// A degraded answer (devices lost, a standby answered, a shard
+	// under-reported) is served once and fanned out again next time.
+	if !res.degraded {
+		r.memo.put(key, epoch, buf.Bytes())
+	}
 	r.served.Inc()
-	r.writeJSON(w, http.StatusOK, resp)
+	r.writeBody(w, buf.Bytes())
 }
 
 // errNotPlain refuses every query but a plain read: a coded read or a

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -38,6 +39,8 @@ type gate struct {
 	down  bool
 	delay time.Duration
 	next  http.Handler
+	// partials counts the /shard/partial requests that reached the gate.
+	partials atomic.Int64
 }
 
 func (g *gate) set(down bool) {
@@ -61,6 +64,9 @@ func (g *gate) setNext(h http.Handler) {
 }
 
 func (g *gate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path == "/shard/partial" {
+		g.partials.Add(1)
+	}
 	g.mu.Lock()
 	down, delay, next := g.down, g.delay, g.next
 	g.mu.Unlock()
@@ -328,6 +334,9 @@ func TestRouterSurvivesShardLoss(t *testing.T) {
 	}
 
 	tr.gates[0].set(true) // kill node 0
+	// A silent death moves no epoch: forget the memoized baseline so the
+	// request under test fans out into the dead node.
+	tr.router.memo.purge()
 
 	var degraded PredictResponse
 	if code := getJSON(t, tr.routerSrv.URL+"/predict", &degraded); code != http.StatusOK {
@@ -551,6 +560,7 @@ func TestRouterHedgesSlowPrimary(t *testing.T) {
 	for _, g := range tr.gates {
 		g.setDelay(300 * time.Millisecond)
 	}
+	tr.router.memo.purge() // the warm answer is memoized: fan out again
 	// With every node slow, hedges must fire (delay 20ms << 300ms).
 	if code := getJSON(t, tr.routerSrv.URL+"/predict", nil); code != http.StatusOK {
 		t.Fatalf("slow predict status %d", code)
@@ -647,6 +657,10 @@ func TestRouterFlagsEmptyRejoinedShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.gates[node].setNext(fresh.Handler())
+	// The probe round is how the router learns of a restart: the shard's
+	// table revision dropped, which moves the epoch past the memoized
+	// healthy answer.
+	tr.router.ProbeOnce(context.Background())
 
 	var pr PredictResponse
 	if code := getJSON(t, tr.routerSrv.URL+"/predict", &pr); code != http.StatusOK {

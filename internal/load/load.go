@@ -372,7 +372,10 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 
 // ingestLoop walks the schedule, emitting Poisson batch arrivals at each
 // phase's rate and toggling the measurement flag around benchmark phases.
-// Returns the wall seconds spent measuring.
+// Arrival times are drawn from the phase start, not from the previous
+// launch: building a batch or a late timer delays that one arrival, and
+// the ones that fell due meanwhile go out at once, so the offered rate is
+// the phase's. Returns the wall seconds spent measuring.
 func (r *runner) ingestLoop(ctx context.Context, report *Report) float64 {
 	rng := rand.New(rand.NewSource(r.cfg.Seed)) //nolint:gosec // load generation, not crypto
 	benchmark := make(map[int]bool)
@@ -390,9 +393,9 @@ func (r *runner) ingestLoop(ctx context.Context, report *Report) float64 {
 		}
 		start := time.Now()
 		deadline := start.Add(time.Duration(phase.Duration * float64(time.Second)))
+		next := start
 		for {
-			wait := time.Duration(rng.ExpFloat64() / phase.Rate * float64(time.Second))
-			next := time.Now().Add(wait)
+			next = next.Add(time.Duration(rng.ExpFloat64() / phase.Rate * float64(time.Second)))
 			if next.After(deadline) {
 				sleepUntil(ctx, deadline)
 				break
@@ -425,12 +428,14 @@ func (r *runner) ingestLoop(ctx context.Context, report *Report) float64 {
 
 // predictLoop issues the constant-rate probe stream until done closes,
 // round-robining probes over the fan-out targets on its own counter.
+// Like ingestLoop it draws arrival times from its start.
 func (r *runner) predictLoop(ctx context.Context, done <-chan struct{}) {
 	rng := rand.New(rand.NewSource(r.cfg.Seed + 1)) //nolint:gosec // load generation
 	seq := 0
+	next := time.Now()
 	for {
-		wait := time.Duration(rng.ExpFloat64() / r.cfg.PredictRate * float64(time.Second))
-		t := time.NewTimer(wait)
+		next = next.Add(time.Duration(rng.ExpFloat64() / r.cfg.PredictRate * float64(time.Second)))
+		t := time.NewTimer(time.Until(next))
 		select {
 		case <-done:
 			t.Stop()

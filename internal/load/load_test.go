@@ -2,6 +2,7 @@ package load
 
 import (
 	"context"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -10,6 +11,7 @@ import (
 
 	"cosmodel/internal/core"
 	"cosmodel/internal/dist"
+	"cosmodel/internal/ingest"
 	"cosmodel/internal/serve"
 	"cosmodel/internal/trace"
 )
@@ -172,6 +174,39 @@ func TestOpenLoopDrops(t *testing.T) {
 	}
 }
 
+// TestOpenLoopKeepsSchedule: arrivals keep their Poisson schedule however
+// long building a batch takes — every arrival due in the phase is offered
+// (sent or dropped), the late ones at once.
+func TestOpenLoopKeepsSchedule(t *testing.T) {
+	const rate, seconds, seed = 400.0, 0.25, 7
+	due := 0
+	rng := rand.New(rand.NewSource(seed)) //nolint:gosec // mirrors the generator's draws
+	for at := rng.ExpFloat64() / rate; at <= seconds; at += rng.ExpFloat64() / rate {
+		due++
+	}
+	ts := testServer(t, 1)
+	rep, err := Run(context.Background(), Config{
+		Target:      ts.URL,
+		Devices:     1,
+		MaxInflight: 4,
+		Schedule:    trace.Schedule{{Rate: rate, Duration: seconds, Label: "rate=400"}},
+		Seed:        seed,
+		MakeBatch: func(seq int) []ingest.Observation {
+			time.Sleep(3 * time.Millisecond) // a costly batch builder
+			return SyntheticSource(1)(seq)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.Phases[0].Arrivals; got != uint64(due) {
+		t.Fatalf("offered %d arrivals, %d were due", got, due)
+	}
+	if got := rep.Ingest.Sent + rep.Ingest.Dropped; got != uint64(due) {
+		t.Fatalf("sent %d + dropped %d, want the %d due", rep.Ingest.Sent, rep.Ingest.Dropped, due)
+	}
+}
+
 // TestMultiTargetFanOut pins the round-robin fan-out contract: arrivals
 // alternate over the target list, each target has its own in-flight slot
 // pool, and a saturated target's drops are charged to it alone — the
@@ -182,15 +217,18 @@ func TestMultiTargetFanOut(t *testing.T) {
 	}))
 	defer fast.Close()
 	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		time.Sleep(50 * time.Millisecond)
+		time.Sleep(100 * time.Millisecond)
 		w.Write([]byte(`{"accepted":1}`)) //nolint:errcheck
 	}))
 	defer slow.Close()
 
+	// Eight slots per target: the fast target's round trip would have to
+	// stall for eight of its arrivals before it dropped one, while the
+	// slow one serves at most 80/s of the ~200/s it is offered.
 	rep, err := Run(context.Background(), Config{
 		Targets:     []string{fast.URL, slow.URL},
 		Devices:     1,
-		MaxInflight: 1,
+		MaxInflight: 8,
 		Schedule:    trace.Schedule{{Rate: 400, Duration: 0.25, Label: "rate=400"}},
 		Seed:        5,
 	})
@@ -207,7 +245,7 @@ func TestMultiTargetFanOut(t *testing.T) {
 	if ft.IngestOK == 0 || st.IngestOK == 0 {
 		t.Fatalf("round-robin starved a target: fast %+v slow %+v", ft, st)
 	}
-	// The slow shard must drop heavily (1 slot, 50ms service, ~200/s
+	// The slow shard must drop heavily (8 slots, 100ms service, ~200/s
 	// offered) while the fast one sees at most transient overlap — its slot
 	// pool is independent, so the saturation cannot spill over.
 	if st.IngestDropped < 10 {

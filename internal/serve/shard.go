@@ -96,8 +96,13 @@ func (e *Engine) PartialPredictContext(ctx context.Context, req PartialRequest) 
 	}
 	ms := sub.ms
 	feRate := req.TotalRate * factor
+	// The frontend rate enters the key exactly, not quantized: it is the
+	// whole tier's, so ingest on another shard's devices moves it while
+	// this slice's own key stays put, and a quantized key would answer
+	// with a partial built at a neighbouring frontend rate — the merge
+	// would then drift from one engine's answer.
 	var buf [32]byte
-	tr := appendQuant(append(buf[:0], "|tr="...), feRate)
+	tr := strconv.AppendFloat(append(buf[:0], "|tr="...), feRate, 'g', -1, 64)
 	ck := cacheKey("partial|"+sub.key+string(tr), core.Query{}, factor, g.key)
 	v, _, err := e.cache.do(ctx, ck, func(ctx context.Context) (cachedValue, error) {
 		local := 0.0
@@ -149,6 +154,10 @@ type ShardStateResponse struct {
 	Devices        int     `json:"devices"`
 	TotalRate      float64 `json:"totalRate"`
 	CalibrationAge float64 `json:"calibrationAgeSeconds"`
+	// Revision is the state table's accepted-batch revision: it moves on
+	// every ingest, and a restarted shard's starts again at zero, so a
+	// router that sees it differ knows the shard's answers may have changed.
+	Revision uint64 `json:"revision"`
 	// DeviceRates and DeviceWriteRates are every device's windowed request
 	// and PUT replica rates (0 when idle) — the state a restarted router
 	// seeds its rate tracker from, so a fresh router fronting warm shards
@@ -269,6 +278,7 @@ func (s *Server) handleShardState(w http.ResponseWriter, r *http.Request) {
 		Devices:          s.engine.Config().Devices,
 		TotalRate:        st.TotalRate,
 		CalibrationAge:   st.CalibrationAge,
+		Revision:         s.engine.state.table.Revision(),
 		DeviceRates:      reads,
 		DeviceWriteRates: writes,
 	})
