@@ -82,11 +82,13 @@ capacity-smoke:
 # hand-rolled NDJSON scanner's byte-for-byte equivalence against the stdlib
 # decoder), the /predict and shard partial append encoders' byte-for-byte
 # equivalence against encoding/json, the histogram invariants, the k-of-n
-# order-statistic combinator, the guarded root finder and the router's
-# partial-CDF merge: enough to catch regressions in the strict decoder, the
-# quantile/bucket arithmetic, the coded-read CDF bounds, the bracketed
-# search invariants and the cluster merge invariants (outputs in [0,1],
-# monotone, single-shard passthrough) without turning check into a soak.
+# order-statistic combinator, the guarded root finder, the admission
+# ladder and the router's partial-CDF merge: enough to catch regressions
+# in the strict decoder, the quantile/bucket arithmetic, the coded-read
+# CDF bounds, the bracketed search invariants, the anchored ladder's
+# bit-identity with the climb from its floor rung, and the cluster merge
+# invariants (outputs in [0,1], monotone, single-shard passthrough)
+# without turning check into a soak.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzNDJSONDecode$$' -fuzztime=10s ./internal/ingest
 	$(GO) test -run '^$$' -fuzz '^FuzzNDJSONScannerEquivalence$$' -fuzztime=10s ./internal/ingest
@@ -97,6 +99,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzHistogramInvariants$$' -fuzztime=10s ./internal/stats
 	$(GO) test -run '^$$' -fuzz '^FuzzOrderStatisticCDF$$' -fuzztime=10s ./internal/coscode
 	$(GO) test -run '^$$' -fuzz '^FuzzBrentGuarded$$' -fuzztime=10s ./internal/numeric
+	$(GO) test -run '^$$' -fuzz '^FuzzMaxRateWhereValue$$' -fuzztime=10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzPartialMerge$$' -fuzztime=10s ./internal/cluster
 
 # A short open-loop cosload run against an in-process cosserve: the whole

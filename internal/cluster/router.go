@@ -690,9 +690,14 @@ type Prediction struct {
 // PredictResponse is the merged /predict payload.
 type PredictResponse struct {
 	Predictions []Prediction `json:"predictions"`
-	// Degraded reports that this answer was served with shards down or
-	// devices lost: the estimate is the survivors' renormalized truth and
-	// the Low/High brackets widen over the missing rate.
+	// Degraded reports that the answer did not come from the full,
+	// healthy tier, for any of four causes: devices lost (no replica
+	// answered for them), a shard node down, a standby replica answered in
+	// place of the primary (also a hedge the standby won on a healthy
+	// tier), or a shard under-reported its rate (a replica that restarted
+	// empty). The estimate is then the answering slices' renormalized
+	// truth, the Low/High brackets widen over any missing rate, and the
+	// router does not memoize the answer.
 	Degraded bool `json:"degraded"`
 	// LostDevices are the devices with no reachable replica.
 	LostDevices []int `json:"lostDevices,omitempty"`
@@ -801,6 +806,10 @@ func (r *Router) parseError(w http.ResponseWriter, err error) {
 // shape plus the cluster degradation flag.
 type AdviceResponse struct {
 	serve.Advice
+	// Degraded reports that the current-rate answer did not come from the
+	// full, healthy tier: devices lost, a shard node down, a standby
+	// replica answered in place of the primary, or a shard under-reported
+	// its rate (see PredictResponse.Degraded).
 	Degraded bool `json:"degraded"`
 }
 
@@ -849,17 +858,22 @@ func (r *Router) handleAdvise(w http.ResponseWriter, req *http.Request) {
 		},
 		Degraded: cur.degraded,
 	}
+	// The search enters its ladder at rung 6, the current rate itself,
+	// whose merged answer cur already holds: no second factor-1 fan-out.
 	margin := func(ctx context.Context, rate float64) (float64, bool, error) {
-		res, err := r.fanOut(ctx, []float64{sla}, rate/current)
-		if err != nil {
-			return 0, false, err
+		res := cur
+		if rate != current {
+			var err error
+			if res, err = r.fanOut(ctx, []float64{sla}, rate/current); err != nil {
+				return 0, false, err
+			}
 		}
 		if res.merged.Saturated {
 			return 0, false, nil
 		}
 		return res.merged.Estimates[0] - target, true, nil
 	}
-	maxRate, err := core.MaxRateWhereValueContext(ctx, margin, current/64, current/200)
+	maxRate, err := core.MaxRateWhereValueContext(ctx, margin, current/64, current/200, 6)
 	if err != nil {
 		r.queryError(w, req, err)
 		return

@@ -159,7 +159,7 @@ func MaxAdmissibleRateContext(ctx context.Context, d Deployment, sla, target flo
 			return 0, false, err // cancellation, deadline or numerical failure
 		}
 	}
-	return MaxRateWhereValueContext(ctx, margin, 1, 1)
+	return MaxRateWhereValueContext(ctx, margin, 1, 1, 0)
 }
 
 // Headroom returns the additional aggregate rate the deployment can admit
@@ -266,12 +266,34 @@ func MaxRateWhereContext(ctx context.Context, meets func(ctx context.Context, ra
 // blind bisection needs log2(range/tol). probe returning ok == false marks
 // the rate inadmissible without ordering information (e.g. overload), so
 // the step above it always bisects; a NaN margin is treated the same way.
+//
+// The bracket comes from the ladder of rungs lo·2^k, entered at rung
+// anchor rather than at rung 0: callers anchor at the rate whose margin
+// they already hold (the current operating point), so that probe is free.
+// The probes run in this order:
+//   - rung anchor, then each rung above it while they hold, up to the
+//     first that fails (or the 1e9 ceiling);
+//   - when rung anchor fails: rung 0, and the answer is 0 if it fails too;
+//   - otherwise rung anchor-1 (the usual edge), then bisection over rungs
+//     1..anchor-2 for the lowest failing rung.
+//
+// When the margin is monotone in rate (the contract), the bracket the
+// narrowing starts from, every narrowing probe and the result are exactly
+// those of a climb from rung 0 (anchor 0), and for an anchor up to 8 no
+// margin costs more than two probes beyond the anchor's over that climb.
 // Contract otherwise matches MaxRateWhereContext: ctx is checked before
 // every probe, probe errors abort the search, the result is the largest
-// rate actually probed admissible (0 when lo itself fails), and the probe
-// count is bounded by the geometric doubling plus the safeguarded
-// narrowing to tol.
-func MaxRateWhereValueContext(ctx context.Context, probe func(ctx context.Context, rate float64) (margin float64, ok bool, err error), lo, tol float64) (float64, error) {
+// rate actually probed admissible (0 when rung 0 fails), and the probe
+// count is bounded by the ladder plus the safeguarded narrowing to tol.
+func MaxRateWhereValueContext(ctx context.Context, probe func(ctx context.Context, rate float64) (margin float64, ok bool, err error), lo, tol float64, anchor int) (float64, error) {
+	rate, _, err := maxRateWhereValue(ctx, probe, lo, tol, anchor)
+	return rate, err
+}
+
+// maxRateWhereValue is MaxRateWhereValueContext, also reporting the upper
+// end of the final bracket: lo when rung 0 fails, and the first rung past
+// the ceiling when every rung below it holds.
+func maxRateWhereValue(ctx context.Context, probe func(ctx context.Context, rate float64) (float64, bool, error), lo, tol float64, anchor int) (rate, hiRate float64, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -280,6 +302,15 @@ func MaxRateWhereValueContext(ctx context.Context, probe func(ctx context.Contex
 	}
 	if tol <= 0 {
 		tol = lo * 1e-3
+	}
+	const ceiling = 1e9 // far beyond any physically admissible rate here
+	// A climb from rung 0 always probes rung 1, and past it only rungs at
+	// or below the ceiling: never anchor above the last rung it reaches.
+	base := lo
+	rung := func(k int) float64 { return math.Ldexp(base, k) }
+	anchor = max(anchor, 0)
+	for anchor > 1 && rung(anchor) > ceiling {
+		anchor--
 	}
 	eval := func(rate float64) (float64, bool, error) {
 		if err := ctx.Err(); err != nil {
@@ -291,32 +322,54 @@ func MaxRateWhereValueContext(ctx context.Context, probe func(ctx context.Contex
 		}
 		return m, ok, err
 	}
-	mLo, ok, err := eval(lo)
+	// The bracket: rung kLo admissible with margin mLo, rung kHi not.
+	kLo, kHi := anchor, anchor
+	m, ok, err := eval(rung(anchor))
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	if !ok || mLo < 0 {
-		return 0, nil
-	}
-	hi := lo * 2
-	const ceiling = 1e9 // far beyond any physically admissible rate here
-	var mHi float64
-	var okHi bool
-	for {
-		m, ok, err := eval(hi)
+	mLo, mHi, okHi := m, m, ok
+	if ok && m >= 0 {
+		for {
+			kHi++
+			if kHi > 1 && rung(kHi) > ceiling {
+				return rung(kLo), rung(kHi), nil
+			}
+			m, ok, err := eval(rung(kHi))
+			if err != nil {
+				return 0, 0, err
+			}
+			if !ok || m < 0 {
+				mHi, okHi = m, ok
+				break
+			}
+			kLo, mLo = kHi, m
+		}
+	} else {
+		if anchor == 0 {
+			return 0, lo, nil
+		}
+		m, ok, err := eval(lo)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		if !ok || m < 0 {
-			mHi, okHi = m, ok
-			break
+			return 0, lo, nil
 		}
-		lo, mLo = hi, m
-		hi *= 2
-		if hi > ceiling {
-			return lo, nil
+		kLo, mLo = 0, m
+		for next := anchor - 1; kHi-kLo > 1; next = (kLo + kHi) / 2 {
+			m, ok, err := eval(rung(next))
+			if err != nil {
+				return 0, 0, err
+			}
+			if ok && m >= 0 {
+				kLo, mLo = next, m
+			} else {
+				kHi, mHi, okHi = next, m, ok
+			}
 		}
 	}
+	lo, hi := rung(kLo), rung(kHi)
 	stalled := false
 	for hi-lo > tol {
 		var mid float64
@@ -338,7 +391,7 @@ func MaxRateWhereValueContext(ctx context.Context, probe func(ctx context.Contex
 		width := hi - lo
 		m, ok, err := eval(mid)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		if ok && m >= 0 {
 			lo, mLo = mid, m
@@ -347,5 +400,5 @@ func MaxRateWhereValueContext(ctx context.Context, probe func(ctx context.Contex
 		}
 		stalled = hi-lo > 0.5*width
 	}
-	return lo, nil
+	return lo, hi, nil
 }

@@ -14,9 +14,9 @@ import (
 // per-(group, mode, threshold) sums. Pooling it drives the steady-state
 // allocation count of a batched evaluation to the output slices alone.
 type batchArena struct {
-	nodes, ws, fe []complex128
-	offs          []int
-	sums          []float64
+	nodes, ws, fe, pv []complex128
+	offs              []int
+	sums              []float64
 }
 
 var batchArenaPool = sync.Pool{New: func() any { return new(batchArena) }}
@@ -38,12 +38,13 @@ func floats(buf []float64, n int) []float64 {
 // mixture CDF for every mode in modes at every threshold in ts, writing
 // out[m][j] for (modes[m], ts[j]). The whole request is one traversal of
 // the mixture: nodes for all thresholds are appended once, the frontend
-// factor is computed once per node, and each group's per-node device
-// factors are evaluated once and accumulated into every (mode, threshold)
-// cell. Every cell is validated (walking the fallback chain on an invalid
-// value) and reduced in group order, so a threshold's answer does not
-// depend on the other thresholds in the batch, and a single threshold
-// reproduces the per-threshold inversion bit for bit. A non-nil perGroup
+// factor and each distinct backend-parse factor are computed once per
+// node, and each group's per-node device factors are evaluated once and
+// accumulated into every (mode, threshold) cell. Every cell is validated
+// (walking the fallback chain on an invalid value) and reduced in group
+// order, so a threshold's answer does not depend on the other thresholds
+// in the batch, and a single threshold reproduces the per-threshold
+// inversion bit for bit. A non-nil perGroup
 // (one entry per group) receives group i's validated CDF at (modes[0],
 // ts[0]): the per-device breakdown Diagnose ranks.
 func (s *SystemModel) mixtureCDFBatch(ctx context.Context, modes []evalMode, ts []float64, out [][]float64, perGroup []float64) error {
@@ -88,7 +89,26 @@ func (s *SystemModel) mixtureCDFBatch(ctx context.Context, modes []evalMode, ts 
 			fe = append(fe, sq(sk))
 		}
 	}
-	a.nodes, a.ws, a.fe, a.offs = nodes, ws, fe, offs
+	pool := s.pool
+	if len(s.groups) < minDevicesParallel {
+		pool = nil
+	}
+	// The backend-parse factor of each distinct ParseBE per node, pv[c*nn+k]
+	// for s.parses[c], runs as a pool task so a panicking parse transform
+	// is recovered like a device factor.
+	nn := len(nodes)
+	pv := a.pv[:0]
+	if err := pool.Do(func() error {
+		for _, c := range s.parses {
+			for _, sk := range nodes {
+				pv = append(pv, c.dev.parse.F(sk))
+			}
+		}
+		return nil
+	}); err != nil {
+		return err
+	}
+	a.nodes, a.ws, a.fe, a.pv, a.offs = nodes, ws, fe, pv, offs
 	// One pass over the mixture: each group walks all thresholds' nodes,
 	// evaluating the device factors once per node and folding them into
 	// every requested mode. Groups write disjoint sum ranges, so the
@@ -96,6 +116,7 @@ func (s *SystemModel) mixtureCDFBatch(ctx context.Context, modes []evalMode, ts 
 	run := func(i int) error {
 		gs := sums[i*stride : (i+1)*stride]
 		dev := s.groups[i].dev
+		prs := pv[s.groups[i].parse*nn:]
 		// A read-only device contributes nothing to write modes: its write
 		// factors are never evaluated and its write cells stay 0 (the
 		// reduction skips them by zero weight).
@@ -104,10 +125,10 @@ func (s *SystemModel) mixtureCDFBatch(ctx context.Context, modes []evalMode, ts 
 			for k := offs[j]; k < offs[j+1]; k++ {
 				var wa, sbe, wwa, swr complex128
 				if needRead {
-					wa, sbe = dev.responseNode(nodes[k])
+					wa, sbe = dev.responseNode(nodes[k], prs[k])
 				}
 				if devWrite {
-					wwa, swr = dev.writeNode(nodes[k])
+					wwa, swr = dev.writeNode(nodes[k], prs[k])
 				}
 				for m, mode := range modes {
 					var v complex128
@@ -127,10 +148,6 @@ func (s *SystemModel) mixtureCDFBatch(ctx context.Context, modes []evalMode, ts 
 			}
 		}
 		return nil
-	}
-	pool := s.pool
-	if len(s.groups) < minDevicesParallel {
-		pool = nil
 	}
 	if err := pool.ForEachContext(ctx, len(s.groups), run); err != nil {
 		return err

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 
 	"cosmodel/internal/coscode"
+	"cosmodel/internal/dist"
 	"cosmodel/internal/numeric"
 )
 
@@ -212,4 +214,116 @@ func TestQuantileStaircasePlateauTerminates(t *testing.T) {
 	if n := calls.Load(); n > 250 {
 		t.Errorf("plateau took %d probes; stall safeguard not engaging", n)
 	}
+}
+
+// sliceDist is a distribution whose dynamic type is not comparable, and
+// boxDist a comparable wrapper around any distribution: == on a boxDist
+// holding a sliceDist panics.
+type sliceDist struct {
+	dist.Degenerate
+	_ []float64
+}
+
+type boxDist struct{ dist.Distribution }
+
+// TestParseSharedBatchMatchesPerDevice pins the shared backend-parse
+// factor: over random mixtures whose devices carry one or two distinct
+// ParseBEs (comparable or not), the batch engine reproduces the
+// per-device path, which evaluates every device's own parse factor, bit
+// for bit in every mode.
+func TestParseSharedBatchMatchesPerDevice(t *testing.T) {
+	parses := []dist.Distribution{
+		dist.Degenerate{Value: 0.5e-3},
+		dist.NewGammaMeanSCV(0.7e-3, 0.3),
+		sliceDist{Degenerate: dist.Degenerate{Value: 0.4e-3}},
+		boxDist{sliceDist{Degenerate: dist.Degenerate{Value: 0.6e-3}}},
+	}
+	modes := []evalMode{modeFull, modeBackend, {shape: shapeNoWTA}, {shape: shapeResponse},
+		modeWriteFull, modeWriteBackend, {shape: shapeResponse, write: true}}
+	ts := batchGrid()
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		a, b := parses[rng.Intn(len(parses))], parses[rng.Intn(len(parses))]
+		n := 1 + rng.Intn(6)
+		devs := make([]*DeviceModel, n)
+		total := 0.0
+		for i := range devs {
+			props := testProps()
+			props.ParseBE = a
+			if rng.Intn(2) == 0 {
+				props.ParseBE = b
+			}
+			m := testMetrics()
+			m.Rate = 15 + 30*rng.Float64()
+			m.DataRate = m.Rate * (1 + 0.4*rng.Float64())
+			m.MissData = 0.3 + 0.3*rng.Float64()
+			m.Procs = 1 + rng.Intn(2)
+			if i == 0 || rng.Intn(2) == 0 {
+				m.WriteRate = 2 + 6*rng.Float64()
+				m.WriteChunks = 1 + rng.Float64()
+			}
+			d, err := NewDeviceModel(props, m, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			devs[i] = d
+			total += m.Rate + m.WriteRate
+		}
+		fe, err := NewFrontendModel(total, 12, testProps().ParseFE)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := NewSystemModel(fe, devs, Options{Workers: 1 + int(seed%3)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := distinctParses(devs); len(sys.parses) != want {
+			t.Errorf("seed %d: %d parse classes, want %d", seed, len(sys.parses), want)
+		}
+		out := make([][]float64, len(modes))
+		for m := range out {
+			out[m] = make([]float64, len(ts))
+		}
+		if err := sys.mixtureCDFBatch(context.Background(), modes, ts, out, nil); err != nil {
+			t.Fatal(err)
+		}
+		for m, mode := range modes {
+			for j, x := range ts {
+				want, err := sys.mixtureCDF(context.Background(), x, mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(out[m][j]) != math.Float64bits(want) {
+					t.Errorf("seed %d mode %+v t=%g: batch %v, per-device %v", seed, mode, x, out[m][j], want)
+				}
+			}
+		}
+	}
+}
+
+// distinctParses counts the parse classes the mixture should form: equal
+// comparable ParseBEs share one, every non-comparable one is its own.
+func distinctParses(devs []*DeviceModel) int {
+	var classes []dist.Distribution
+	seen := map[*DeviceModel]bool{}
+next:
+	for _, d := range devs {
+		if seen[d] {
+			continue
+		}
+		seen[d] = true
+		p := d.props.ParseBE
+		switch p.(type) {
+		case sliceDist, boxDist:
+			classes = append(classes, p)
+			continue
+		}
+		for _, c := range classes {
+			if c == p {
+				continue next
+			}
+		}
+		classes = append(classes, p)
+	}
+	return len(classes)
 }

@@ -454,10 +454,11 @@ func clampUnit(v float64) float64 {
 // shared disk-sojourn transform once for all three operation classes. The
 // arithmetic mirrors the closure pipeline term for term, so results agree
 // with Transform.F to floating-point associativity (well below 1e-12).
-// It is safe for concurrent use: all receiver state is immutable after
-// build().
-func (d *DeviceModel) responseNode(s complex128) (wa, sbe complex128) {
-	pr, pi, pm, pd, ri, rm, rd := d.leafValues(s)
+// pr is the backend-parse factor at s (the caller evaluates it once for
+// every device sharing the ParseBE). It is safe for concurrent use: all
+// receiver state is immutable after build().
+func (d *DeviceModel) responseNode(s, pr complex128) (wa, sbe complex128) {
+	pi, pm, pd, ri, rm, rd := d.leafValues(s)
 	union := pr * pi * pm * pd * d.extraVal(pd)
 	w := d.unionQ.WaitingValue(s, d.serviceValue(union, pr, ri, rm, rd))
 	sbe = w * pr * pi * pm * pd
@@ -471,12 +472,13 @@ func (d *DeviceModel) responseNode(s complex128) (wa, sbe complex128) {
 // term needs every operation stream's value (the service mixture), so the
 // read factors are computed here too. Only meaningful on a device built
 // with OnlineMetrics.WriteRate > 0; a read-only device reports a zero
-// response (it contributes nothing to a write mixture).
-func (d *DeviceModel) writeNode(s complex128) (wa, swr complex128) {
+// response (it contributes nothing to a write mixture). pr is the
+// backend-parse factor at s, as for responseNode.
+func (d *DeviceModel) writeNode(s, pr complex128) (wa, swr complex128) {
 	if d.writeRate <= 0 {
 		return 1, 0
 	}
-	pr, pi, pm, pd, ri, rm, rd := d.leafValues(s)
+	pi, pm, pd, ri, rm, rd := d.leafValues(s)
 	union := pr * pi * pm * pd * d.extraVal(pd)
 	head := pr * ri
 	tail := rd * rm
@@ -490,14 +492,13 @@ func (d *DeviceModel) writeNode(s complex128) (wa, swr complex128) {
 	return d.waValue(s, w), swr
 }
 
-// leafValues evaluates every leaf transform of the device pipeline at one
-// frequency: the parse factor, the cache-mixed per-operation factors
-// (pi, pm, pd) and the raw disk factors behind them (ri, rm, rd — the
-// write path reads them directly, misses being certain for writes). In
-// multi-process mode one shared disk-sojourn evaluation stands in for all
-// three raw classes.
-func (d *DeviceModel) leafValues(s complex128) (pr, pi, pm, pd, ri, rm, rd complex128) {
-	pr = d.parse.F(s)
+// leafValues evaluates the device's own leaf transforms at one frequency:
+// the cache-mixed per-operation factors (pi, pm, pd) and the raw disk
+// factors behind them (ri, rm, rd — the write path reads them directly,
+// misses being certain for writes). In multi-process mode one shared
+// disk-sojourn evaluation stands in for all three raw classes. The parse
+// factor is the caller's: devices sharing a ParseBE share its value.
+func (d *DeviceModel) leafValues(s complex128) (pi, pm, pd, ri, rm, rd complex128) {
 	if d.rawShared {
 		rd = d.rawData.F(s)
 		ri, rm = rd, rd

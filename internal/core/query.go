@@ -272,9 +272,17 @@ func (s *SystemModel) orderStatistic(ctx context.Context, q Query, ts []float64,
 // modest grid keeps the discretization error far below inversion noise.
 const frontendGridPoints = 48
 
+// frontendGridMinMass is the point mass below which frontendGrid drops a
+// grid point: every kept point costs an order-statistic probe per
+// threshold, and a mass this small moves no answer by more than 1e-15 per
+// point. (Grid points below the parse atom carry such noise, ~1e-16.)
+const frontendGridMinMass = 1e-15
+
 // frontendGrid tabulates the frontend sojourn CDF on a fixed grid and
 // converts it to point masses (interval increments, residual tail mass on
-// the last point). Built once per model; concurrency-safe.
+// the last point), zeroing masses below frontendGridMinMass. Built once
+// per model, so once per operating point where the serving engine reuses
+// its model; concurrency-safe.
 func (s *SystemModel) frontendGrid() ([]float64, []float64, error) {
 	s.feGridOnce.Do(func() {
 		sq := s.frontend.Sojourn()
@@ -308,6 +316,11 @@ func (s *SystemModel) frontendGrid() ([]float64, []float64, error) {
 			prev = v
 		}
 		masses[len(masses)-1] += 1 - prev
+		for i, m := range masses {
+			if m < frontendGridMinMass {
+				masses[i] = 0
+			}
+		}
 		s.fePoints, s.feMasses = pts, masses
 	})
 	return s.fePoints, s.feMasses, s.feGridErr

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 
 	"cosmodel/internal/numeric"
@@ -24,6 +25,9 @@ type mixGroup struct {
 	// read-only device, which then contributes nothing to write-mode
 	// mixtures and is skipped without evaluation.
 	writeWeight float64
+	// parse indexes the group's backend-parse transform in
+	// SystemModel.parses.
+	parse int
 }
 
 // shape is one composition of the per-device factors the shared-
@@ -77,7 +81,12 @@ type SystemModel struct {
 	opts     Options
 	pool     *parallel.Pool
 
-	groups         []mixGroup
+	groups []mixGroup
+	// parses holds the first device of each distinct ParseBE in the
+	// mixture (a deployment's devices share one), so the engine evaluates
+	// each backend-parse transform once per inversion node instead of once
+	// per device.
+	parses         []parseClass
 	totalRate      float64
 	totalWriteRate float64
 	nodeCount      int // quadrature nodes of the configured inverter, for spans
@@ -112,7 +121,7 @@ func NewSystemModel(fe *FrontendModel, devices []*DeviceModel, opts Options) (*S
 			s.groups[g].writeWeight += d.WriteRate()
 		} else {
 			seen[d] = len(s.groups)
-			s.groups = append(s.groups, mixGroup{dev: d, weight: d.Rate(), writeWeight: d.WriteRate()})
+			s.groups = append(s.groups, mixGroup{dev: d, weight: d.Rate(), writeWeight: d.WriteRate(), parse: s.parseIndex(d)})
 		}
 	}
 	if s.totalRate <= 0 {
@@ -123,6 +132,51 @@ func NewSystemModel(fe *FrontendModel, devices []*DeviceModel, opts Options) (*S
 		s.nodeCount = len(nodes)
 	}
 	return s, nil
+}
+
+// parseClass is one distinct backend-parse distribution of a mixture: the
+// first device carrying it, and whether its dynamic type compares with ==
+// without panicking.
+type parseClass struct {
+	dev *DeviceModel
+	cmp bool
+}
+
+// parseIndex returns the index in s.parses of d's backend-parse class,
+// appending a new class when no device seen so far has an equal ParseBE.
+// Equal values have transforms that agree bit for bit. A value whose type
+// holds an interface, slice, map or func (where == may panic) is a class
+// of its own.
+func (s *SystemModel) parseIndex(d *DeviceModel) int {
+	p := d.props.ParseBE
+	t := reflect.TypeOf(p)
+	for i, c := range s.parses {
+		if q := c.dev.props.ParseBE; c.cmp && reflect.TypeOf(q) == t && q == p {
+			return i
+		}
+	}
+	s.parses = append(s.parses, parseClass{dev: d, cmp: t != nil && plainComparable(t)})
+	return len(s.parses) - 1
+}
+
+// plainComparable reports whether == on values of type t never panics:
+// t is comparable and holds no interface, whose dynamic value might not be.
+func plainComparable(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Interface:
+		return false
+	case reflect.Array:
+		return plainComparable(t.Elem())
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if !plainComparable(t.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	default:
+		return t.Comparable()
+	}
 }
 
 // beginSpan opens an observer span for one top-level evaluation of this
@@ -159,11 +213,12 @@ func (s *SystemModel) groupEvaluator(inv numeric.Inverter, t float64, mode evalM
 		dev := s.groups[i].dev
 		var sum float64
 		for k, sk := range nodes {
+			pr := dev.parse.F(sk)
 			var wa, resp complex128
 			if mode.write {
-				wa, resp = dev.writeNode(sk)
+				wa, resp = dev.writeNode(sk, pr)
 			} else {
-				wa, resp = dev.responseNode(sk)
+				wa, resp = dev.responseNode(sk, pr)
 			}
 			sum += real(ws[k] * (nodeValue(mode.shape, fe, k, wa, resp) / sk))
 		}

@@ -134,6 +134,24 @@ func (p *Pool) ForEach(n int, fn func(int)) {
 	}
 }
 
+// Do runs fn once on the calling goroutine as one task of the pool: a
+// panic in fn is recovered and returned as a *PanicError, exactly as
+// ForEachContext returns a panicking iteration's. A nil pool runs fn the
+// same way, without the busy and task accounting.
+func (p *Pool) Do(fn func() error) (err error) {
+	if p != nil {
+		p.busy.Add(1)
+		defer p.busy.Add(-1)
+		defer p.tasks.Add(1)
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			err = &PanicError{Value: r, Stack: debug.Stack()}
+		}
+	}()
+	return fn()
+}
+
 // ForEachContext runs fn(i) for every i in [0, n) with cooperative
 // cancellation and panic capture. Scheduling stops as soon as ctx is done or
 // any iteration fails; iterations already running are allowed to finish
@@ -156,19 +174,7 @@ func (p *Pool) ForEachContext(ctx context.Context, n int, fn func(int) error) er
 		wg       sync.WaitGroup
 		done     = ctx.Done()
 		fail     = func(err error) { failure.CompareAndSwap(nil, &err) }
-		safeCall = func(i int) (err error) {
-			if p != nil {
-				p.busy.Add(1)
-				defer p.busy.Add(-1)
-				defer p.tasks.Add(1)
-			}
-			defer func() {
-				if r := recover(); r != nil {
-					err = &PanicError{Value: r, Stack: debug.Stack()}
-				}
-			}()
-			return fn(i)
-		}
+		safeCall = func(i int) error { return p.Do(func() error { return fn(i) }) }
 	)
 	run := func() {
 		for failure.Load() == nil {

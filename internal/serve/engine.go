@@ -29,6 +29,10 @@ type Engine struct {
 	cfg   Config
 	state *stateTable
 	cache *modelCache
+	// models keeps the last factor-1 system model per frontend variant,
+	// so answer-cache misses at an unchanged operating point evaluate a
+	// model instead of rebuilding it.
+	models modelMemo
 
 	// reg is the engine's metrics registry: every counter below, the
 	// model-evaluation spans, pool and cache gauges, and — through the HTTP
@@ -51,6 +55,9 @@ type Engine struct {
 	saturations *obs.Counter // evaluations that hit an overloaded point
 	fallbacks   *obs.Counter // inversions recovered by a fallback inverter
 	recals      *obs.Counter // property swaps applied via Recalibrate
+	builds      *obs.Counter // system models built
+	memoHits    *obs.Counter // factor-1 answers evaluated on a memoized model
+	memoMisses  *obs.Counter // factor-1 answers that had to build their model
 	// lastFallbackNS is the cfg.now() timestamp (UnixNano) of the most
 	// recent inverter fallback; 0 before any.
 	lastFallbackNS atomic.Int64
@@ -83,6 +90,12 @@ func NewEngine(cfg Config) (*Engine, error) {
 		"Inversions recovered by a fallback inverter.", nil)
 	e.recals = e.reg.Counter("cosserve_recalibrations_total",
 		"Device-property swaps applied via Recalibrate.", nil)
+	e.builds = e.reg.Counter("cosserve_model_builds_total",
+		"System models built (answer-cache misses the model memo could not serve, admission probes, shard partials).", nil)
+	e.memoHits = e.reg.Counter("cosserve_model_memo_hits_total",
+		"Current-rate answers evaluated on the model memoized for their operating point.", nil)
+	e.memoMisses = e.reg.Counter("cosserve_model_memo_misses_total",
+		"Current-rate answers whose operating point had no memoized model.", nil)
 	// Observe every inverter fallback the guarded evaluation engine
 	// performs on our behalf, chaining any callback the embedder installed.
 	user := e.cfg.Opts.OnFallback
@@ -239,9 +252,11 @@ func (e *Engine) Props() core.DeviceProperties { return *e.props.Load() }
 
 // Recalibrate atomically swaps the served device properties and starts a
 // new cache generation, so every memoized prediction computed under the old
-// calibration is stale. In-flight evaluations finish under whichever
-// calibration they started with. This is the apply path of the online
-// calibration controller, and is also available to embedders directly.
+// calibration is stale, and so is every memoized model (the model memo
+// keys on the properties pointer this stores). In-flight evaluations
+// finish under whichever calibration they started with. This is the apply
+// path of the online calibration controller, and is also available to
+// embedders directly.
 func (e *Engine) Recalibrate(props core.DeviceProperties) error {
 	if err := props.Validate(); err != nil {
 		return err
@@ -525,7 +540,7 @@ func validSLA(s float64) error {
 func (e *Engine) evaluate(ctx context.Context, p *opPoint, q core.Query, factor float64, g slaGrid) (cachedValue, bool, error) {
 	slas := g.slas
 	v, cached, err := e.cache.do(ctx, cacheKey(p.key, q, factor, g.key), func(ctx context.Context) (cachedValue, error) {
-		sys, err := e.build(p.ms, q, factor, -1)
+		sys, err := e.model(p, q, factor)
 		if errors.Is(err, core.ErrOverload) {
 			return cachedValue{saturated: true, ps: make([]float64, len(slas))}, nil
 		}
@@ -551,15 +566,69 @@ func (e *Engine) evaluate(ctx context.Context, p *opPoint, q core.Query, factor 
 	return v, cached, nil
 }
 
-// build assembles the system model answering q at the snapshot ms with
-// every device's rates scaled by factor. The cold path (a cache miss)
-// inherits cfg.Opts wholesale, so the model's device-parallel evaluation
-// engine and its worker budget (core.Options.Workers) apply to every
-// uncached prediction and admission probe. Devices with identical (scaled)
-// metrics share one DeviceModel: the system mixture deduplicates by model
-// pointer, so a fleet of N lookalike devices collapses to one evaluation
-// group with N times the weight instead of N identical transform
-// inversions.
+// modelMemo holds one system model per frontend variant: slot 0 for plain
+// reads and writes (frontend rate reads+writes), slot 1 for coded reads
+// (reads/n). A slot serves a model only to the operating-point key, the
+// stripe width and the device-properties pointer it was built under, so
+// it holds at most two models per engine.
+type modelMemo struct {
+	mu    sync.Mutex
+	slots [2]memoSlot
+}
+
+type memoSlot struct {
+	key   string // opPoint.key
+	n     int    // stripe width of a coded read; 0 in slot 0
+	props *core.DeviceProperties
+	sys   *core.SystemModel
+}
+
+// model returns the system model answering q at the operating point p with
+// every device's rates scaled by factor. A factor-1 model is memoized per
+// frontend variant and reused while p's key and the served properties are
+// unchanged; admission probes (factor != 1) build their own.
+func (e *Engine) model(p *opPoint, q core.Query, factor float64) (*core.SystemModel, error) {
+	props := e.props.Load()
+	if factor != 1 {
+		return e.build(props, p.ms, q, factor, -1)
+	}
+	n := stripeWidth(q)
+	slot := min(n, 1)
+	e.models.mu.Lock()
+	s := e.models.slots[slot]
+	e.models.mu.Unlock()
+	if s.sys != nil && s.key == p.key && s.n == n && s.props == props {
+		e.memoHits.Inc()
+		return s.sys, nil
+	}
+	e.memoMisses.Inc()
+	sys, err := e.build(props, p.ms, q, 1, -1)
+	if err == nil {
+		e.models.mu.Lock()
+		e.models.slots[slot] = memoSlot{key: p.key, n: n, props: props, sys: sys}
+		e.models.mu.Unlock()
+	}
+	return sys, err
+}
+
+// stripeWidth is the stripe width n of a coded read, whose frontend rate
+// is the sub-read total over n, and 0 for every other query.
+func stripeWidth(q core.Query) int {
+	if q.Op == core.OpRead && q.Spec.N > 1 {
+		return q.Spec.N
+	}
+	return 0
+}
+
+// build assembles the system model answering q under props at the
+// snapshot ms with every device's rates scaled by factor. The cold path (a
+// cache miss) inherits cfg.Opts wholesale, so the model's device-parallel
+// evaluation engine and its worker budget (core.Options.Workers) apply to
+// every uncached prediction and admission probe. Devices with identical
+// (scaled) metrics share one DeviceModel: the system mixture deduplicates
+// by model pointer, so a fleet of N lookalike devices collapses to one
+// evaluation group with N times the weight instead of N identical
+// transform inversions.
 //
 // The frontend arrival rate is the scaled total of reads and writes,
 // except for a coded read: the proxy parses each coded GET once before
@@ -570,8 +639,8 @@ func (e *Engine) evaluate(ctx context.Context, p *opPoint, q core.Query, factor 
 // the router's tier-wide rate, because the frontend sojourn factor depends
 // only on the tier-wide total, so every shard's partial CDFs merge exactly
 // into the full mixture.
-func (e *Engine) build(ms []core.OnlineMetrics, q core.Query, factor, feRate float64) (*core.SystemModel, error) {
-	props := e.Props()
+func (e *Engine) build(props *core.DeviceProperties, ms []core.OnlineMetrics, q core.Query, factor, feRate float64) (*core.SystemModel, error) {
+	e.builds.Inc()
 	devs := make([]*core.DeviceModel, 0, len(ms))
 	built := make(map[core.OnlineMetrics]*core.DeviceModel, len(ms))
 	total, reads := 0.0, 0.0
@@ -585,7 +654,7 @@ func (e *Engine) build(ms []core.OnlineMetrics, q core.Query, factor, feRate flo
 		dm := built[m]
 		if dm == nil {
 			var err error
-			dm, err = core.NewDeviceModel(props, m, e.cfg.Opts)
+			dm, err = core.NewDeviceModel(*props, m, e.cfg.Opts)
 			if err != nil {
 				return nil, err
 			}
@@ -595,11 +664,11 @@ func (e *Engine) build(ms []core.OnlineMetrics, q core.Query, factor, feRate flo
 		total += m.Rate + m.WriteRate
 		reads += m.Rate
 	}
-	switch {
+	switch n := stripeWidth(q); {
 	case feRate >= 0:
 		total = feRate
-	case q.Op == core.OpRead && q.Spec.N > 1:
-		total = reads / float64(q.Spec.N)
+	case n > 0:
+		total = reads / float64(n)
 	}
 	fe, err := core.NewFrontendModel(total, e.cfg.FrontendProcs, props.ParseFE)
 	if err != nil {
@@ -674,8 +743,34 @@ func (e *Engine) AdviseContext(ctx context.Context, q core.Query, sla, target fl
 	}
 	adv := Advice{SLA: sla, Target: target, CurrentRate: current,
 		CurrentMeetRatio: cur.ps[0], Saturated: cur.saturated}
-	margin := func(ctx context.Context, rate float64) (float64, bool, error) {
-		v, _, err := e.evaluate(ctx, p, q, rate/current, g)
+	// Resolve the threshold to ~0.5% of the current rate; quantization
+	// below that would alias probe points anyway. The margin-aware search
+	// interpolates on how far the prediction sits from the target, so a
+	// smooth compliance curve needs far fewer probes than blind bisection.
+	// It enters its ladder of rungs current/64·2^k at rung adviseAnchor,
+	// the current rate, whose answer cur has just put in the memo cache.
+	maxRate, err := core.MaxRateWhereValueContext(ctx, e.adviseMargin(p, q, g, target), current/64, current/200, adviseAnchor)
+	if err != nil {
+		return Advice{}, err
+	}
+	adv.MaxAdmissibleRate = maxRate
+	adv.Headroom = adv.MaxAdmissibleRate - current
+	adv.Admit = !adv.Saturated && cur.ps[0] >= target && adv.Headroom >= 0
+	return adv, nil
+}
+
+// adviseAnchor is the ladder rung of the current rate in the admission
+// search: the ladder starts at current/64 = current/2^6.
+const adviseAnchor = 6
+
+// adviseMargin is the admission search's probe: how far above target q's
+// compliance at the SLA grid g sits at rate, every device's load at p
+// scaled proportionally. Saturation and a model-construction failure at an
+// extreme probe point mark the rate inadmissible; cancellation and
+// numerical failure abort the search.
+func (e *Engine) adviseMargin(p *opPoint, q core.Query, g slaGrid, target float64) func(context.Context, float64) (float64, bool, error) {
+	return func(ctx context.Context, rate float64) (float64, bool, error) {
+		v, _, err := e.evaluate(ctx, p, q, rate/p.rate, g)
 		switch {
 		case err == nil:
 			if v.saturated {
@@ -691,18 +786,6 @@ func (e *Engine) AdviseContext(ctx context.Context, q core.Query, sla, target fl
 			return 0, false, nil
 		}
 	}
-	// Resolve the threshold to ~0.5% of the current rate; quantization
-	// below that would alias probe points anyway. The margin-aware search
-	// interpolates on how far the prediction sits from the target, so a
-	// smooth compliance curve needs far fewer probes than blind bisection.
-	maxRate, err := core.MaxRateWhereValueContext(ctx, margin, current/64, current/200)
-	if err != nil {
-		return Advice{}, err
-	}
-	adv.MaxAdmissibleRate = maxRate
-	adv.Headroom = adv.MaxAdmissibleRate - current
-	adv.Admit = !adv.Saturated && cur.ps[0] >= target && adv.Headroom >= 0
-	return adv, nil
 }
 
 // InvalidateCache starts a new cache generation: every memoized prediction

@@ -109,7 +109,7 @@ func (e *Engine) PartialPredictContext(ctx context.Context, req PartialRequest) 
 		for _, m := range ms {
 			local += m.Rate * factor
 		}
-		sys, err := e.build(ms, core.Query{}, factor, feRate)
+		sys, err := e.build(e.props.Load(), ms, core.Query{}, factor, feRate)
 		if errors.Is(err, core.ErrOverload) {
 			return cachedValue{rate: local, saturated: true, ps: make([]float64, len(slas))}, nil
 		}
