@@ -182,14 +182,14 @@ func TestCoverageFailoverAndLoss(t *testing.T) {
 
 func TestRateTrackerWindow(t *testing.T) {
 	rt := newRateTracker(2, 20)
-	rt.add(serve.Observation{Device: 0, Interval: 10, Requests: 500}) // 50/s
-	rt.add(serve.Observation{Device: 1, Interval: 10, Requests: 300}) // 30/s
+	rt.add(&serve.Observation{Device: 0, Interval: 10, Requests: 500}) // 50/s
+	rt.add(&serve.Observation{Device: 1, Interval: 10, Requests: 300}) // 30/s
 	if got := rt.totalRate(); math.Abs(got-80) > 1e-9 {
 		t.Errorf("total rate %v, want 80", got)
 	}
 	// Newer observations push the first out of the 20s window.
-	rt.add(serve.Observation{Device: 0, Interval: 10, Requests: 1000})
-	rt.add(serve.Observation{Device: 0, Interval: 10, Requests: 1000})
+	rt.add(&serve.Observation{Device: 0, Interval: 10, Requests: 1000})
+	rt.add(&serve.Observation{Device: 0, Interval: 10, Requests: 1000})
 	if got := rt.rate(0); math.Abs(got-100) > 1e-9 {
 		t.Errorf("windowed rate %v, want 100 (old entry evicted)", got)
 	}

@@ -237,7 +237,7 @@ func newRateTracker(devices int, window float64) *rateTracker {
 	}
 }
 
-func (rt *rateTracker) add(o serve.Observation) {
+func (rt *rateTracker) add(o *serve.Observation) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	d := o.Device
@@ -476,13 +476,14 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 	// device's chain (dual-write), so warm standbys hold the same sliding
 	// windows and calibration feed as their primaries.
 	perNode := make(map[int][]serve.Observation)
-	for _, o := range observations {
+	for i := range observations {
+		o := &observations[i]
 		if err := o.Validate(r.cfg.Devices); err != nil {
 			r.badRequest(w, err)
 			return
 		}
 		for _, n := range r.topo.ChainFor(o.Device) {
-			perNode[n] = append(perNode[n], o)
+			perNode[n] = append(perNode[n], *o)
 		}
 	}
 	type outcome struct {
@@ -510,22 +511,23 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 	// Coverage check: every observation must have landed on at least one
 	// replica, else its device would silently vanish from the mixture.
 	uncovered := -1
-	for _, o := range observations {
+	for i := range observations {
+		d := observations[i].Device
 		covered := false
-		for _, n := range r.topo.ChainFor(o.Device) {
+		for _, n := range r.topo.ChainFor(d) {
 			if acked[n] {
 				covered = true
 				break
 			}
 		}
 		if !covered {
-			uncovered = o.Device
+			uncovered = d
 			break
 		}
 	}
 	if uncovered < 0 {
-		for _, o := range observations {
-			r.rates.add(o)
+		for i := range observations {
+			r.rates.add(&observations[i])
 		}
 	}
 	// Every forward has returned, and any of them may have changed a shard

@@ -26,7 +26,8 @@ func TestRateTrackerSeed(t *testing.T) {
 		t.Fatalf("seeded rate = %v, want 40", got)
 	}
 	// A device already holding forwarded observations must be untouched.
-	rt.add(obsAtRate(1, 80))
+	o := obsAtRate(1, 80)
+	rt.add(&o)
 	if rt.seed(1, 5, 0) {
 		t.Fatal("seed overwrote live data")
 	}

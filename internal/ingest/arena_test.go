@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -163,10 +162,10 @@ type slideWindow struct {
 
 func (w *slideWindow) add(e windowEntry, window float64, maxEntries int) {
 	w.entries = append(w.entries, e)
-	w.span += e.obs.Interval
+	w.span += e.interval
 	for len(w.entries) > 1 &&
-		(w.span-w.entries[0].obs.Interval >= window || len(w.entries) > maxEntries) {
-		w.span -= w.entries[0].obs.Interval
+		(w.span-w.entries[0].interval >= window || len(w.entries) > maxEntries) {
+		w.span -= w.entries[0].interval
 		w.entries = w.entries[1:]
 	}
 }
@@ -185,15 +184,16 @@ func TestWindowRingMatchesSlide(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			o := randomObservation(rng, 1)
 			o.Interval = []float64{0.1, 0.7, 3, 10, 10 * rng.Float64()}[rng.Intn(5)]
-			e := windowEntry{obs: o}
-			ring.add(e, window, maxEntries)
+			var e windowEntry
+			e.fill(&o)
+			ring.add(&e, window, maxEntries)
 			ref.add(e, window, maxEntries)
 			if ring.n != len(ref.entries) || math.Float64bits(ring.span) != math.Float64bits(ref.span) {
 				t.Fatalf("trial %d add %d: ring holds %d entries spanning %v, reference %d spanning %v",
 					trial, i, ring.n, ring.span, len(ref.entries), ref.span)
 			}
 			for j := range ref.entries {
-				if !reflect.DeepEqual(ring.at(j).obs, ref.entries[j].obs) {
+				if *ring.at(j) != ref.entries[j] {
 					t.Fatalf("trial %d add %d: entry %d differs", trial, i, j)
 				}
 			}
@@ -211,11 +211,11 @@ func TestWindowRingMatchesSlide(t *testing.T) {
 // place.
 func TestWindowAddAllocs(t *testing.T) {
 	var w deviceWindow
-	e := windowEntry{obs: Observation{Interval: 10, Requests: 500}}
+	e := windowEntry{interval: 10, requests: 500}
 	for i := 0; i < 16; i++ {
-		w.add(e, 60, 128)
+		w.add(&e, 60, 128)
 	}
-	if allocs := testing.AllocsPerRun(1000, func() { w.add(e, 60, 128) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(1000, func() { w.add(&e, 60, 128) }); allocs != 0 {
 		t.Errorf("steady-state window add allocates %v objects, want 0", allocs)
 	}
 }

@@ -84,7 +84,7 @@ type Observation struct {
 }
 
 // Validate checks one observation against the deployment size.
-func (o Observation) Validate(devices int) error {
+func (o *Observation) Validate(devices int) error {
 	switch {
 	case o.Device < 0 || o.Device >= devices:
 		return fmt.Errorf("%w: device %d outside [0,%d)", ErrInvalid, o.Device, devices)

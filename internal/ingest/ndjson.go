@@ -40,37 +40,10 @@ type LineError struct {
 func (e *LineError) Error() string { return fmt.Sprintf("line %d: %v", e.Line, e.Err) }
 func (e *LineError) Unwrap() error { return e.Err }
 
-// chunkPool recycles observation slices for callers that regroup decoded
-// observations (the tenant partition pass), so a steady ingest stream
-// allocates them once, not per batch.
-var chunkPool = sync.Pool{
-	New: func() any {
-		s := make([]Observation, 0, DefaultChunkSize)
-		return &s
-	},
-}
-
 // maxPooledChunk bounds the observation slices the pools keep: a caller
 // that once used a huge chunk must not pin that memory for the process's
 // lifetime.
 const maxPooledChunk = 4 * DefaultChunkSize
-
-// GetBatch borrows an empty observation slice from the shared pool.
-func GetBatch() *[]Observation {
-	b := chunkPool.Get().(*[]Observation)
-	*b = (*b)[:0]
-	return b
-}
-
-// PutBatch returns a borrowed slice to the pool, dropping its references to
-// the observations (and their sample arrays) it held.
-func PutBatch(b *[]Observation) {
-	clear(*b)
-	*b = (*b)[:0]
-	if cap(*b) <= maxPooledChunk {
-		chunkPool.Put(b)
-	}
-}
 
 // Sizes of the pooled decode state. The line buffer is the scanner's
 // initial buffer (a longer line makes the scanner grow a private one, up to
@@ -97,9 +70,6 @@ type decodeState struct {
 	chunk   []Observation
 	floats  []float64
 	classes map[string]string
-	// o is the observation being decoded; it lives here because its address
-	// escapes into the stdlib fallback decoder.
-	o Observation
 }
 
 var decodePool = sync.Pool{
@@ -124,7 +94,6 @@ func getDecodeState(r io.Reader) *decodeState {
 // it, unless a large request grew it past the pooling bounds.
 func (st *decodeState) release() {
 	st.sc = bufio.Scanner{}
-	st.o = Observation{}
 	st.reset()
 	if cap(st.floats) <= maxPooledArena && cap(st.chunk) <= maxPooledChunk {
 		decodePool.Put(st)
@@ -207,14 +176,16 @@ func decodeNDJSON(r io.Reader, devices, chunkSize int, emit func([]Observation) 
 		if len(raw) == 0 {
 			continue
 		}
+		// Each line decodes in place into the chunk's next slot.
+		st.chunk = append(st.chunk, Observation{})
+		o := &st.chunk[len(st.chunk)-1]
 		mark := len(st.floats)
-		st.o = Observation{}
-		if !fast || !scanObservation(raw, st) {
+		if !fast || !scanObservation(raw, o, st) {
 			st.floats = st.floats[:mark] // discard any partial fast-path state
-			st.o = Observation{}
+			*o = Observation{}
 			dec := json.NewDecoder(bytes.NewReader(raw))
 			dec.DisallowUnknownFields()
-			if err := dec.Decode(&st.o); err != nil {
+			if err := dec.Decode(o); err != nil {
 				// A reader error (a capped body, a dropped connection) makes the
 				// scanner surface its buffered remainder as a final, truncated
 				// token; that token failing to parse is the reader's fault, not
@@ -228,14 +199,12 @@ func decodeNDJSON(r io.Reader, devices, chunkSize int, emit func([]Observation) 
 			if dec.More() {
 				return accepted, &LineError{Line: line, Err: fmt.Errorf("%w: trailing data after observation", ErrInvalid)}
 			}
-			o := &st.o
 			o.Latencies, o.DiskIndexLat = slices.Clip(o.Latencies), slices.Clip(o.DiskIndexLat)
 			o.DiskMetaLat, o.DiskDataLat = slices.Clip(o.DiskMetaLat), slices.Clip(o.DiskDataLat)
 		}
-		if err := st.o.Validate(devices); err != nil {
+		if err := o.Validate(devices); err != nil {
 			return accepted, &LineError{Line: line, Err: err}
 		}
-		st.chunk = append(st.chunk, st.o)
 		if len(st.chunk) >= chunkSize {
 			if err := flush(); err != nil {
 				return accepted, err
@@ -276,10 +245,11 @@ func AppendOwned(dst []Observation, floats []float64, batch []Observation) ([]Ob
 		floats = append(floats, s...)
 		return floats[lo:len(floats):len(floats)]
 	}
-	for _, o := range batch {
+	for i := range batch {
+		dst = append(dst, batch[i])
+		o := &dst[len(dst)-1]
 		o.Latencies, o.DiskIndexLat = own(o.Latencies), own(o.DiskIndexLat)
 		o.DiskMetaLat, o.DiskDataLat = own(o.DiskMetaLat), own(o.DiskDataLat)
-		dst = append(dst, o)
 	}
 	return dst, floats
 }

@@ -5,13 +5,14 @@ import "strconv"
 // Hand-rolled NDJSON line scanner. The stdlib path costs a decoder, a
 // reader and reflection machinery per line; this scanner walks the flat
 // Observation object once with zero allocations for the common shape
-// (known ASCII keys, plain numbers, no escapes). It is deliberately
-// conservative: the moment a line deviates from that shape — an unknown or
-// duplicated key, an escape sequence, non-ASCII text, a number needing
-// arbitrary-precision rounding, null, nesting, trailing data — it reports
-// failure and the caller re-parses the line through encoding/json, so
-// accept/reject behavior and error text are byte-for-byte the stdlib's
-// (pinned by FuzzNDJSONScannerEquivalence).
+// (known ASCII keys, plain numbers, no escapes), reading each byte about
+// once: keys are matched as whole quoted literals in encoder order, and
+// numbers are accumulated while their digits are scanned. It is
+// deliberately conservative: the moment a line deviates from that shape —
+// an unknown or duplicated key, an escape sequence, non-ASCII text, null,
+// nesting, trailing data — it reports failure and the caller re-parses the
+// line through encoding/json, so accept/reject behavior and error text are
+// byte-for-byte the stdlib's (pinned by FuzzNDJSONScannerEquivalence).
 
 // Field indices for the duplicate-key bitmask, one bit per JSON key.
 const (
@@ -36,6 +37,31 @@ const (
 	fDiskDataLat
 	fUnknown
 )
+
+// keyLits holds every field's key as its quoted JSON literal, indexed by
+// field. The field constants follow the struct's declaration order, which
+// is the order encoding/json emits the keys in.
+var keyLits = [fUnknown]string{
+	fDevice:       `"device"`,
+	fClass:        `"class"`,
+	fInterval:     `"interval"`,
+	fRequests:     `"requests"`,
+	fDataReads:    `"dataReads"`,
+	fIndexHits:    `"indexHits"`,
+	fIndexMisses:  `"indexMisses"`,
+	fMetaHits:     `"metaHits"`,
+	fMetaMisses:   `"metaMisses"`,
+	fDataHits:     `"dataHits"`,
+	fDataMisses:   `"dataMisses"`,
+	fDiskBusy:     `"diskBusy"`,
+	fDiskOps:      `"diskOps"`,
+	fWrites:       `"writes"`,
+	fWriteChunks:  `"writeChunks"`,
+	fLatencies:    `"latencies"`,
+	fDiskIndexLat: `"diskIndexLat"`,
+	fDiskMetaLat:  `"diskMetaLat"`,
+	fDiskDataLat:  `"diskDataLat"`,
+}
 
 // fieldIndex maps a raw key to its field constant; fUnknown punts to the
 // stdlib (which also owns case-insensitive matching of unusual spellings).
@@ -89,8 +115,10 @@ type lineScan struct {
 	pos int
 }
 
+// ws skips insignificant whitespace. The encoder writes none, so the common
+// case is one comparison.
 func (s *lineScan) ws() {
-	for s.pos < len(s.buf) {
+	for s.pos < len(s.buf) && s.buf[s.pos] <= ' ' {
 		switch s.buf[s.pos] {
 		case ' ', '\t', '\r', '\n':
 			s.pos++
@@ -130,38 +158,48 @@ func (s *lineScan) str() ([]byte, bool) {
 	return nil, false
 }
 
-// digits consumes a JSON integer part (no leading zeros) and reports the
-// consumed range.
-func (s *lineScan) digits() (start, end int, ok bool) {
-	start = s.pos
-	for s.pos < len(s.buf) && s.buf[s.pos] >= '0' && s.buf[s.pos] <= '9' {
-		s.pos++
+// key reads an object key and reports its field. The key of field guess is
+// tried first, as one comparison against its quoted literal (the literal's
+// closing quote keeps "writes" from matching "writeChunks"); any other
+// spelling is read as a plain string and looked up, so an omitted or
+// reordered key costs a lookup, never a wrong match.
+func (s *lineScan) key(guess int) (int, bool) {
+	if guess < fUnknown {
+		lit := keyLits[guess]
+		if end := s.pos + len(lit); end <= len(s.buf) && string(s.buf[s.pos:end]) == lit {
+			s.pos = end
+			return guess, true
+		}
 	}
-	end = s.pos
-	if end == start {
-		return 0, 0, false
+	k, ok := s.str()
+	if !ok {
+		return fUnknown, false
 	}
-	if s.buf[start] == '0' && end-start > 1 {
-		return 0, 0, false // leading zero: invalid JSON, stdlib owns the error
-	}
-	return start, end, true
+	return fieldIndex(k), true
 }
 
-// uintVal parses an unsigned decimal field. Fractions, exponents and signs
-// are left for the outer structure (or the stdlib) to reject.
+// uintVal parses an unsigned decimal field in one pass. Fractions,
+// exponents and signs are left for the outer structure (or the stdlib) to
+// reject; so are leading zeros (invalid JSON) and values past 2^64-1 (the
+// stdlib reports the range error).
 func (s *lineScan) uintVal() (uint64, bool) {
-	start, end, ok := s.digits()
-	if !ok {
-		return 0, false
-	}
+	buf, i := s.buf, s.pos
 	var v uint64
-	for _, c := range s.buf[start:end] {
-		d := uint64(c - '0')
-		if v > (1<<64-1-d)/10 {
-			return 0, false // overflow: stdlib reports the range error
+	for ; i < len(buf); i++ {
+		d := uint64(buf[i] - '0')
+		if d > 9 {
+			break
+		}
+		// Nineteen digits cannot overflow; from the twentieth on, check.
+		if i-s.pos >= 19 && v > (1<<64-1-d)/10 {
+			return 0, false
 		}
 		v = v*10 + d
 	}
+	if n := i - s.pos; n == 0 || (n > 1 && buf[s.pos] == '0') {
+		return 0, false
+	}
+	s.pos = i
 	return v, true
 }
 
@@ -182,69 +220,77 @@ func (s *lineScan) intVal() (int, bool) {
 var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
 	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
 
-// floatVal parses a JSON number into a float64. Values whose mantissa fits
-// 15 digits and whose scale stays within ±22 are converted exactly (one
-// correctly-rounded multiply or divide of exact operands); anything wider
-// takes one strconv.ParseFloat on the slice, matching the stdlib's rounding
-// bit for bit in both cases.
+// floatVal parses a JSON number into a float64 in one pass, accumulating
+// the integer and fraction digits into one mantissa as it scans them.
+// Values whose mantissa fits 15 digits and whose scale stays within ±22 are
+// converted exactly (one correctly-rounded multiply or divide of exact
+// operands); anything wider takes one strconv.ParseFloat on the slice,
+// matching the stdlib's rounding bit for bit in both cases.
 func (s *lineScan) floatVal() (float64, bool) {
-	start := s.pos
-	neg := s.consume('-')
-	mStart, mEnd, ok := s.digits()
-	if !ok {
-		return 0, false
+	buf, i := s.buf, s.pos
+	start := i
+	neg := i < len(buf) && buf[i] == '-'
+	if neg {
+		i++
 	}
-	fracDigits := 0
-	if s.consume('.') {
-		fs := s.pos
-		for s.pos < len(s.buf) && s.buf[s.pos] >= '0' && s.buf[s.pos] <= '9' {
-			s.pos++
+	var m uint64 // wraps past 19 digits, but past 15 the value goes to strconv
+	is := i
+	for ; i < len(buf); i++ {
+		d := uint64(buf[i] - '0')
+		if d > 9 {
+			break
 		}
-		fracDigits = s.pos - fs
-		if fracDigits == 0 {
+		m = m*10 + d
+	}
+	if n := i - is; n == 0 || (n > 1 && buf[is] == '0') {
+		return 0, false // no digits, or a leading zero: invalid JSON
+	}
+	nd, frac := i-is, 0
+	if i < len(buf) && buf[i] == '.' {
+		i++
+		fs := i
+		for ; i < len(buf); i++ {
+			d := uint64(buf[i] - '0')
+			if d > 9 {
+				break
+			}
+			m = m*10 + d
+		}
+		if frac = i - fs; frac == 0 {
 			return 0, false // "1." is invalid JSON
 		}
+		nd += frac
 	}
 	exp := 0
-	if s.pos < len(s.buf) && (s.buf[s.pos] == 'e' || s.buf[s.pos] == 'E') {
-		s.pos++
+	if i < len(buf) && buf[i]|0x20 == 'e' {
+		i++
 		expNeg := false
-		if s.pos < len(s.buf) && (s.buf[s.pos] == '+' || s.buf[s.pos] == '-') {
-			expNeg = s.buf[s.pos] == '-'
-			s.pos++
+		if i < len(buf) && (buf[i] == '+' || buf[i] == '-') {
+			expNeg = buf[i] == '-'
+			i++
 		}
-		es := s.pos
-		for s.pos < len(s.buf) && s.buf[s.pos] >= '0' && s.buf[s.pos] <= '9' {
-			s.pos++
+		es := i
+		for ; i < len(buf); i++ {
+			d := int(buf[i]) - '0'
+			if d < 0 || d > 9 {
+				break
+			}
+			exp = exp*10 + d
 		}
-		if s.pos == es {
+		switch {
+		case i == es:
 			return 0, false // "1e" is invalid JSON
-		}
-		if s.pos-es > 8 {
+		case i-es > 8:
+			s.pos = i
 			return s.slowFloat(start) // huge exponent: range semantics to strconv
-		}
-		for _, c := range s.buf[es:s.pos] {
-			exp = exp*10 + int(c-'0')
-		}
-		if expNeg {
+		case expNeg:
 			exp = -exp
 		}
 	}
-	// Fast exact path: accumulate the mantissa digits (integer + fraction)
-	// and scale by a power of ten that is itself exact.
-	nDigits := (mEnd - mStart) + fracDigits
-	e10 := exp - fracDigits
-	if nDigits > 15 || e10 < -22 || e10 > 22 {
+	s.pos = i
+	e10 := exp - frac
+	if nd > 15 || e10 < -22 || e10 > 22 {
 		return s.slowFloat(start)
-	}
-	var m uint64
-	for _, c := range s.buf[mStart:mEnd] {
-		m = m*10 + uint64(c-'0')
-	}
-	if fracDigits > 0 {
-		for _, c := range s.buf[mEnd+1 : mEnd+1+fracDigits] {
-			m = m*10 + uint64(c-'0')
-		}
 	}
 	v := float64(m)
 	if e10 > 0 {
@@ -275,10 +321,11 @@ func (s *lineScan) floatArray(arena *[]float64) ([]float64, bool) {
 	if !s.consume('[') {
 		return nil, false
 	}
-	if *arena == nil {
-		*arena = make([]float64, 0, arenaFloats) // `[]` must decode non-nil
+	a := *arena
+	if a == nil {
+		a = make([]float64, 0, arenaFloats) // `[]` must decode non-nil
 	}
-	lo := len(*arena)
+	lo := len(a)
 	s.ws()
 	if !s.consume(']') {
 		for {
@@ -287,7 +334,7 @@ func (s *lineScan) floatArray(arena *[]float64) ([]float64, bool) {
 			if !ok {
 				return nil, false
 			}
-			*arena = append(*arena, v)
+			a = append(a, v)
 			s.ws()
 			if s.consume(',') {
 				continue
@@ -298,18 +345,17 @@ func (s *lineScan) floatArray(arena *[]float64) ([]float64, bool) {
 			return nil, false
 		}
 	}
-	a := *arena
+	*arena = a
 	return a[lo:len(a):len(a)], true
 }
 
 // scanObservation attempts the fast parse of one trimmed NDJSON line into
-// st.o, its sample arrays onto st.floats and its class label through
-// st.intern. It reports false — leaving st.o and the arena's tail in an
-// undefined partial state — whenever the line needs the stdlib's full
+// the zeroed *o, its sample arrays onto st.floats and its class label
+// through st.intern. It reports false — leaving *o and the arena's tail in
+// an undefined partial state — whenever the line needs the stdlib's full
 // semantics; it reports true only when the resulting Observation is exactly
 // what encoding/json would have produced.
-func scanObservation(raw []byte, st *decodeState) bool {
-	o := &st.o
+func scanObservation(raw []byte, o *Observation, st *decodeState) bool {
 	s := lineScan{buf: raw}
 	if !s.consume('{') {
 		return false
@@ -320,16 +366,14 @@ func scanObservation(raw []byte, st *decodeState) bool {
 		return s.pos == len(s.buf)
 	}
 	var seen uint32
+	guess := fDevice
 	for {
-		key, ok := s.str()
-		if !ok {
-			return false
-		}
-		f := fieldIndex(key)
-		if f == fUnknown || seen&(1<<f) != 0 {
+		f, ok := s.key(guess)
+		if !ok || f == fUnknown || seen&(1<<f) != 0 {
 			return false // unknown or duplicate key: stdlib semantics
 		}
 		seen |= 1 << f
+		guess = f + 1
 		s.ws()
 		if !s.consume(':') {
 			return false

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -32,6 +34,21 @@ func FuzzNDJSONScannerEquivalence(f *testing.F) {
 	f.Add([]byte(`{"device":0,"interval":1,"requests":1.5}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`null`))
+	// The literal key matcher: a key that is a prefix of another, keys out
+	// of encoder order, a duplicate right after a guessed match, a line cut
+	// inside a key literal, case variants and an escaped key.
+	f.Add([]byte(`{"device":0,"interval":1,"writes":2,"writeChunks":3}` + "\n"))
+	f.Add([]byte(`{"device":0,"interval":1,"writeChunks":3,"writes":2}` + "\n"))
+	f.Add([]byte(`{"device":0,"interval":1,"write":2}` + "\n"))
+	f.Add([]byte(`{"device":0,"interval":1,"class":"gold","classes":"x"}` + "\n"))
+	f.Add([]byte(`{"interval":1,"requests":4,"device":2,"class":"gold"}` + "\n"))
+	f.Add([]byte(`{"device":0,"class":"gold","class":"bronze","interval":1}` + "\n"))
+	f.Add([]byte(`{"device":0,"interval":1,"requests":4,"requests":5}` + "\n"))
+	f.Add([]byte(`{"device":0,"interval":1,"requ`))
+	f.Add([]byte(`{"device":0,"interval":1,"requests"`))
+	f.Add([]byte(`{"Device":0,"interval":1,"REQUESTS":3,"diskbusy":0.5}` + "\n"))
+	f.Add([]byte(`{"dev\u0069ce":1,"interval":1}` + "\n"))
+	f.Add([]byte(`{"device":0,"interval\"":1}` + "\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const devices = 4
 		run := func(fast bool) (int, []Observation, string) {
@@ -159,5 +176,103 @@ func TestDecodeNDJSONAllocs(t *testing.T) {
 	})
 	if perLine := avg / lines; perLine > 0.1 {
 		t.Errorf("fast NDJSON decode allocates %.3f allocs/line (%.0f per batch), want <= 0.1", perLine, avg)
+	}
+}
+
+// wireObservation draws a valid observation covering every shape the
+// encoder writes: labelled and unlabelled, zero writes (keys omitted), nil
+// and empty sample arrays (both omitted), µs-rounded samples, full
+// 16–17-digit floats, values the encoder writes in exponent form, and
+// counters across the whole uint64 range. Class labels are plain ASCII: the
+// encoder escapes '<', '>', '&', quotes and non-ASCII bytes, and an escaped
+// label is the stdlib's by design.
+func wireObservation(rng *rand.Rand, devices int) Observation {
+	float := func() float64 {
+		switch rng.Intn(6) {
+		case 0:
+			return math.Round(rng.ExpFloat64()*0.01*1e6) / 1e6 // µs-rounded
+		case 1:
+			return rng.Float64() * 100 // full precision
+		case 2:
+			return []float64{0.7685000000000001, 0.30000000000000004, 9007199254740993, 123456789012345678}[rng.Intn(4)]
+		case 3:
+			return []float64{1e-07, 3.5e-10, 1e21, 2.5e22, 5e-324, math.MaxFloat64}[rng.Intn(6)]
+		case 4:
+			return float64(rng.Intn(100))
+		default:
+			return math.Round(rng.Float64()*1e3) / 1e3
+		}
+	}
+	counter := func() uint64 {
+		switch rng.Intn(4) {
+		case 0:
+			return 0
+		case 1:
+			return rng.Uint64()
+		default:
+			return uint64(rng.Intn(100000))
+		}
+	}
+	samples := func() []float64 {
+		switch rng.Intn(4) {
+		case 0:
+			return nil
+		case 1:
+			return []float64{}
+		}
+		out := make([]float64, 1+rng.Intn(10))
+		for i := range out {
+			out[i] = float()
+		}
+		return out
+	}
+	o := Observation{
+		Device: rng.Intn(devices), Interval: float() + 1e-3,
+		Requests: counter(), DataReads: counter(),
+		IndexHits: counter(), IndexMisses: counter(), MetaHits: counter(), MetaMisses: counter(),
+		DataHits: counter(), DataMisses: counter(), DiskBusy: float(), DiskOps: counter(),
+		Latencies: samples(), DiskIndexLat: samples(), DiskMetaLat: samples(), DiskDataLat: samples(),
+	}
+	if rng.Intn(2) == 0 {
+		o.Class = []string{"gold", "bronze", "tenant-7", "a.b_c"}[rng.Intn(4)]
+	}
+	if rng.Intn(2) == 0 {
+		o.Writes, o.WriteChunks = 1+uint64(rng.Intn(1000)), uint64(rng.Intn(3000))
+	}
+	return o
+}
+
+// TestScannerTakesEveryEncodedLine pins the fast path's coverage: every
+// line EncodeNDJSON writes must be taken by the scanner itself, without the
+// encoding/json fallback, and decode to exactly what a strict json.Decoder
+// produces. The equivalence fuzz target cannot see this: a scanner that
+// quietly falls back stays correct and only loses its speed.
+func TestScannerTakesEveryEncodedLine(t *testing.T) {
+	const devices = 64
+	rng := rand.New(rand.NewSource(5))
+	batch := make([]Observation, 2000)
+	for i := range batch {
+		batch[i] = wireObservation(rng, devices)
+	}
+	batch = append(batch, churnBatch(rng, devices)...)
+	var buf bytes.Buffer
+	if err := EncodeNDJSON(&buf, batch); err != nil {
+		t.Fatal(err)
+	}
+	st := &decodeState{classes: make(map[string]string)}
+	for i, line := range bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n")) {
+		var got Observation
+		if !scanObservation(line, &got, st) {
+			t.Fatalf("line %d falls back to encoding/json: %s", i+1, line)
+		}
+		var want Observation
+		dec := json.NewDecoder(bytes.NewReader(line))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&want); err != nil {
+			t.Fatalf("line %d: %v", i+1, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("line %d: scanner decoded\n %+v\nencoding/json\n %+v\nfrom %s", i+1, got, want, line)
+		}
 	}
 }

@@ -12,10 +12,12 @@ import (
 	"cosmodel/internal/stats"
 )
 
-// ingestScratch is Ingest's pooled per-batch scratch: the batch's window
-// entries grouped by stripe, and the per-stripe group cursors.
+// ingestScratch is absorb's pooled per-batch scratch: the batch's window
+// entries grouped by stripe, each entry's window index within its stripe,
+// and the per-stripe group cursors.
 type ingestScratch struct {
 	entries []windowEntry
+	local   []int
 	next    []int
 }
 
@@ -141,43 +143,71 @@ func (t *Table) Ingest(batch []Observation, now time.Time) error {
 	if len(batch) == 0 {
 		return fmt.Errorf("%w: empty observation batch", ErrInvalid)
 	}
-	for _, o := range batch {
-		if err := o.Validate(t.cfg.Devices); err != nil {
+	for i := range batch {
+		if err := batch[i].Validate(t.cfg.Devices); err != nil {
 			return err
 		}
 	}
-	// Build entries (including latency histograms) outside any lock,
-	// grouped by stripe in batch order.
+	t.absorb(batch, "", true, now)
+	return nil
+}
+
+// AbsorbClass absorbs, stamped at now, the observations of batch labelled
+// class — a tenant partition's share of a batch that an Ingest of a table
+// with the same device count has already accepted. It does not validate
+// again. A batch with no observation of the class changes nothing.
+func (t *Table) AbsorbClass(batch []Observation, class string, now time.Time) {
+	t.absorb(batch, class, false, now)
+}
+
+// absorb lands the observations of a validated batch (all of them, or those
+// labelled class) in their windows. Entries, including latency histograms,
+// are built outside any lock, grouped by stripe in batch order; then each
+// stripe takes its lock once.
+func (t *Table) absorb(batch []Observation, class string, all bool, now time.Time) {
 	sc := scratchPool.Get().(*ingestScratch)
 	defer sc.release()
-	entries := slices.Grow(sc.entries[:0], len(batch))[:len(batch)]
 	next := slices.Grow(sc.next[:0], t.nstripes)[:t.nstripes]
 	clear(next)
-	for _, o := range batch {
-		next[o.Device%t.nstripes]++
+	n := 0
+	for i := range batch {
+		if o := &batch[i]; all || o.Class == class {
+			next[o.Device%t.nstripes]++
+			n++
+		}
+	}
+	if n == 0 {
+		return
 	}
 	lo := 0
-	for s, n := range next {
+	for s, c := range next {
 		next[s] = lo
-		lo += n
+		lo += c
 	}
-	for _, o := range batch {
-		e := windowEntry{obs: o}
-		if len(o.Latencies) > 0 {
-			e.lat = stats.NewLatencyHistogram()
-			for _, l := range o.Latencies {
-				e.lat.Observe(l)
-			}
+	entries := slices.Grow(sc.entries[:0], n)[:n]
+	local := slices.Grow(sc.local[:0], n)[:n]
+	for i := range batch {
+		o := &batch[i]
+		if !all && o.Class != class {
+			continue
 		}
+		s := o.Device % t.nstripes
+		j := next[s]
+		next[s]++
 		// Raw latencies are retained as a histogram, and raw disk samples
 		// feed the calibration controller, not the sliding windows: the
 		// window keeps no sample array, so the caller may reuse them.
-		e.obs.Latencies, e.obs.DiskIndexLat, e.obs.DiskMetaLat, e.obs.DiskDataLat = nil, nil, nil, nil
-		s := o.Device % t.nstripes
-		entries[next[s]] = e
-		next[s]++
+		entries[j].fill(o)
+		if len(o.Latencies) > 0 {
+			h := stats.NewLatencyHistogram()
+			for _, l := range o.Latencies {
+				h.Observe(l)
+			}
+			entries[j].lat = h
+		}
+		local[j] = o.Device / t.nstripes
 	}
-	sc.entries, sc.next = entries, next
+	sc.entries, sc.local, sc.next = entries, local, next
 	lo = 0
 	for s, hi := range next {
 		if lo == hi {
@@ -185,8 +215,8 @@ func (t *Table) Ingest(batch []Observation, now time.Time) error {
 		}
 		st := &t.stripes[s]
 		st.mu.Lock()
-		for _, e := range entries[lo:hi] {
-			st.windows[e.obs.Device/t.nstripes].add(e, t.cfg.Window, t.cfg.MaxEntries)
+		for j := lo; j < hi; j++ {
+			st.windows[local[j]].add(&entries[j], t.cfg.Window, t.cfg.MaxEntries)
 		}
 		if now.After(st.lastIngest) {
 			st.lastIngest = now
@@ -194,9 +224,8 @@ func (t *Table) Ingest(batch []Observation, now time.Time) error {
 		st.mu.Unlock()
 		lo = hi
 	}
-	t.ingested.Add(uint64(len(batch)))
+	t.ingested.Add(uint64(n))
 	t.revision.Add(1)
-	return nil
 }
 
 // Revision returns the accepted-batch revision — the memo key for derived

@@ -7,10 +7,26 @@ import (
 	"cosmodel/internal/stats"
 )
 
-// windowEntry is one retained observation with its latency histogram.
+// windowEntry is what the window keeps of one observation: the interval,
+// the counters and busy time metrics sums, and the latency histogram.
 type windowEntry struct {
-	obs Observation
-	lat *stats.Histogram // nil when the observation carried no latencies
+	interval, diskBusy     float64
+	requests, dataReads    uint64
+	idxH, idxM, metH, metM uint64
+	datH, datM, diskOps    uint64
+	writes, writeChunks    uint64
+	lat                    *stats.Histogram // nil when the observation carried no latencies
+}
+
+// fill sets e to the summed fields of o, with no histogram. Field by field,
+// so the entry is written in place rather than built and then copied.
+func (e *windowEntry) fill(o *Observation) {
+	e.interval, e.diskBusy = o.Interval, o.DiskBusy
+	e.requests, e.dataReads = o.Requests, o.DataReads
+	e.idxH, e.idxM, e.metH, e.metM = o.IndexHits, o.IndexMisses, o.MetaHits, o.MetaMisses
+	e.datH, e.datM, e.diskOps = o.DataHits, o.DataMisses, o.DiskOps
+	e.writes, e.writeChunks = o.Writes, o.WriteChunks
+	e.lat = nil
 }
 
 // deviceWindow is the sliding window of one device's observations: a ring
@@ -32,23 +48,23 @@ func (w *deviceWindow) at(i int) *windowEntry { return &w.ring[(w.head+i)%len(w.
 // so a device that reports rarely still has an operating point. The span
 // adds the new interval before subtracting any evicted one: that order fixes
 // the span's last bits, and with them every windowed rate.
-func (w *deviceWindow) add(e windowEntry, window float64, maxEntries int) {
-	w.span += e.obs.Interval
+func (w *deviceWindow) add(e *windowEntry, window float64, maxEntries int) {
+	w.span += e.interval
 	if w.n >= maxEntries {
 		w.evict()
 	} else if w.n == len(w.ring) {
 		w.grow(maxEntries)
 	}
-	*w.at(w.n) = e
+	*w.at(w.n) = *e
 	w.n++
-	for w.n > 1 && w.span-w.at(0).obs.Interval >= window {
+	for w.n > 1 && w.span-w.at(0).interval >= window {
 		w.evict()
 	}
 }
 
 // evict drops the oldest entry, releasing its histogram.
 func (w *deviceWindow) evict() {
-	w.span -= w.ring[w.head].obs.Interval
+	w.span -= w.ring[w.head].interval
 	w.ring[w.head] = windowEntry{}
 	w.head = (w.head + 1) % len(w.ring)
 	w.n--
@@ -79,18 +95,18 @@ func (w *deviceWindow) metrics(procs int) (core.OnlineMetrics, bool) {
 	)
 	for i := 0; i < w.n; i++ {
 		e := w.at(i)
-		requests += e.obs.Requests
-		dataReads += e.obs.DataReads
-		idxH += e.obs.IndexHits
-		idxM += e.obs.IndexMisses
-		metH += e.obs.MetaHits
-		metM += e.obs.MetaMisses
-		datH += e.obs.DataHits
-		datM += e.obs.DataMisses
-		diskBusy += e.obs.DiskBusy
-		diskOps += e.obs.DiskOps
-		writes += e.obs.Writes
-		writeChunks += e.obs.WriteChunks
+		requests += e.requests
+		dataReads += e.dataReads
+		idxH += e.idxH
+		idxM += e.idxM
+		metH += e.metH
+		metM += e.metM
+		datH += e.datH
+		datM += e.datM
+		diskBusy += e.diskBusy
+		diskOps += e.diskOps
+		writes += e.writes
+		writeChunks += e.writeChunks
 	}
 	if requests == 0 {
 		return core.OnlineMetrics{}, false
@@ -124,7 +140,7 @@ func setWriteMetrics(m *core.OnlineMetrics, writes, chunks uint64, span float64)
 // Metrics derives the operating point of this single observation — the
 // per-window feed of the online calibration controller, which judges each
 // reported interval on its own rather than through the sliding window.
-func (o Observation) Metrics(procs int) core.OnlineMetrics {
+func (o *Observation) Metrics(procs int) core.OnlineMetrics {
 	m := core.OnlineMetrics{
 		Rate:      float64(o.Requests) / o.Interval,
 		MissIndex: MissRatio(o.IndexMisses, o.IndexHits),

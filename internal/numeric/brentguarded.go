@@ -1,9 +1,14 @@
 package numeric
 
 import (
+	"errors"
 	"fmt"
 	"math"
 )
+
+// ErrNoBracket is returned when a root finder is given an interval whose
+// endpoints do not bracket a sign change.
+var ErrNoBracket = errors.New("numeric: endpoints do not bracket a root")
 
 // NonMonotoneError reports that a probe during guarded bracketed root
 // finding escaped the envelope of the current bracket values by more than

@@ -35,16 +35,3 @@ func adaptiveSimpson(f func(float64) float64, a, b, fa, fm, fb, whole, tol float
 	return adaptiveSimpson(f, a, m, fa, flm, fm, left, tol/2, depth-1) +
 		adaptiveSimpson(f, m, b, fm, frm, fb, right, tol/2, depth-1)
 }
-
-// Trapezoid integrates pre-tabulated samples ys at abscissae xs.
-// The slices must have equal length >= 2 and xs must be increasing.
-func Trapezoid(xs, ys []float64) float64 {
-	if len(xs) != len(ys) || len(xs) < 2 {
-		return math.NaN()
-	}
-	total := 0.0
-	for i := 1; i < len(xs); i++ {
-		total += (xs[i] - xs[i-1]) * (ys[i] + ys[i-1]) / 2
-	}
-	return total
-}

@@ -424,7 +424,8 @@ func (e *Engine) feedCalibration(batch []Observation) {
 	if e.calibrator == nil {
 		return
 	}
-	for _, o := range batch {
+	for i := range batch {
+		o := &batch[i]
 		ws := calib.WindowStats{
 			Device:   o.Device,
 			Interval: o.Interval,

@@ -360,8 +360,8 @@ func (s *Server) ingestNDJSON(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) observeLatencies(batch []Observation) {
-	for _, o := range batch {
-		for _, l := range o.Latencies {
+	for i := range batch {
+		for _, l := range batch[i].Latencies {
 			s.latAll.Observe(l)
 		}
 	}

@@ -110,17 +110,18 @@ func (t *stateTable) checkClassBound(batch []Observation) error {
 	t.classMu.Lock()
 	defer t.classMu.Unlock()
 	n := len(t.classes)
-	for _, o := range batch {
-		if o.Class == "" || t.classes[o.Class] != nil || fresh[o.Class] {
+	for i := range batch {
+		c := batch[i].Class
+		if c == "" || t.classes[c] != nil || fresh[c] {
 			continue
 		}
 		if fresh == nil {
 			fresh = make(map[string]bool)
 		}
-		fresh[o.Class] = true
+		fresh[c] = true
 		if n++; n > maxTenantClasses {
 			return fmt.Errorf("%w: tenant class %q would exceed the %d-class limit",
-				ErrBadQuery, o.Class, maxTenantClasses)
+				ErrBadQuery, c, maxTenantClasses)
 		}
 	}
 	return nil
@@ -128,12 +129,12 @@ func (t *stateTable) checkClassBound(batch []Observation) error {
 
 // ingestClasses routes the class-labelled observations of an already
 // accepted batch into their tenant partitions, creating partitions lazily.
-// Each class present takes one pass over the batch into a pooled scratch
-// slice; a batch carries a handful of classes, so the passes cost less than
-// a per-batch map. The batch passed aggregate validation, so the per-class
-// ingests cannot reject; a partition-construction failure would be a config
-// bug and is surfaced through the aggregate path's validation at engine
-// start.
+// Each class present takes one pass over the batch, absorbing its
+// observations in place; a batch carries a handful of classes, so the
+// passes cost less than a per-batch map. The batch passed aggregate
+// validation, so the partitions absorb it without validating again; a
+// partition-construction failure would be a config bug and is surfaced
+// through the aggregate path's validation at engine start.
 func (t *stateTable) ingestClasses(batch []Observation) {
 	var seen [4]string
 	classes := seen[:0]
@@ -145,21 +146,13 @@ func (t *stateTable) ingestClasses(batch []Observation) {
 	if len(classes) == 0 {
 		return
 	}
-	sub := ingest.GetBatch()
-	defer ingest.PutBatch(sub)
 	now := t.cfg.now()
 	for _, class := range classes {
 		tab, err := t.classTable(class)
 		if err != nil {
 			continue // bounded above; unreachable after checkClassBound
 		}
-		*sub = (*sub)[:0]
-		for i := range batch {
-			if batch[i].Class == class {
-				*sub = append(*sub, batch[i])
-			}
-		}
-		tab.Ingest(*sub, now) //nolint:errcheck // validated by the aggregate ingest
+		tab.AbsorbClass(batch, class, now)
 	}
 }
 
