@@ -83,10 +83,11 @@ capacity-smoke:
 # decoder), the /predict and shard partial append encoders' byte-for-byte
 # equivalence against encoding/json, the histogram invariants, the k-of-n
 # order-statistic combinator, the guarded root finder, the admission
-# ladder and the router's partial-CDF merge: enough to catch regressions
-# in the strict decoder, the quantile/bucket arithmetic, the coded-read
-# CDF bounds, the bracketed search invariants, the anchored ladder's
-# bit-identity with the climb from its floor rung, and the cluster merge
+# ladder, the k-of-n probe planner and the router's partial-CDF merge:
+# enough to catch regressions in the strict decoder, the quantile/bucket
+# arithmetic, the coded-read CDF bounds, the bracketed search invariants,
+# the anchored ladder's bit-identity with the climb from its floor rung,
+# the planner's delay bound and replay order, and the cluster merge
 # invariants (outputs in [0,1], monotone, single-shard passthrough)
 # without turning check into a soak.
 fuzz-smoke:
@@ -100,6 +101,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzOrderStatisticCDF$$' -fuzztime=10s ./internal/coscode
 	$(GO) test -run '^$$' -fuzz '^FuzzBrentGuarded$$' -fuzztime=10s ./internal/numeric
 	$(GO) test -run '^$$' -fuzz '^FuzzMaxRateWhereValue$$' -fuzztime=10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzPlanProbes$$' -fuzztime=10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzPartialMerge$$' -fuzztime=10s ./internal/cluster
 
 # A short open-loop cosload run against an in-process cosserve: the whole

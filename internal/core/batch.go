@@ -3,20 +3,23 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/cmplx"
 	"sync"
 
 	"cosmodel/internal/numeric"
 )
 
 // batchArena is the reusable scratch of one batched mixture evaluation:
-// the concatenated per-threshold quadrature nodes and weights, the shared
-// frontend factor per node, the node offsets per threshold and the raw
-// per-(group, mode, threshold) sums. Pooling it drives the steady-state
-// allocation count of a batched evaluation to the output slices alone.
+// the concatenated per-base quadrature nodes and weights, the shared
+// frontend factor per node, the node offsets per base, the cell offsets
+// per base, the delay factors of the delayed cells with each cell's offset
+// into them, and the raw per-(group, mode, cell) sums. Pooling it drives
+// the steady-state allocation count of a batched evaluation to the output
+// slices alone.
 type batchArena struct {
-	nodes, ws, fe, pv []complex128
-	offs              []int
-	sums              []float64
+	nodes, ws, fe, pv, ef []complex128
+	offs, cellOffs, eoffs []int
+	sums                  []float64
 }
 
 var batchArenaPool = sync.Pool{New: func() any { return new(batchArena) }}
@@ -34,20 +37,54 @@ func floats(buf []float64, n int) []float64 {
 	return buf
 }
 
+// probeCell is one answer of a batched evaluation: the mixture CDF at
+// bases[base] − delay, read from the quadrature of bases[base] by
+// inverting the delayed transform e^{−s·delay}·Ĝ(s)/s there. A zero delay
+// is the plain inversion at the base.
+type probeCell struct {
+	base  int
+	delay float64
+}
+
+// plainCells holds the zero-delay cells of the first 64 bases, shared
+// read-only by every batch whose bases each answer only themselves.
+var plainCells = newZeroDelay(64)
+
+// zeroDelay returns the cells of n bases that each answer only themselves:
+// cell j is base j's, with zero delay.
+func zeroDelay(n int) []probeCell {
+	if n <= len(plainCells) {
+		return plainCells[:n]
+	}
+	return newZeroDelay(n)
+}
+
+func newZeroDelay(n int) []probeCell {
+	cs := make([]probeCell, n)
+	for j := range cs {
+		cs[j].base = j
+	}
+	return cs
+}
+
 // mixtureCDFBatch is the evaluation engine: it computes the rate-weighted
-// mixture CDF for every mode in modes at every threshold in ts, writing
-// out[m][j] for (modes[m], ts[j]). The whole request is one traversal of
-// the mixture: nodes for all thresholds are appended once, the frontend
-// factor and each distinct backend-parse factor are computed once per
-// node, and each group's per-node device factors are evaluated once and
-// accumulated into every (mode, threshold) cell. Every cell is validated
-// (walking the fallback chain on an invalid value) and reduced in group
-// order, so a threshold's answer does not depend on the other thresholds
-// in the batch, and a single threshold reproduces the per-threshold
-// inversion bit for bit. A non-nil perGroup
-// (one entry per group) receives group i's validated CDF at (modes[0],
-// ts[0]): the per-device breakdown Diagnose ranks.
-func (s *SystemModel) mixtureCDFBatch(ctx context.Context, modes []evalMode, ts []float64, out [][]float64, perGroup []float64) error {
+// mixture CDF for every mode in modes at every cell in cells, writing
+// out[m][c] for (modes[m], cells[c]). cells is grouped by base in base
+// order, and every base has at least one cell. The whole request is one
+// traversal of the mixture: nodes for all bases are appended once, the
+// frontend factor, each distinct backend-parse factor and each delayed
+// cell's factor e^{−s·d} are computed once per node, and each group's
+// per-node device factors are evaluated once and accumulated into every
+// (mode, cell) of the node's base. A zero-delay cell adds the plain
+// quadrature term and a delayed cell the delayed one, each a single
+// complex multiply-add. Every cell is validated (walking the fallback
+// chain on an invalid value at its own abscissa, without delay) and
+// reduced in group order, so a cell's answer depends only on its base and
+// delay, never on the other cells in the batch, and a single base with a
+// zero-delay cell reproduces the per-threshold inversion bit for bit. A
+// non-nil perGroup (one entry per group) receives group i's validated CDF
+// at (modes[0], cells[0]): the per-device breakdown Diagnose ranks.
+func (s *SystemModel) mixtureCDFBatch(ctx context.Context, modes []evalMode, bases []float64, cells []probeCell, out [][]float64, perGroup []float64) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -67,21 +104,39 @@ func (s *SystemModel) mixtureCDFBatch(ctx context.Context, modes []evalMode, ts 
 	}
 	a := batchArenaPool.Get().(*batchArena)
 	defer batchArenaPool.Put(a)
-	nt, nm := len(ts), len(modes)
-	stride := nm * nt
+	nc, nm := len(cells), len(modes)
+	stride := nm * nc
 	sums := floats(a.sums, len(s.groups)*stride)
 	a.sums = sums
 
 	inv := s.opts.inverter()
 	nodes, ws := a.nodes[:0], a.ws[:0]
 	offs := a.offs[:0]
-	for _, t := range ts {
+	for _, b := range bases {
 		offs = append(offs, len(nodes))
-		if t > 0 {
-			nodes, ws = inv.AppendNodes(nodes, ws, t)
+		if b > 0 {
+			nodes, ws = inv.AppendNodes(nodes, ws, b)
 		}
 	}
 	offs = append(offs, len(nodes))
+	// cellOffs[j] is base j's first cell; eoffs[c] is delayed cell c's
+	// first factor in ef, one per node of its base.
+	cellOffs, eoffs, ef := a.cellOffs[:0], a.eoffs[:0], a.ef[:0]
+	for c, cell := range cells {
+		for len(cellOffs) <= cell.base {
+			cellOffs = append(cellOffs, c)
+		}
+		eoffs = append(eoffs, len(ef))
+		if cell.delay != 0 {
+			d := complex(cell.delay, 0)
+			for _, sk := range nodes[offs[cell.base]:offs[cell.base+1]] {
+				ef = append(ef, cmplx.Exp(-sk*d))
+			}
+		}
+	}
+	for len(cellOffs) <= len(bases) {
+		cellOffs = append(cellOffs, nc)
+	}
 	fe := a.fe[:0]
 	if needFE {
 		sq := s.frontend.Sojourn().F
@@ -109,10 +164,12 @@ func (s *SystemModel) mixtureCDFBatch(ctx context.Context, modes []evalMode, ts 
 		return err
 	}
 	a.nodes, a.ws, a.fe, a.pv, a.offs = nodes, ws, fe, pv, offs
-	// One pass over the mixture: each group walks all thresholds' nodes,
+	a.cellOffs, a.eoffs, a.ef = cellOffs, eoffs, ef
+	// One pass over the mixture: each group walks all bases' nodes,
 	// evaluating the device factors once per node and folding them into
-	// every requested mode. Groups write disjoint sum ranges, so the
-	// fan-out is race-free and the reduction below is deterministic.
+	// every requested mode and every cell of the node's base. Groups write
+	// disjoint sum ranges, so the fan-out is race-free and the reduction
+	// below is deterministic.
 	run := func(i int) error {
 		gs := sums[i*stride : (i+1)*stride]
 		dev := s.groups[i].dev
@@ -121,7 +178,8 @@ func (s *SystemModel) mixtureCDFBatch(ctx context.Context, modes []evalMode, ts 
 		// factors are never evaluated and its write cells stay 0 (the
 		// reduction skips them by zero weight).
 		devWrite := needWrite && s.groups[i].writeWeight > 0
-		for j := range ts {
+		for j := range bases {
+			first, last := cellOffs[j], cellOffs[j+1]
 			for k := offs[j]; k < offs[j+1]; k++ {
 				var wa, sbe, wwa, swr complex128
 				if needRead {
@@ -140,10 +198,19 @@ func (s *SystemModel) mixtureCDFBatch(ctx context.Context, modes []evalMode, ts 
 					} else {
 						v = nodeValue(mode.shape, fe, k, wa, sbe)
 					}
-					// The same arithmetic as groupEvaluator, term for
-					// term, so a cell's sum is bit-identical to the
-					// per-threshold form the fallback chain uses.
-					gs[m*nt+j] += real(ws[k] * (v / nodes[k]))
+					// A zero-delay cell takes the same arithmetic as
+					// groupEvaluator, term for term, so its sum is
+					// bit-identical to the per-threshold form the
+					// fallback chain uses.
+					q := v / nodes[k]
+					row := gs[m*nc:]
+					for c := first; c < last; c++ {
+						if cells[c].delay == 0 {
+							row[c] += real(ws[k] * q)
+						} else {
+							row[c] += real(ws[k] * (ef[eoffs[c]+k-offs[j]] * q))
+						}
+					}
 				}
 			}
 		}
@@ -152,7 +219,7 @@ func (s *SystemModel) mixtureCDFBatch(ctx context.Context, modes []evalMode, ts 
 	if err := pool.ForEachContext(ctx, len(s.groups), run); err != nil {
 		return err
 	}
-	// Validate and reduce in (mode, threshold, group) order: the guarded
+	// Validate and reduce in (mode, cell, group) order: the guarded
 	// per-group validation, the group-order weighted sum and the final
 	// clamp.
 	for m, mode := range modes {
@@ -160,11 +227,13 @@ func (s *SystemModel) mixtureCDFBatch(ctx context.Context, modes []evalMode, ts 
 		if mode.write {
 			denom = s.totalWriteRate
 		}
-		for j, t := range ts {
-			if t <= 0 {
-				out[m][j] = 0
+		for c, cell := range cells {
+			b := bases[cell.base]
+			if b <= 0 {
+				out[m][c] = 0
 				continue
 			}
+			at := b - cell.delay
 			total := 0.0
 			for i := range s.groups {
 				weight := s.groups[i].weight
@@ -173,16 +242,16 @@ func (s *SystemModel) mixtureCDFBatch(ctx context.Context, modes []evalMode, ts 
 						continue
 					}
 				}
-				v, err := s.groupCDF(sums[i*stride+m*nt+j], i, t, mode)
+				v, err := s.groupCDF(sums[i*stride+m*nc+c], i, at, mode)
 				if err != nil {
 					return err
 				}
-				if perGroup != nil && m == 0 && j == 0 {
+				if perGroup != nil && m == 0 && c == 0 {
 					perGroup[i] = v
 				}
 				total += weight * v
 			}
-			out[m][j] = numeric.Clamp01(total / denom)
+			out[m][c] = numeric.Clamp01(total / denom)
 		}
 	}
 	return nil

@@ -284,7 +284,7 @@ func TestParseSharedBatchMatchesPerDevice(t *testing.T) {
 		for m := range out {
 			out[m] = make([]float64, len(ts))
 		}
-		if err := sys.mixtureCDFBatch(context.Background(), modes, ts, out, nil); err != nil {
+		if err := sys.mixtureCDFBatch(context.Background(), modes, ts, zeroDelay(len(ts)), out, nil); err != nil {
 			t.Fatal(err)
 		}
 		for m, mode := range modes {

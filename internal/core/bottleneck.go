@@ -42,7 +42,7 @@ func (s *SystemModel) Diagnose(sla float64) ([]DeviceDiagnosis, error) {
 	defer cancel()
 	perGroup := make([]float64, len(s.groups))
 	row := []float64{0}
-	if err := s.mixtureCDFBatch(ctx, []evalMode{{shape: shapeFull}}, []float64{sla}, [][]float64{row}, perGroup); err != nil {
+	if err := s.mixtureCDFBatch(ctx, []evalMode{{shape: shapeFull}}, []float64{sla}, zeroDelay(1), [][]float64{row}, perGroup); err != nil {
 		return nil, err
 	}
 	group := make(map[*DeviceModel]float64, len(s.groups))

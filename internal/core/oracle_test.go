@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/cmplx"
 	"testing"
 
 	"cosmodel/internal/coscode"
@@ -86,12 +87,67 @@ func (s *SystemModel) mixtureCDF(ctx context.Context, t float64, mode evalMode) 
 	return numeric.Clamp01(total / denom), nil
 }
 
+// groupTransform is group i's CDF transform for mode, Ĝ_i(s)/s, from the
+// same per-node factors the engine composes.
+func (s *SystemModel) groupTransform(i int, mode evalMode) numeric.TransformFunc {
+	dev := s.groups[i].dev
+	sq := s.frontend.Sojourn().F
+	return func(sk complex128) complex128 {
+		pr := dev.parse.F(sk)
+		var wa, resp complex128
+		if mode.write {
+			wa, resp = dev.writeNode(sk, pr)
+		} else {
+			wa, resp = dev.responseNode(sk, pr)
+		}
+		return nodeValue(mode.shape, []complex128{sq(sk)}, 0, wa, resp) / sk
+	}
+}
+
+// delayedGroupCDF is group i's raw CDF at b−d read from the quadrature of
+// b: the delayed transform e^{−s·d}·Ĝ_i(s)/s inverted at b with inv.
+func (s *SystemModel) delayedGroupCDF(inv numeric.Inverter, i int, b, d float64, mode evalMode) float64 {
+	g := s.groupTransform(i, mode)
+	return numeric.Invert(inv, func(sk complex128) complex128 {
+		return cmplx.Exp(-sk*complex(d, 0)) * g(sk)
+	}, b)
+}
+
+// cellCDF is the scalar reference of one batch cell: the plain mixture at
+// b for a zero delay, otherwise each group's delayed inversion at b,
+// validated at its own abscissa b−d and reduced in group order.
+func (s *SystemModel) cellCDF(b, d float64, mode evalMode) (float64, error) {
+	if d == 0 {
+		return s.mixtureCDF(context.Background(), b, mode)
+	}
+	denom := s.totalRate
+	if mode.write {
+		denom = s.totalWriteRate
+	}
+	total := 0.0
+	for i := range s.groups {
+		weight := s.groups[i].weight
+		if mode.write {
+			if weight = s.groups[i].writeWeight; weight == 0 {
+				continue
+			}
+		}
+		v, err := s.groupCDF(s.delayedGroupCDF(s.opts.inverter(), i, b, d, mode), i, b-d, mode)
+		if err != nil {
+			return 0, err
+		}
+		total += weight * v
+	}
+	return numeric.Clamp01(total / denom), nil
+}
+
 // oracleCDF is the scalar reference for a whole query: the direct mixture
-// for one copy, otherwise the order statistic over scalar mixture probes,
-// convolved with the frontend grid unless the query observes the backend
-// tier.
+// for one copy, otherwise the order statistic convolved with the frontend
+// grid (a single point at 0 for the backend tier). Its probes are
+// recorded with their families (0 for the first probe of a coscode.CDF
+// call, 1 for a hedged reserve's), laid out by planProbes, and each is
+// answered by cellCDF at the base and delay the plan gives it.
 func (s *SystemModel) oracleCDF(q Query, t float64) (float64, error) {
-	ctx := context.Background()
 	if err := q.Validate(); err != nil {
 		return 0, err
 	}
@@ -99,23 +155,45 @@ func (s *SystemModel) oracleCDF(q Query, t float64) (float64, error) {
 	if t <= 0 {
 		return 0, nil
 	}
-	base := func(x float64) (float64, error) { return s.mixtureCDF(ctx, x, q.mode()) }
 	if spec.N == 1 {
-		return base(t)
+		return s.mixtureCDF(context.Background(), t, q.mode())
 	}
-	if q.Tier == TierBackend {
-		return coscode.CDF(spec, base, t)
+	pts, masses := []float64{0}, []float64{1}
+	if q.Tier != TierBackend {
+		var err error
+		if pts, masses, err = s.frontendGrid(); err != nil {
+			return 0, err
+		}
 	}
-	pts, masses, err := s.frontendGrid()
-	if err != nil {
-		return 0, err
+	var probes []kOfNProbe
+	calls := 0
+	record := func(x float64) (float64, error) {
+		probes = append(probes, kOfNProbe{at: x, fam: calls})
+		calls++
+		return 0, nil
+	}
+	for i, x := range pts {
+		if masses[i] == 0 || t-x <= 0 {
+			continue
+		}
+		calls = 0
+		if _, err := coscode.CDF(spec, record, t-x); err != nil {
+			return 0, err
+		}
+	}
+	plan := planProbes(probes, delayRatioOf(s.opts.inverter()))
+	next := 0
+	replay := func(float64) (float64, error) {
+		c := plan.cells[plan.of[next]]
+		next++
+		return s.cellCDF(plan.bases[c.base], c.delay, q.mode())
 	}
 	total := 0.0
 	for i, x := range pts {
 		if masses[i] == 0 || t-x <= 0 {
 			continue
 		}
-		h, err := coscode.CDF(spec, base, t-x)
+		h, err := coscode.CDF(spec, replay, t-x)
 		if err != nil {
 			return 0, err
 		}

@@ -273,10 +273,11 @@ type EvalEvent struct {
 	// Nodes is the quadrature node count of the configured inverter at
 	// one threshold.
 	Nodes int
-	// Probes counts the mixture thresholds the span evaluated: the grid
-	// size of a plain evaluation, every order-statistic probe of a k-of-n
-	// one, every probe of a quantile search, and the rate probes of an
-	// admission search.
+	// Probes counts the mixture quadratures the span evaluated: the grid
+	// size of a plain evaluation, the quadrature bases of a k-of-n one
+	// (order-statistic probes read as delayed cells of a nearby base are
+	// not counted again), the quadratures of every probe of a quantile
+	// search, and the rate probes of an admission search.
 	Probes int
 	// Duration is the span's wall time.
 	Duration time.Duration

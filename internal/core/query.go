@@ -177,7 +177,7 @@ func (s *SystemModel) Eval(ctx context.Context, ts []float64, qs ...Query) (out 
 }
 
 // eval is Eval without validation or span bookkeeping. It returns the
-// number of mixture thresholds evaluated.
+// number of mixture quadratures evaluated.
 func (s *SystemModel) eval(ctx context.Context, ts []float64, qs []Query, out [][]float64) (int, error) {
 	var modes []evalMode
 	var rows [][]float64
@@ -190,7 +190,7 @@ func (s *SystemModel) eval(ctx context.Context, ts []float64, qs []Query, out []
 	probes := 0
 	if len(modes) > 0 {
 		probes = len(ts) * len(modes)
-		if err := s.mixtureCDFBatch(ctx, modes, ts, rows, nil); err != nil {
+		if err := s.mixtureCDFBatch(ctx, modes, ts, zeroDelay(len(ts)), rows, nil); err != nil {
 			return 0, err
 		}
 	}
@@ -212,10 +212,10 @@ func (s *SystemModel) eval(ctx context.Context, ts []float64, qs []Query, out []
 // delayed by Spec.HedgeDelay), convolved with the shared frontend sojourn
 // over frontendGrid unless the query observes the backend tier. The probe
 // sequence of coscode.CDF depends only on the spec and its threshold,
-// never on probed values, so a recording pass enumerates every mixture
-// threshold, one mixtureCDFBatch answers them all, and a replay pass
-// assembles each order statistic from the recorded answers. It returns the
-// number of mixture thresholds evaluated.
+// never on probed values, so a recording pass enumerates every per-copy
+// probe, planProbes lays them onto quadrature bases, one mixtureCDFBatch
+// answers them all, and a replay pass assembles each order statistic from
+// the answers. It returns the number of quadratures evaluated: the bases.
 func (s *SystemModel) orderStatistic(ctx context.Context, q Query, ts []float64, out []float64) (int, error) {
 	spec := q.spec()
 	pts, masses := []float64{0}, []float64{1}
@@ -225,45 +225,143 @@ func (s *SystemModel) orderStatistic(ctx context.Context, q Query, ts []float64,
 			return 0, err
 		}
 	}
-	// pass runs the order statistic over every (threshold, grid point)
-	// with base answering the per-copy probes.
-	pass := func(base func(float64) (float64, error)) error {
-		for j, t := range ts {
-			if t <= 0 {
-				continue
-			}
-			total := 0.0
-			for i, x := range pts {
-				if masses[i] == 0 || t-x <= 0 {
-					continue
-				}
-				h, err := coscode.CDF(spec, base, t-x)
-				if err != nil {
-					return err
-				}
-				total += masses[i] * h
-			}
-			out[j] = numeric.Clamp01(total)
-		}
-		return nil
-	}
-	var xs []float64
-	if err := pass(func(x float64) (float64, error) {
-		xs = append(xs, x)
+	var probes []kOfNProbe
+	if err := kOfNPass(spec, ts, pts, masses, out, func(x float64, fam int) (float64, error) {
+		probes = append(probes, kOfNProbe{at: x, fam: fam})
 		return 0, nil
 	}); err != nil {
 		return 0, err
 	}
-	vals := make([]float64, len(xs))
-	if err := s.mixtureCDFBatch(ctx, []evalMode{q.mode()}, xs, [][]float64{vals}, nil); err != nil {
+	plan := planProbes(probes, delayRatioOf(s.opts.inverter()))
+	vals := make([]float64, len(plan.cells))
+	if err := s.mixtureCDFBatch(ctx, []evalMode{q.mode()}, plan.bases, plan.cells, [][]float64{vals}, nil); err != nil {
 		return 0, err
 	}
 	next := 0
-	return len(xs), pass(func(float64) (float64, error) {
-		v := vals[next]
+	return len(plan.bases), kOfNPass(spec, ts, pts, masses, out, func(float64, int) (float64, error) {
+		v := vals[plan.of[next]]
 		next++
 		return v, nil
 	})
+}
+
+// kOfNPass runs spec's order statistic over every (threshold, grid point)
+// into out, with base answering the per-copy probes. base also receives
+// the probe's family: 2j for the probes of threshold ts[j] that
+// coscode.CDF makes first (the primaries'), 2j+1 for the second ones (a
+// hedged reserve's, at t−x−Δ).
+func kOfNPass(spec coscode.Spec, ts, pts, masses, out []float64, base func(x float64, fam int) (float64, error)) error {
+	fam := 0
+	probe := func(x float64) (float64, error) {
+		f := fam
+		fam |= 1
+		return base(x, f)
+	}
+	for j, t := range ts {
+		if t <= 0 {
+			continue
+		}
+		total := 0.0
+		for i, x := range pts {
+			if masses[i] == 0 || t-x <= 0 {
+				continue
+			}
+			fam = 2 * j
+			h, err := coscode.CDF(spec, probe, t-x)
+			if err != nil {
+				return err
+			}
+			total += masses[i] * h
+		}
+		out[j] = numeric.Clamp01(total)
+	}
+	return nil
+}
+
+// kOfNProbe is one per-copy CDF probe of an order statistic: the abscissa
+// it asks at and its family (see kOfNPass).
+type kOfNProbe struct {
+	at  float64
+	fam int
+}
+
+// delayRatio is R: a probe at y is answered from the quadrature of a base
+// b of its family only when the delay d = b − y satisfies 0 ≤ d ≤ b/R.
+// Within that bound the delayed Euler inversion's error stays within twice
+// the direct inversion's (or 1e-9) from just past the frontend grid up to
+// 0.5 s on twenty random mixtures (TestDelayedCellAccuracy); at R = 64 it
+// reached 12× on three of them, near the direct inversion's error zeros.
+const delayRatio = 164
+
+// delayRatioOf is the R the planner uses under inv: delayRatio for Euler,
+// +Inf (no delay) for any other rule. Euler's nodes all have Re(s) =
+// A/(2b) > 0, so the delay factor |e^{−s·d}| < 1 damps the quadrature's
+// roundoff. Talbot's contour reaches Re(s) ≈ −2M²/(5b), where the factor
+// grows to e^{2M²/(5R)} and amplifies it (M = 48 broke the bound 18×), and
+// Gaver–Stehfest's ~1e-6 error crosses zero, so a delay of b/R breaks the
+// bound near its zeros (R had to reach ~1000 for it).
+func delayRatioOf(inv numeric.Inverter) float64 {
+	if e, ok := inv.(*numeric.Euler); ok && e.A > 0 {
+		return delayRatio
+	}
+	return math.Inf(1)
+}
+
+// probePlan lays probes onto quadratures: bases are the abscissae whose
+// quadratures are evaluated, cells the answers read from them (grouped by
+// base, in base order, as mixtureCDFBatch takes them), and of[p] is the
+// cell answering probe p.
+type probePlan struct {
+	bases []float64
+	cells []probeCell
+	of    []int
+}
+
+// planProbes assigns each probe, in order, to the first base of its
+// family with 0 ≤ d ≤ b/ratio, and otherwise makes the probe a base of its
+// own, answered with zero delay. Families never share bases: a hedged
+// reserve's probes sit Δ below the primaries' and form bases of their own.
+// The probes come in kOfNPass's order, each threshold's together, so only
+// the current threshold's bases are searched.
+func planProbes(probes []kOfNProbe, ratio float64) probePlan {
+	var p probePlan
+	assigned := make([]probeCell, len(probes))
+	var fams []int // family of each base
+	start := 0     // first base of the current threshold
+	for i, pr := range probes {
+		if i > 0 && pr.fam/2 != probes[i-1].fam/2 {
+			start = len(p.bases)
+		}
+		assigned[i].base = -1
+		for b := start; b < len(p.bases); b++ {
+			if d := p.bases[b] - pr.at; fams[b] == pr.fam && d >= 0 && d <= p.bases[b]/ratio {
+				assigned[i] = probeCell{base: b, delay: d}
+				break
+			}
+		}
+		if assigned[i].base < 0 {
+			assigned[i].base = len(p.bases)
+			p.bases = append(p.bases, pr.at)
+			fams = append(fams, pr.fam)
+		}
+	}
+	// Counting sort of the cells by base: next[b] is base b's next free
+	// cell.
+	next := make([]int, len(p.bases)+1)
+	for _, c := range assigned {
+		next[c.base+1]++
+	}
+	for b := range p.bases {
+		next[b+1] += next[b]
+	}
+	p.cells = make([]probeCell, len(probes))
+	p.of = make([]int, len(probes))
+	for i, c := range assigned {
+		p.of[i] = next[c.base]
+		p.cells[next[c.base]] = c
+		next[c.base]++
+	}
+	return p
 }
 
 // frontendGridPoints is the resolution of the discretized frontend

@@ -355,54 +355,6 @@ func evaluateStep(ctx context.Context, sc ScenarioConfig, props core.DevicePrope
 	return st, nil
 }
 
-// QuantileSweep returns the full model's p-quantile at every rate step of a
-// captured sweep; see QuantileSweepContext.
-func QuantileSweep(sc ScenarioConfig, data *SweepData, p float64, overlay ...core.Options) []float64 {
-	out, _ := QuantileSweepContext(context.Background(), sc, data, p, overlay...)
-	return out
-}
-
-// QuantileSweepContext evaluates the full model's p-quantile over every
-// measurement window, sequentially in rate order, warm-starting each step's
-// bracketed root search from the previous step's quantile
-// (the seed of core.SystemModel.Quantile): adjacent operating points have
-// nearby quantiles, so each step refines an inherited bracket in a few
-// probes instead of growing a fresh one from the mean. Steps whose model
-// cannot be built or whose search fails record NaN, mirroring how
-// EvaluateSweep skips them; a context error aborts the sweep, returning the
-// partially filled result alongside it.
-func QuantileSweepContext(ctx context.Context, sc ScenarioConfig, data *SweepData, p float64, overlay ...core.Options) ([]float64, error) {
-	var base core.Options
-	if len(overlay) > 0 {
-		base = overlay[0]
-	}
-	ctx, cancel := base.EvalContext(ctx)
-	defer cancel()
-	out := nanSlice(len(data.Windows))
-	seed := 0.0
-	for i, win := range data.Windows {
-		if err := ctx.Err(); err != nil {
-			return out, err
-		}
-		sys, err := BuildSystemModel(sc.Sim, data.Props, win, overlayOptions(core.Options{}, base))
-		if err != nil {
-			continue // overloaded or empty window: no quantile, like a skipped step
-		}
-		q, err := sys.Quantile(ctx, core.Query{}, p, seed)
-		if err != nil {
-			if ctx.Err() != nil {
-				return out, ctx.Err()
-			}
-			continue
-		}
-		out[i] = q
-		if q > 0 && !math.IsInf(q, 1) {
-			seed = q
-		}
-	}
-	return out, nil
-}
-
 // BuildSystemModel glues a measurement window to the analytic model: each
 // device's online metrics come straight from the window, and the frontend
 // model uses the tier-wide totals. Windows carrying PUT replica traffic

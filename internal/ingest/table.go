@@ -152,6 +152,14 @@ func (t *Table) Ingest(batch []Observation, now time.Time) error {
 	return nil
 }
 
+// Absorb absorbs, stamped at now, a non-empty batch whose every
+// observation has already passed Validate with the table's device count:
+// a chunk DecodeNDJSON emits, which it validates line by line. It does not
+// validate again.
+func (t *Table) Absorb(batch []Observation, now time.Time) {
+	t.absorb(batch, "", true, now)
+}
+
 // AbsorbClass absorbs, stamped at now, the observations of batch labelled
 // class — a tenant partition's share of a batch that an Ingest of a table
 // with the same device count has already accepted. It does not validate

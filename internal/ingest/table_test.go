@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -144,6 +145,47 @@ func TestStripedEquivalence(t *testing.T) {
 		if !gt.Equal(wt) {
 			t.Errorf("stripes=%d: lastIngest %v != %v", stripes, gt, wt)
 		}
+	}
+}
+
+// TestAbsorbMatchesIngest pins the NDJSON path's single validation: a
+// table fed DecodeNDJSON's already validated chunks through Absorb ends in
+// the state of one fed the same batches through Ingest.
+func TestAbsorbMatchesIngest(t *testing.T) {
+	const devices = 7
+	batches := randomBatches(9, devices, 20, 8)
+	now := time.Unix(1700000000, 0)
+	viaIngest, err := NewTable(testTableConfig(devices, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaAbsorb, err := NewTable(testTableConfig(devices, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range batches {
+		ts := now.Add(time.Duration(i) * time.Second)
+		if err := viaIngest.Ingest(b, ts); err != nil {
+			t.Fatal(err)
+		}
+		var body bytes.Buffer
+		if err := EncodeNDJSON(&body, b); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeNDJSON(&body, devices, 0, func(chunk []Observation) error {
+			viaAbsorb.Absorb(chunk, ts)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := viaAbsorb.Snapshot(), viaIngest.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Errorf("snapshot after Absorb diverges from Ingest\n got %+v\nwant %+v", got, want)
+	}
+	gi, gr := viaAbsorb.Stats()
+	wi, wr := viaIngest.Stats()
+	if gi != wi || gr != wr {
+		t.Errorf("stats (%d,%d), want (%d,%d)", gi, gr, wi, wr)
 	}
 }
 

@@ -312,8 +312,26 @@ func (e *Engine) IngestQueued(batch []Observation) error {
 	if err := e.state.ingest(batch); err != nil {
 		return err
 	}
+	e.queueCalibration(batch)
+	return nil
+}
+
+// ingestDecoded is IngestQueued for a chunk ingest.DecodeNDJSON emits with
+// the engine's device count: the decoder has validated every line, so the
+// chunk is absorbed without a second validation.
+func (e *Engine) ingestDecoded(chunk []Observation) error {
+	if err := e.state.ingestDecoded(chunk); err != nil {
+		return err
+	}
+	e.queueCalibration(chunk)
+	return nil
+}
+
+// queueCalibration hands a copy of an accepted batch to the calibration
+// feeder, counting it as dropped when the ring is full.
+func (e *Engine) queueCalibration(batch []Observation) {
 	if e.calibrator == nil {
-		return nil // nothing downstream consumes the feed
+		return // nothing downstream consumes the feed
 	}
 	b := e.getCalibBatch()
 	b.obs, b.floats = ingest.AppendOwned(b.obs, b.floats, batch)
@@ -321,7 +339,6 @@ func (e *Engine) IngestQueued(batch []Observation) error {
 		e.putCalibBatch(b)
 		e.calibDropped.Add(uint64(len(batch)))
 	}
-	return nil
 }
 
 // calibBatch is one queued calibration feed: copies of an accepted batch's

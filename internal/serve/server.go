@@ -332,7 +332,7 @@ func (s *Server) ingestNDJSON(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	accepted, err := ingest.DecodeNDJSON(body, s.engine.Config().Devices, 0,
 		func(chunk []Observation) error {
-			if err := s.engine.IngestQueued(chunk); err != nil {
+			if err := s.engine.ingestDecoded(chunk); err != nil {
 				return err
 			}
 			s.observeLatencies(chunk)

@@ -102,6 +102,18 @@ func (t *stateTable) ingest(batch []Observation) error {
 	return nil
 }
 
+// ingestDecoded is ingest for a chunk DecodeNDJSON has validated line by
+// line against the engine's device count: the class bound and the absorb,
+// without a second validation.
+func (t *stateTable) ingestDecoded(chunk []Observation) error {
+	if err := t.checkClassBound(chunk); err != nil {
+		return err
+	}
+	t.table.Absorb(chunk, t.cfg.now())
+	t.ingestClasses(chunk)
+	return nil
+}
+
 // checkClassBound rejects a batch whose new class labels would grow the
 // tenant registry past maxTenantClasses. Checked before the aggregate ingest
 // so the all-or-nothing contract holds across both tables.
