@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race e2e bench bench-build deadcode capacity-smoke fuzz-smoke loadtest chaos chaos-cluster tidy
+.PHONY: check fmt vet build test race e2e ablations bench bench-build deadcode capacity-smoke fuzz-smoke loadtest chaos chaos-cluster tidy
 
-check: fmt vet build race e2e bench bench-build deadcode fuzz-smoke loadtest
+check: fmt vet build race e2e ablations bench bench-build deadcode fuzz-smoke loadtest
 
 # gofmt -l prints offending files; fail when it prints anything.
 fmt:
@@ -36,6 +36,18 @@ e2e:
 	$(GO) test -race -count=1 \
 		-run 'TestEndToEndAgainstSimulator|TestTwoTenantWriteEndToEnd' \
 		./internal/serve
+
+# The ablation study (WTA, disk queue, compounding, inversion), regenerated
+# in a temporary directory and compared byte for byte with the checked-in
+# results/ablations.txt, whose numbers EXPERIMENTS.md quotes. Deterministic
+# at any GOMAXPROCS; a few seconds.
+ablations:
+	@dir=$$(mktemp -d); \
+	$(GO) run ./cmd/cosbench -exp ablations -out $$dir > /dev/null && \
+	diff -u results/ablations.txt $$dir/ablations.txt; status=$$?; \
+	rm -rf $$dir; \
+	if [ $$status -ne 0 ]; then echo "ablations: results/ablations.txt does not match a fresh run"; exit 1; fi; \
+	echo "ablations: results/ablations.txt reproduced"
 
 # Every Go benchmark, one iteration each: a smoke test that they still run.
 # Capacity and per-layer performance are measured by the bench/ module

@@ -169,6 +169,30 @@ func TestCDFBatchSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestCodedEvalSteadyStateAllocs pins the k-of-n path's allocations: a
+// coded Eval of batchGrid's 9 thresholds records and replays its
+// order-statistic probes, and coscode.CDF/KOfN keep their per-call stripe
+// and DP row on the stack for N, K ≤ 8, so what remains is the probe plan
+// and the batch's own buffers, not one heap slice per probe.
+func TestCodedEvalSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector; alloc counts are not meaningful")
+	}
+	sys := buildHeteroSystem(t, 2, Options{Workers: 1})
+	ts := batchGrid()
+	ctx := context.Background()
+	q := codedQ(6, 4)
+	sys.Eval(ctx, ts, q) //nolint:errcheck // warms the arena pool
+	allocs := testing.AllocsPerRun(50, func() {
+		sys.Eval(ctx, ts, q) //nolint:errcheck // allocation count only
+	})
+	// 129 while every coscode.CDF call heap-allocated its stripe and
+	// KOfN its DP row.
+	if allocs > 33 {
+		t.Errorf("steady-state coded Eval allocates %v objects per run", allocs)
+	}
+}
+
 // TestQuantileSeededMatchesUnseeded pins the warm-start contract: a seed
 // near (or exactly at) the true quantile yields the same root as the
 // cold-started search.

@@ -214,10 +214,82 @@ func TestWTAModes(t *testing.T) {
 	if exact.WTA().Mean <= 0 {
 		t.Errorf("exact WTA mean = %v", exact.WTA().Mean)
 	}
-	// LST(0) = 1 for the grid transform.
+	// LST(0) = 1: the quadrature weights sum to 1 and Wbe(0) = 1.
 	if got := exact.WTA().F(0); math.Abs(real(got)-1) > 1e-9 {
 		t.Errorf("exact WTA LST(0) = %v", got)
 	}
+}
+
+// TestExactWTAMatchesIntegral is the exact WTA's accuracy property: over
+// seeded random devices with per-process ρ up to 0.95 and Nbe ∈ {1, 16},
+// the inverted CDF of the Gauss–Legendre transform is within 1e-4 of the
+// paper's integral evaluated independently in the CDF domain,
+// P(Wa ≤ x) = 1 − ∫₀¹ P(Wbe > x/u) du, with P(Wbe > y) from a
+// high-accuracy Euler inversion and the u-integral by adaptive Simpson;
+// and E[Wa] = E[Wbe]/2.
+func TestExactWTAMatchesIntegral(t *testing.T) {
+	ref := numeric.NewEulerN(18.4, 120, 40)
+	rhos := []float64{0.95, 0.9, 0.8, 0.6, 0.4}
+	if testing.Short() || raceEnabled {
+		rhos = []float64{0.95, 0.6}
+	}
+	rng := rand.New(rand.NewSource(33))
+	for _, procs := range []int{1, 16} {
+		for _, rho := range rhos {
+			m := testMetrics()
+			m.Procs = procs
+			m.MissIndex = 0.2 + 0.6*rng.Float64()
+			m.MissMeta = 0.2 + 0.6*rng.Float64()
+			m.MissData = 0.2 + 0.6*rng.Float64()
+			d := deviceAtUtilization(t, testProps(), m, Options{WTA: WTAExact}, rho)
+			wbe, wa := d.Waiting(), d.WTA()
+			if got, want := wa.Mean, wbe.Mean/2; math.Abs(got-want) > 1e-12*want {
+				t.Errorf("Nbe=%d ρ=%.2f: E[Wa] = %v, want E[Wbe]/2 = %v", procs, rho, got, want)
+			}
+			for i := 0; i < 8; i++ {
+				// Log-spaced from 0.05·E[Wbe] to 8·E[Wbe], jittered.
+				x := wbe.Mean * 0.05 * math.Pow(160, (float64(i)+rng.Float64())/8)
+				tail := func(u float64) float64 {
+					if u == 0 {
+						return 0
+					}
+					return 1 - numeric.InvertCDF(ref, wbe.F, x/u)
+				}
+				want := 1 - numeric.IntegrateAdaptive(tail, 0, 1, 1e-8)
+				if got := lst.CDF(inv, wa, x); math.Abs(got-want) > 1e-4 {
+					t.Errorf("Nbe=%d ρ=%.2f: P(Wa ≤ %.4g) = %.6f, integral %.6f (diff %.2g)",
+						procs, rho, x, got, want, got-want)
+				}
+			}
+		}
+	}
+}
+
+// deviceAtUtilization builds the device whose per-process utilization is
+// rho (to 1e-6) by bisecting m.Rate, DataRate scaling with it.
+func deviceAtUtilization(t *testing.T, props DeviceProperties, m OnlineMetrics, opts Options, rho float64) *DeviceModel {
+	t.Helper()
+	perRead := m.DataRate / m.Rate
+	lo, hi := 0.0, 1e5
+	for i := 0; i < 200; i++ {
+		m.Rate = (lo + hi) / 2
+		m.DataRate = perRead * m.Rate
+		d, err := NewDeviceModel(props, m, opts)
+		if err != nil {
+			hi = m.Rate
+			continue
+		}
+		switch u := d.Utilization(); {
+		case math.Abs(u-rho) <= 1e-6:
+			return d
+		case u < rho:
+			lo = m.Rate
+		default:
+			hi = m.Rate
+		}
+	}
+	t.Fatalf("no rate gives per-process utilization %v", rho)
+	return nil
 }
 
 func TestMultiProcessModel(t *testing.T) {

@@ -167,9 +167,12 @@ const (
 	WTAApprox WTAMode = iota
 	// WTANone ignores the WTA entirely — the paper's "noWTA" baseline.
 	WTANone
-	// WTAExact evaluates the paper's exact integral
-	// P(Wa > t) = ∫_{x≥t} A(x)(x-t)/x dx numerically instead of using the
-	// Wa = A approximation (ablation).
+	// WTAExact is the paper's exact integral
+	// P(Wa > t) = ∫_{x≥t} a(x)(x−t)/x dx instead of the Wa = A
+	// approximation (ablation). The integral is the law of Wa = U·Wbe,
+	// U ~ Uniform(0,1) independent of Wbe (the accept lifetime, by PASTA),
+	// so Wa(s) = ∫₀¹ Wbe(u·s) du, evaluated by a fixed 32-point
+	// Gauss–Legendre rule, and E[Wa] = E[Wbe]/2.
 	WTAExact
 )
 

@@ -94,7 +94,8 @@ func KOfN(probs []float64, k int) float64 {
 	// c[j] = P(min(#done, k) == j) over the reads folded in so far; the
 	// top cell absorbs "k or more". Updating j downward reads the
 	// not-yet-updated c[j-1], which is exactly the previous iteration.
-	c := make([]float64, k+1)
+	var row [9]float64 // K ≤ 8 keeps the row on the stack
+	c := append(row[:0], make([]float64, k+1)...)
 	c[0] = 1
 	for _, p := range probs {
 		p = clamp01(p)
@@ -136,12 +137,13 @@ func CDF(sp Spec, base func(float64) (float64, error), t float64) (float64, erro
 			}
 		}
 	}
-	probs := make([]float64, sp.N)
+	var buf [8]float64 // N ≤ 8 keeps the stripe on the stack
+	probs := buf[:0]
 	for i := 0; i < prim; i++ {
-		probs[i] = p1
+		probs = append(probs, p1)
 	}
 	for i := prim; i < sp.N; i++ {
-		probs[i] = p2
+		probs = append(probs, p2)
 	}
 	return KOfN(probs, sp.K), nil
 }

@@ -32,7 +32,6 @@ func TestInterfaceContract(t *testing.T) {
 		Normal{Mu: 5, Sigma: 2},
 		Lognormal{Mu: -5, Sigma: 0.6},
 		Uniform{Lo: 0.001, Hi: 0.02},
-		Weibull{K: 1.5, Lambda: 0.01},
 		Pareto{Xm: 0.001, Alpha: 3},
 		mix,
 		h2,

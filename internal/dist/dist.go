@@ -1,6 +1,6 @@
 // Package dist implements the probability distributions used to model
 // service times, object sizes and latencies: Gamma, Exponential, Degenerate,
-// Normal, Lognormal, Weibull, Uniform, finite Mixtures and Empirical
+// Normal, Lognormal, Uniform, finite Mixtures and Empirical
 // distributions, together with fitting routines (method of moments, MLE) and
 // Kolmogorov–Smirnov goodness of fit. Every distribution exposes its
 // Laplace–Stieltjes transform so the analytic model can operate in the

@@ -166,27 +166,6 @@ func isFinitePositive(x float64) bool {
 	return x > 0 && !math.IsInf(x, 0) && !math.IsNaN(x)
 }
 
-// FitLognormal fits a lognormal by maximum likelihood on log-samples.
-func FitLognormal(samples []float64) (Lognormal, error) {
-	logs := make([]float64, 0, len(samples))
-	for _, x := range samples {
-		if x > 0 {
-			logs = append(logs, math.Log(x))
-		}
-	}
-	if len(logs) < 2 {
-		return Lognormal{}, ErrTooFewSamples
-	}
-	m, v := meanVar(logs)
-	if math.IsNaN(m) || math.IsInf(m, 0) || math.IsNaN(v) || math.IsInf(v, 0) {
-		return Lognormal{}, ErrBadSamples
-	}
-	if v <= 0 {
-		return Lognormal{}, ErrZeroVariance
-	}
-	return Lognormal{Mu: m, Sigma: math.Sqrt(v)}, nil
-}
-
 // KolmogorovSmirnov returns the K-S statistic sup_x |F_n(x) - F(x)| between
 // the samples' empirical CDF and the candidate distribution.
 func KolmogorovSmirnov(samples []float64, d Distribution) float64 {

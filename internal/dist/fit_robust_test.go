@@ -102,9 +102,6 @@ func TestFitFamiliesTypedErrors(t *testing.T) {
 	if _, err := FitNormal(constant); !errors.Is(err, ErrZeroVariance) {
 		t.Errorf("FitNormal(constant) = %v, want ErrZeroVariance", err)
 	}
-	if _, err := FitLognormal(constant); !errors.Is(err, ErrZeroVariance) {
-		t.Errorf("FitLognormal(constant) = %v, want ErrZeroVariance", err)
-	}
 	if _, err := FitNormal([]float64{1}); !errors.Is(err, ErrTooFewSamples) {
 		t.Errorf("FitNormal(single) = %v, want ErrTooFewSamples", err)
 	}

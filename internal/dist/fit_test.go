@@ -56,18 +56,6 @@ func TestFitNormalRecoversParameters(t *testing.T) {
 	}
 }
 
-func TestFitLognormal(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	truth := Lognormal{Mu: 10, Sigma: 1.2}
-	got, err := FitLognormal(SampleN(truth, rng, 50000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got.Mu-10) > 0.05 || math.Abs(got.Sigma-1.2) > 0.05 {
-		t.Errorf("got %v", got)
-	}
-}
-
 func TestFitErrorsOnEmptyOrDegenerateData(t *testing.T) {
 	if _, err := FitGamma(nil); err == nil {
 		t.Error("FitGamma(nil) should fail")
@@ -83,9 +71,6 @@ func TestFitErrorsOnEmptyOrDegenerateData(t *testing.T) {
 	}
 	if _, err := FitDegenerate(nil); err == nil {
 		t.Error("FitDegenerate(nil) should fail")
-	}
-	if _, err := FitLognormal([]float64{-1, -2}); err == nil {
-		t.Error("FitLognormal on negatives should fail")
 	}
 	if _, err := FitBest(nil); err == nil {
 		t.Error("FitBest(nil) should fail")

@@ -33,14 +33,6 @@ func FromDist(d dist.Distribution) Transform {
 	return Transform{F: d.LST, Mean: d.Mean()}
 }
 
-// Delay is the transform of a deterministic delay c: e^{-s c}.
-func Delay(c float64) Transform {
-	return Transform{
-		F:    func(s complex128) complex128 { return cmplx.Exp(-s * complex(c, 0)) },
-		Mean: c,
-	}
-}
-
 // Convolve returns the transform of the independent sum X₁+…+Xₙ: the product
 // of the transforms.
 func Convolve(ts ...Transform) Transform {
@@ -202,19 +194,6 @@ func CDFBatch(inv numeric.Inverter, t Transform, ts []float64) []float64 {
 		out[i] = CDFAtNodes(nodes, ws, t.F)
 	}
 	return out
-}
-
-// PDF evaluates the density behind t at x using the given inverter. It is
-// meaningful only where the distribution is absolutely continuous.
-func PDF(inv numeric.Inverter, t Transform, x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	v := numeric.Invert(inv, t.F, x)
-	if v < 0 || math.IsNaN(v) {
-		return 0
-	}
-	return v
 }
 
 // SecondMomentNumeric estimates E[X²] from the transform by central second

@@ -27,10 +27,13 @@ func TestOneIsIdentity(t *testing.T) {
 	}
 }
 
+// delay is the transform of a deterministic delay c: e^{-s c}.
+func delay(c float64) Transform { return FromDist(dist.Degenerate{Value: c}) }
+
 func TestConvolveMeansAdd(t *testing.T) {
 	a := FromDist(dist.Exponential{Rate: 2})     // mean .5
 	b := FromDist(dist.Gamma{Shape: 3, Rate: 6}) // mean .5
-	d := Delay(0.25)
+	d := delay(0.25)
 	c := Convolve(a, b, d)
 	if math.Abs(c.Mean-1.25) > 1e-12 {
 		t.Errorf("mean = %v, want 1.25", c.Mean)
@@ -53,7 +56,7 @@ func TestConvolveExponentialsIsGamma(t *testing.T) {
 
 func TestDelayShiftsCDF(t *testing.T) {
 	e := FromDist(dist.Exponential{Rate: 3})
-	shifted := Convolve(e, Delay(0.5))
+	shifted := Convolve(e, delay(0.5))
 	for _, x := range []float64{0.6, 1.0, 2.0} {
 		got := CDF(inv, shifted, x)
 		want := 1 - math.Exp(-3*(x-0.5))
@@ -69,8 +72,8 @@ func TestDelayShiftsCDF(t *testing.T) {
 }
 
 func TestMix(t *testing.T) {
-	a := Delay(1)
-	b := Delay(3)
+	a := delay(1)
+	b := delay(3)
 	m := Mix([]Transform{a, b}, []float64{1, 3})
 	if math.Abs(m.Mean-2.5) > 1e-12 {
 		t.Errorf("mean = %v, want 2.5", m.Mean)
@@ -186,22 +189,10 @@ func TestSecondMomentNumeric(t *testing.T) {
 	}
 }
 
-func TestPDF(t *testing.T) {
-	e := FromDist(dist.Exponential{Rate: 2})
-	got := PDF(inv, e, 0.5)
-	want := 2 * math.Exp(-1)
-	if math.Abs(got-want) > 1e-4 {
-		t.Errorf("pdf(0.5) = %v, want %v", got, want)
-	}
-	if PDF(inv, e, -1) != 0 {
-		t.Error("pdf at negative x should be 0")
-	}
-}
-
 func TestCDFMonotoneProperty(t *testing.T) {
 	u := Convolve(
 		HitOrMiss(FromDist(dist.Gamma{Shape: 2, Rate: 100}), 0.4),
-		Delay(0.001),
+		delay(0.001),
 		PoissonCompound(FromDist(dist.Gamma{Shape: 1.5, Rate: 80}), 0.6),
 	)
 	f := func(rawA, rawB float64) bool {
@@ -222,7 +213,7 @@ func TestCDFMonotoneProperty(t *testing.T) {
 func TestCDFAtNodesMatchesCDF(t *testing.T) {
 	u := Convolve(
 		HitOrMiss(FromDist(dist.Gamma{Shape: 2, Rate: 100}), 0.4),
-		Delay(0.001),
+		delay(0.001),
 		PoissonCompound(FromDist(dist.Gamma{Shape: 1.5, Rate: 80}), 0.6),
 	)
 	for _, x := range []float64{0.005, 0.02, 0.1, 0.3} {
