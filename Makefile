@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race e2e ablations bench bench-build deadcode capacity-smoke fuzz-smoke loadtest chaos chaos-cluster tidy
+.PHONY: check fmt vet build test race e2e results bench bench-build deadcode capacity-smoke fuzz-smoke loadtest chaos chaos-cluster tidy
 
-check: fmt vet build race e2e ablations bench bench-build deadcode fuzz-smoke loadtest
+check: fmt vet build race e2e results bench bench-build deadcode fuzz-smoke loadtest
 
 # gofmt -l prints offending files; fail when it prints anything.
 fmt:
@@ -37,17 +37,27 @@ e2e:
 		-run 'TestEndToEndAgainstSimulator|TestTwoTenantWriteEndToEnd' \
 		./internal/serve
 
-# The ablation study (WTA, disk queue, compounding, inversion), regenerated
-# in a temporary directory and compared byte for byte with the checked-in
-# results/ablations.txt, whose numbers EXPERIMENTS.md quotes. Deterministic
-# at any GOMAXPROCS; a few seconds.
-ablations:
-	@dir=$$(mktemp -d); \
-	$(GO) run ./cmd/cosbench -exp ablations -out $$dir > /dev/null && \
-	diff -u results/ablations.txt $$dir/ablations.txt; status=$$?; \
+# The quick checked-in experiment reports (the ablation study, the
+# write-fraction and workload-independence tests, the architecture
+# comparison, Fig. 5 and the mean-vs-percentile motivation), regenerated in
+# a temporary directory and compared byte for byte with results/, whose
+# numbers EXPERIMENTS.md quotes. Deterministic at any GOMAXPROCS; a few
+# seconds, most of it the ablations. Tables I/II and Figs. 6/7 (full-scale
+# sweeps) stay out.
+RESULTS = ablations writes workload arch fig5 motivation
+
+results:
+	@dir=$$(mktemp -d); $(GO) build -o $$dir/cosbench ./cmd/cosbench || { rm -rf $$dir; exit 1; }; \
+	status=0; \
+	for e in $(RESULTS); do \
+		if ! $$dir/cosbench -exp $$e -out $$dir/out > /dev/null 2>&1 || \
+			! diff -u results/$$e.txt $$dir/out/$$e.txt; then \
+			echo "results: results/$$e.txt does not match a fresh run"; status=1; \
+		fi; \
+	done; \
 	rm -rf $$dir; \
-	if [ $$status -ne 0 ]; then echo "ablations: results/ablations.txt does not match a fresh run"; exit 1; fi; \
-	echo "ablations: results/ablations.txt reproduced"
+	if [ $$status -ne 0 ]; then exit 1; fi; \
+	echo "results: $(RESULTS) reproduced"
 
 # Every Go benchmark, one iteration each: a smoke test that they still run.
 # Capacity and per-layer performance are measured by the bench/ module

@@ -402,6 +402,15 @@ func (d *DeviceModel) responseNode(s, pr complex128) (wa, sbe complex128) {
 	return d.waValue(s, w), sbe
 }
 
+// waitingValue evaluates the shared queue's waiting transform Wbe at s from
+// the leaf transforms, pr being the backend-parse factor at s: the waiting
+// term of responseNode on its own.
+func (d *DeviceModel) waitingValue(s, pr complex128) complex128 {
+	pi, pm, pd, ri, rm, rd := d.leafValues(s)
+	union := pr * pi * pm * pd * d.extraVal(pd)
+	return d.unionQ.WaitingValue(s, d.serviceValue(union, pr, ri, rm, rd))
+}
+
 // writeNode is responseNode's write-class sibling: it evaluates Wa and the
 // write replica response Swr (the convolution of per-operation sojourns:
 // head, Poisson-compound middle chunks, tail) at one inversion frequency s,
@@ -462,13 +471,20 @@ func (d *DeviceModel) serviceValue(union, pr, ri, rm, rd complex128) complex128 
 		complex(d.fracMid, 0)*rd + complex(d.fracTail, 0)*(rd*rm)
 }
 
-// waValue maps the shared waiting value onto the configured WTA mode.
+// waValue maps the shared waiting value onto the configured WTA mode. The
+// exact WTA, Wa(s) = Σ_j w_j·Wbe(u_j·s), evaluates each Wbe(u_j·s) through
+// the leaf transforms, not the closure pipeline behind d.wa.
 func (d *DeviceModel) waValue(s, w complex128) complex128 {
 	switch d.opts.WTA {
 	case WTANone:
 		return 1
 	case WTAExact:
-		return d.wa.F(s)
+		var sum complex128
+		for j, u := range wtaNodes {
+			us := complex(u, 0) * s
+			sum += complex(wtaWeights[j], 0) * d.waitingValue(us, d.parse.F(us))
+		}
+		return sum
 	default:
 		return w
 	}

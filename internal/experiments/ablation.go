@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -27,7 +28,8 @@ type AblationResult struct {
 }
 
 // RunAblation evaluates every variant on every window of a sweep and
-// summarizes mean absolute errors per SLA.
+// summarizes mean absolute errors per SLA. It excludes the windows the
+// scenario sweep skips, and any window where a variant's model fails.
 func RunAblation(name string, sc ScenarioConfig, variants []Variant) (*AblationResult, error) {
 	if len(variants) == 0 {
 		return nil, fmt.Errorf("experiments: ablation needs at least one variant")
@@ -52,19 +54,16 @@ func RunAblation(name string, sc ScenarioConfig, variants []Variant) (*AblationR
 	preds := make([][][]float64, len(data.Windows)) // [window][v][sla]; nil = unusable
 	parallel.Default().ForEach(len(data.Windows), func(w int) {
 		win := data.Windows[w]
-		if win.Responses == 0 || win.Timeouts > 0 || win.Retries > 0 {
+		if skipReason(win) != "" {
 			return
 		}
 		p := make([][]float64, len(variants))
 		for v, variant := range variants {
-			sys, err := BuildSystemModel(sc.Sim, data.Props, win, variant.Opts)
+			grids, err := predict(context.Background(), sc.Sim, data.Props, win, variant.Opts)
 			if err != nil {
 				return
 			}
-			p[v] = make([]float64, len(res.SLAs))
-			for i, sla := range res.SLAs {
-				p[v][i] = sys.CDF(sla)
-			}
+			p[v] = grids[0]
 		}
 		preds[w] = p
 	})

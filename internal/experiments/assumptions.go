@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -77,41 +78,27 @@ func RunWriteSensitivity(cfg WriteSensitivityConfig) (*WriteSensitivityResult, e
 		if err != nil {
 			return nil, err
 		}
-		cluster, err := simstore.New(cfg.Sim)
-		if err != nil {
-			return nil, err
-		}
-		if err := cluster.PrewarmCaches(catalog, 0.95); err != nil {
-			return nil, err
-		}
 		recs, err := trace.GenerateMixed(catalog,
 			trace.Schedule{{Rate: cfg.Rate, Duration: cfg.StepDur, Label: "run"}},
 			wf, cfg.Seed+int64(i)+100)
 		if err != nil {
 			return nil, err
 		}
-		cluster.Inject(recs)
-		cluster.RunUntil(cfg.Discard)
-		before := cluster.Snapshot()
-		cluster.Drain()
-		win := cluster.Window(before, cluster.Snapshot())
+		win, err := measureWindow(cfg.Sim, catalog, recs, cfg.Discard)
+		if err != nil {
+			return nil, err
+		}
+		// The model under test ignores PUTs (Section III-A): it sees the
+		// window's reads alone, so its error is what the unmodeled writes
+		// cost.
+		reads := win
+		reads.WriteRate, reads.DeviceWriteRate = 0, nil
 		pt := WriteSensitivityPoint{
 			WriteFraction: wf,
 			Observed:      append([]float64(nil), win.MeetFraction...),
-			Predicted:     nanSlice(len(res.SLAs)),
 			WriteRate:     win.WriteRate,
 		}
-		sys, err := BuildSystemModel(cfg.Sim, props, win, core.Options{})
-		if err == nil {
-			total := 0.0
-			for j, sla := range res.SLAs {
-				pt.Predicted[j] = sys.CDF(sla)
-				total += math.Abs(pt.Predicted[j] - pt.Observed[j])
-			}
-			pt.MeanAbsErr = total / float64(len(res.SLAs))
-		} else {
-			pt.MeanAbsErr = math.NaN()
-		}
+		pt.Predicted, pt.MeanAbsErr = predictPoint(cfg.Sim, props, reads)
 		res.Points = append(res.Points, pt)
 	}
 	return res, nil
@@ -206,40 +193,21 @@ func RunWorkloadIndependence(cfg WorkloadIndependenceConfig) (*WorkloadIndepende
 		if err != nil {
 			return nil, err
 		}
-		cluster, err := simstore.New(cfg.Sim)
-		if err != nil {
-			return nil, err
-		}
-		if err := cluster.PrewarmCaches(catalog, 0.95); err != nil {
-			return nil, err
-		}
 		recs, err := trace.Generate(catalog,
 			trace.Schedule{{Rate: cfg.Rate, Duration: cfg.StepDur, Label: "run"}},
 			cfg.Seed+int64(i)+200)
 		if err != nil {
 			return nil, err
 		}
-		cluster.Inject(recs)
-		cluster.RunUntil(cfg.Discard)
-		before := cluster.Snapshot()
-		cluster.Drain()
-		win := cluster.Window(before, cluster.Snapshot())
+		win, err := measureWindow(cfg.Sim, catalog, recs, cfg.Discard)
+		if err != nil {
+			return nil, err
+		}
 		pt := WorkloadPoint{
-			Name:      v.name,
-			Observed:  append([]float64(nil), win.MeetFraction...),
-			Predicted: nanSlice(len(res.SLAs)),
+			Name:     v.name,
+			Observed: append([]float64(nil), win.MeetFraction...),
 		}
-		sys, err := BuildSystemModel(cfg.Sim, props, win, core.Options{})
-		if err == nil {
-			total := 0.0
-			for j, sla := range res.SLAs {
-				pt.Predicted[j] = sys.CDF(sla)
-				total += math.Abs(pt.Predicted[j] - pt.Observed[j])
-			}
-			pt.MeanAbsErr = total / float64(len(res.SLAs))
-		} else {
-			pt.MeanAbsErr = math.NaN()
-		}
+		pt.Predicted, pt.MeanAbsErr = predictPoint(cfg.Sim, props, win)
 		res.Points = append(res.Points, pt)
 	}
 	return res, nil
@@ -263,4 +231,37 @@ func (r *WorkloadIndependenceResult) Render(w io.Writer) error {
 		tab.AddRow(row...)
 	}
 	return tab.Render(w)
+}
+
+// measureWindow replays recs through a fresh cluster whose caches are
+// prewarmed from catalog, and returns the window from discard seconds to
+// the end of the run.
+func measureWindow(sim simstore.Config, catalog *trace.Catalog, recs []trace.Record, discard float64) (simstore.Window, error) {
+	cluster, err := simstore.New(sim)
+	if err != nil {
+		return simstore.Window{}, err
+	}
+	if err := cluster.PrewarmCaches(catalog, 0.95); err != nil {
+		return simstore.Window{}, err
+	}
+	cluster.Inject(recs)
+	cluster.RunUntil(discard)
+	before := cluster.Snapshot()
+	cluster.Drain()
+	return cluster.Window(before, cluster.Snapshot()), nil
+}
+
+// predictPoint predicts win's plain-read SLA fractions and their mean
+// absolute error against the observed ones; both are NaN when the model
+// fails.
+func predictPoint(cfg simstore.Config, props core.DeviceProperties, win simstore.Window) (pred []float64, meanAbsErr float64) {
+	grids, err := predict(context.Background(), cfg, props, win, core.Options{})
+	if err != nil {
+		return nanSlice(len(cfg.SLAs)), math.NaN()
+	}
+	total := 0.0
+	for j, p := range grids[0] {
+		total += math.Abs(p - win.MeetFraction[j])
+	}
+	return grids[0], total / float64(len(cfg.SLAs))
 }

@@ -39,6 +39,14 @@ func TestWriteSensitivity(t *testing.T) {
 	if !(heavy > base) {
 		t.Errorf("heavy-write error %.3f not worse than baseline %.3f", heavy, base)
 	}
+	// The model under test ignores PUTs, so heavy writes only thin the
+	// reads it sees and cannot lower its predictions; a model fed the PUT
+	// rates would predict the collapse instead.
+	for j, sla := range res.SLAs {
+		if p0, p2 := res.Points[0].Predicted[j], res.Points[2].Predicted[j]; p2 < p0 {
+			t.Errorf("SLA %v: prediction %.4f at %v writes below %.4f without writes", sla, p2, res.Points[2].WriteFraction, p0)
+		}
+	}
 	var b strings.Builder
 	if err := res.Render(&b); err != nil {
 		t.Fatal(err)

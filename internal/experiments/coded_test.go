@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
 
+	"cosmodel/internal/core"
+	"cosmodel/internal/coscode"
 	"cosmodel/internal/simstore"
 	"cosmodel/internal/trace"
 )
@@ -32,28 +35,35 @@ func codedScenario(n, k int, seed int64) ScenarioConfig {
 	}
 }
 
-func checkCodedResult(t *testing.T, res *CodedResult, label string) {
+// checkCodedResult holds a coded sweep's full-model column to the paper's
+// bar: predictions in [0,1] and monotone in SLA on every analyzed step, and
+// a mean absolute error over all analyzed steps and SLAs of at most 0.10.
+func checkCodedResult(t *testing.T, res *ScenarioResult, label string) {
 	t.Helper()
-	if res.Analyzed() < 2 {
-		t.Fatalf("%s: only %d analyzed steps", label, res.Analyzed())
+	if res.AnalyzedSteps() < 2 {
+		t.Fatalf("%s: only %d analyzed steps", label, res.AnalyzedSteps())
 	}
+	sum, n := 0.0, 0
 	for _, st := range res.Steps {
 		if st.Skipped {
 			t.Logf("%s: rate %v skipped: %s", label, st.Rate, st.Reason)
 			continue
 		}
 		for i := range res.SLAs {
-			if p := st.Predicted[i]; p < -1e-9 || p > 1+1e-9 || math.IsNaN(p) {
+			p := st.Our[i]
+			if p < -1e-9 || p > 1+1e-9 || math.IsNaN(p) {
 				t.Fatalf("%s: rate %v SLA %d: prediction %v outside [0,1]", label, st.Rate, i, p)
 			}
+			sum += math.Abs(p - st.Observed[i])
+			n++
 		}
 		// Percentile meeting a looser SLA can only be higher.
-		if st.Predicted[0] > st.Predicted[1]+1e-9 || st.Predicted[1] > st.Predicted[2]+1e-9 {
-			t.Errorf("%s: rate %v: predictions not monotone in SLA: %v", label, st.Rate, st.Predicted)
+		if st.Our[0] > st.Our[1]+1e-9 || st.Our[1] > st.Our[2]+1e-9 {
+			t.Errorf("%s: rate %v: predictions not monotone in SLA: %v", label, st.Rate, st.Our)
 		}
 	}
-	mae := res.MAE()
-	t.Logf("%s: MAE %.4f over %d analyzed steps", label, mae, res.Analyzed())
+	mae := sum / float64(n)
+	t.Logf("%s: MAE %.4f over %d analyzed steps", label, mae, res.AnalyzedSteps())
 	if !(mae <= 0.10) {
 		t.Errorf("%s: MAE %.3f exceeds 0.10", label, mae)
 	}
@@ -63,7 +73,7 @@ func checkCodedResult(t *testing.T, res *CodedResult, label string) {
 // simulated ground truth for the two canonical layouts: speculative
 // replication (fastest of 3 full reads) and erasure coding (4-of-6 stripe).
 func TestCodedReplicationVsEC(t *testing.T) {
-	repl, err := RunCodedScenario(codedScenario(3, 1, 31))
+	repl, err := RunScenario(codedScenario(3, 1, 31))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +84,7 @@ func TestCodedReplicationVsEC(t *testing.T) {
 	// offered rate; keep the sweep in the analyzable regime.
 	sc.WarmRate = 25
 	sc.RateStart, sc.RateEnd, sc.RateStep = 10, 30, 10
-	ec, err := RunCodedScenario(sc)
+	ec, err := RunScenario(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +100,7 @@ func TestCodedHedgeDelaySweep(t *testing.T) {
 		sc.Sim.Hedge = true
 		sc.Sim.HedgeDelay = delay
 		sc.RateStart, sc.RateEnd, sc.RateStep = 20, 40, 20
-		res, err := RunCodedScenario(sc)
+		res, err := RunScenario(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,6 +127,69 @@ func TestCodedHedgeDelaySweep(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSweepEvaluatesTheScenarioQuery checks that the sweep asks each
+// window's model the scenario's query: on every analyzed step the Our,
+// OurBE and NoWTA columns are bit for bit Eval of that query at the
+// frontend, backend and noWTA tiers on BuildSystemModel's model, and ODOPR
+// is the query on the ODOPR build. A plain scenario asks the zero Query, a
+// coded one its (n,k) read.
+func TestSweepEvaluatesTheScenarioQuery(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		sc   ScenarioConfig
+		q    core.Query
+	}{
+		{"plain", smallS1(), core.Query{}},
+		{"replication(3,1)", codedScenario(3, 1, 31), core.Query{Spec: coscode.Spec{N: 3, K: 1}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data, err := RunSweep(tc.sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := EvaluateSweep(tc.sc, data)
+			be, noWTA := tc.q, tc.q
+			be.Tier, noWTA.Tier = core.TierBackend, core.TierNoWTA
+			eval := func(win simstore.Window, opts core.Options, q core.Query) []float64 {
+				t.Helper()
+				sys, err := BuildSystemModel(tc.sc.Sim, data.Props, win, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out, err := sys.Eval(context.Background(), tc.sc.Sim.SLAs, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return out[0]
+			}
+			for w, win := range data.Windows {
+				st := res.Steps[w]
+				if st.Skipped {
+					continue
+				}
+				for _, col := range []struct {
+					name      string
+					got, want []float64
+				}{
+					{"our", st.Our, eval(win, core.Options{}, tc.q)},
+					{"our_be", st.OurBE, eval(win, core.Options{}, be)},
+					{"nowta", st.NoWTA, eval(win, core.Options{}, noWTA)},
+					{"odopr", st.ODOPR, eval(win, core.Options{ODOPR: true}, tc.q)},
+				} {
+					for i := range col.want {
+						if math.Float64bits(col.got[i]) != math.Float64bits(col.want[i]) {
+							t.Errorf("rate %v SLA %v %s: sweep %v, Eval %v", st.Rate, tc.sc.Sim.SLAs[i], col.name, col.got[i], col.want[i])
+						}
+					}
+				}
+			}
+			if res.AnalyzedSteps() < 2 {
+				t.Fatalf("only %d analyzed steps", res.AnalyzedSteps())
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -119,18 +120,23 @@ func RunMeanVsPercentile(cfg MeanVsPercentileConfig) (*MeanVsPercentileResult, e
 	if high == nil {
 		return nil, fmt.Errorf("experiments: could not match means")
 	}
-	res := &MeanVsPercentileResult{
+	percLow, err := low.Eval(context.Background(), cfg.SLAs)
+	if err != nil {
+		return nil, err
+	}
+	percHigh, err := high.Eval(context.Background(), cfg.SLAs)
+	if err != nil {
+		return nil, err
+	}
+	return &MeanVsPercentileResult{
 		SLAs:     append([]float64(nil), cfg.SLAs...),
 		MeanLow:  low.MeanResponse(),
 		MeanHigh: high.MeanResponse(),
 		RateLow:  cfg.BaseRate,
 		RateHigh: (lo + hi) / 2,
-	}
-	for _, sla := range cfg.SLAs {
-		res.PercLow = append(res.PercLow, low.CDF(sla))
-		res.PercHigh = append(res.PercHigh, high.CDF(sla))
-	}
-	return res, nil
+		PercLow:  percLow[0],
+		PercHigh: percHigh[0],
+	}, nil
 }
 
 // Render writes the comparison.

@@ -11,6 +11,7 @@ import (
 	"math"
 
 	"cosmodel/internal/core"
+	"cosmodel/internal/coscode"
 	"cosmodel/internal/dist"
 	"cosmodel/internal/parallel"
 	"cosmodel/internal/simstore"
@@ -47,6 +48,22 @@ type ScenarioConfig struct {
 	CalibrationOps int
 	// Seed drives all randomness.
 	Seed int64
+}
+
+// query is the read the scenario's clients issue: with Sim.StripeK > 0 a
+// coded GET spread over all n = Sim.Replicas devices of a partition that
+// completes at the k-th = StripeK sub-read (hedged as Sim configures), and
+// otherwise the zero Query, a plain read.
+func (sc ScenarioConfig) query() core.Query {
+	if sc.Sim.StripeK <= 0 {
+		return core.Query{}
+	}
+	return core.Query{Spec: coscode.Spec{
+		N:          sc.Sim.Replicas,
+		K:          sc.Sim.StripeK,
+		Hedge:      sc.Sim.Hedge,
+		HedgeDelay: sc.Sim.HedgeDelay,
+	}}
 }
 
 // DefaultS1 mirrors the paper's scenario S1: one process per storage
@@ -89,10 +106,14 @@ func DefaultS16() ScenarioConfig {
 }
 
 // StepResult is one rate step of a scenario: the observed percentile of
-// requests meeting each SLA, and the three models' predictions.
+// requests meeting each SLA, and the three models' predictions of the
+// scenario's query.
 type StepResult struct {
 	Rate      float64
 	Responses uint64
+	// Hedges is the number of hedged reserve sub-reads issued in the
+	// window (coded scenarios only).
+	Hedges uint64
 	// Observed[i] is the measured fraction meeting Sim.SLAs[i] at the
 	// frontend tier; ObservedBE is the backend-tier measurement.
 	Observed   []float64
@@ -199,7 +220,8 @@ func RunSweep(sc ScenarioConfig) (*SweepData, error) {
 }
 
 // RunScenario executes the sweep and evaluates the paper's three models
-// (ours, ODOPR, noWTA) on every step's online metrics.
+// (ours, ODOPR, noWTA) on every step's online metrics. A coded scenario
+// (Sim.StripeK > 0) evaluates them for its (n,k) read.
 func RunScenario(sc ScenarioConfig) (*ScenarioResult, error) {
 	data, err := RunSweep(sc)
 	if err != nil {
@@ -280,87 +302,106 @@ func overlayOptions(v, base core.Options) core.Options {
 func evaluateStep(ctx context.Context, sc ScenarioConfig, props core.DeviceProperties, win simstore.Window, rate float64, base core.Options) (StepResult, error) {
 	nSLA := len(sc.Sim.SLAs)
 	st := StepResult{
-		Rate:       rate,
-		Responses:  win.Responses,
-		Observed:   append([]float64(nil), win.MeetFraction...),
-		ObservedBE: append([]float64(nil), win.BEMeetFraction...),
-		Our:        nanSlice(nSLA),
-		ODOPR:      nanSlice(nSLA),
-		NoWTA:      nanSlice(nSLA),
-		OurBE:      nanSlice(nSLA),
+		Rate:               rate,
+		Responses:          win.Responses,
+		Hedges:             win.Hedges,
+		Observed:           append([]float64(nil), win.MeetFraction...),
+		ObservedBE:         append([]float64(nil), win.BEMeetFraction...),
+		Our:                nanSlice(nSLA),
+		ODOPR:              nanSlice(nSLA),
+		NoWTA:              nanSlice(nSLA),
+		OurBE:              nanSlice(nSLA),
+		MaxDiskUtilization: maxDiskUtilization(win),
 	}
-	for _, u := range win.DiskUtilization {
-		if u > st.MaxDiskUtilization {
-			st.MaxDiskUtilization = u
-		}
-	}
-	if win.Responses == 0 {
+	if st.Reason = skipReason(win); st.Reason != "" {
 		st.Skipped = true
-		st.Reason = "no responses in window"
-		return st, nil
-	}
-	// The paper analyzes prediction results only "when there is no
-	// timeout and retry" (Section V-A); a saturated disk is the same
-	// exclusion when timeouts are disabled.
-	if win.Timeouts > 0 || win.Retries > 0 {
-		st.Skipped = true
-		st.Reason = fmt.Sprintf("overload: %d timeouts, %d retries in window", win.Timeouts, win.Retries)
-		return st, nil
-	}
-	if st.MaxDiskUtilization >= 0.98 {
-		st.Skipped = true
-		st.Reason = fmt.Sprintf("overload: disk utilization %.2f", st.MaxDiskUtilization)
 		return st, nil
 	}
 	// The full model's frontend view, backend view and noWTA ablation share
-	// one model build and one batched traversal of the device mixture
-	// (core.SystemModel.Eval); the batched noWTA view equals a model
+	// one model build and one Eval call; the noWTA tier equals a model
 	// built with WTA == WTANone exactly. Only ODOPR — a genuinely different
 	// device pipeline — needs its own build.
-	if sys, err := BuildSystemModel(sc.Sim, props, win, overlayOptions(core.Options{}, base)); err != nil {
-		st.Skipped = true
-		st.Reason = err.Error()
-	} else {
-		grids, err := sys.Eval(ctx, sc.Sim.SLAs,
-			core.Query{}, core.Query{Tier: core.TierBackend}, core.Query{Tier: core.TierNoWTA})
+	q := sc.query()
+	be, noWTA := q, q
+	be.Tier, noWTA.Tier = core.TierBackend, core.TierNoWTA
+	for _, v := range []struct {
+		opts core.Options
+		qs   []core.Query
+		dst  [][]float64
+	}{
+		{core.Options{}, []core.Query{q, be, noWTA}, [][]float64{st.Our, st.OurBE, st.NoWTA}},
+		{core.Options{ODOPR: true}, []core.Query{q}, [][]float64{st.ODOPR}},
+	} {
+		grids, err := predict(ctx, sc.Sim, props, win, overlayOptions(v.opts, base), v.qs...)
 		if err != nil {
 			if ctx.Err() != nil {
 				return st, ctx.Err()
 			}
-			// Numerical poisoning: exclude the step like an overloaded one
-			// instead of recording garbage.
+			// Overload or numerical poisoning: exclude the step instead of
+			// recording garbage.
 			st.Skipped = true
 			st.Reason = err.Error()
-		} else {
-			copy(st.Our, grids[0])
-			copy(st.OurBE, grids[1])
-			copy(st.NoWTA, grids[2])
+			continue
 		}
-	}
-	if sys, err := BuildSystemModel(sc.Sim, props, win, overlayOptions(core.Options{ODOPR: true}, base)); err != nil {
-		st.Skipped = true
-		st.Reason = err.Error()
-	} else {
-		ps, err := sys.Eval(ctx, sc.Sim.SLAs)
-		if err != nil {
-			if ctx.Err() != nil {
-				return st, ctx.Err()
-			}
-			st.Skipped = true
-			st.Reason = err.Error()
-		} else {
-			copy(st.ODOPR, ps[0])
+		for i, g := range grids {
+			copy(v.dst[i], g)
 		}
 	}
 	return st, nil
+}
+
+// skipReason says why the analysis excludes a window, or "" when it does
+// not. The paper analyzes prediction results only "when there is no
+// timeout and retry" (Section V-A); a saturated disk is the same exclusion
+// when timeouts are disabled.
+func skipReason(win simstore.Window) string {
+	switch {
+	case win.Responses == 0:
+		return "no responses in window"
+	case win.Timeouts > 0 || win.Retries > 0:
+		return fmt.Sprintf("overload: %d timeouts, %d retries in window", win.Timeouts, win.Retries)
+	}
+	if u := maxDiskUtilization(win); u >= 0.98 {
+		return fmt.Sprintf("overload: disk utilization %.2f", u)
+	}
+	return ""
+}
+
+// maxDiskUtilization is the highest per-device disk utilization in win.
+func maxDiskUtilization(win simstore.Window) float64 {
+	top := 0.0
+	for _, u := range win.DiskUtilization {
+		if u > top {
+			top = u
+		}
+	}
+	return top
+}
+
+// predict builds win's model with opts and answers every query at the
+// configuration's SLAs in one Eval call: out[i][j] is the fraction of qs[i]
+// requests meeting cfg.SLAs[j] (no queries means a plain read). A failed
+// build or a numerical failure is returned, never a made-up value.
+func predict(ctx context.Context, cfg simstore.Config, props core.DeviceProperties, win simstore.Window, opts core.Options, qs ...core.Query) ([][]float64, error) {
+	sys, err := BuildSystemModel(cfg, props, win, opts)
+	if err != nil {
+		return nil, err
+	}
+	return sys.Eval(ctx, cfg.SLAs, qs...)
 }
 
 // BuildSystemModel glues a measurement window to the analytic model: each
 // device's online metrics come straight from the window, and the frontend
 // model uses the tier-wide totals. Windows carrying PUT replica traffic
 // feed each device's write rate and mean chunks-per-write into the shared
-// queue (and the frontend sees the PUT arrivals too); read-only windows
-// build the exact read pipeline of the paper.
+// queue; read-only windows build the exact read pipeline of the paper.
+//
+// The frontend parses each client request once, so its arrival rate comes
+// from the simulator config: with cfg.StripeK > 0 (coded GETs) it is the
+// window's response rate, since a coded GET is parsed before it fans out
+// to its sub-reads, which the per-device rates already count n-fold;
+// otherwise it is the GET rate plus the client-visible (quorum-
+// acknowledged) PUT rate, not the replica fan-out.
 func BuildSystemModel(cfg simstore.Config, props core.DeviceProperties, win simstore.Window, opts core.Options) (*core.SystemModel, error) {
 	var devs []*core.DeviceModel
 	for d := range win.DeviceRate {
@@ -393,10 +434,14 @@ func BuildSystemModel(cfg simstore.Config, props core.DeviceProperties, win sims
 	if len(devs) == 0 {
 		return nil, fmt.Errorf("%w: no active devices in window", core.ErrBadParams)
 	}
-	// The frontend serves both GET and PUT arrivals; win.WriteRate is the
-	// client-visible (quorum-acknowledged) PUT rate, not the replica
-	// fan-out.
-	fe, err := core.NewFrontendModel(win.TotalRate()+win.WriteRate, cfg.Frontends*cfg.ProcsPerFrontend, props.ParseFE)
+	feRate := win.TotalRate() + win.WriteRate
+	if cfg.StripeK > 0 {
+		feRate = 0
+		if win.Duration > 0 {
+			feRate = float64(win.Responses) / win.Duration
+		}
+	}
+	fe, err := core.NewFrontendModel(feRate, cfg.Frontends*cfg.ProcsPerFrontend, props.ParseFE)
 	if err != nil {
 		return nil, err
 	}

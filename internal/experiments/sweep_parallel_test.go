@@ -10,7 +10,8 @@ import (
 // TestEvaluateSweepParallelMatchesSequential checks the determinism
 // guarantee of the pooled sweep evaluator: fanning rate steps (and the
 // device mixtures inside them) across workers produces exactly the results
-// of a fully sequential evaluation, step for step.
+// of a fully sequential evaluation, step for step and bit for bit, with the
+// same skip decisions and reasons.
 func TestEvaluateSweepParallelMatchesSequential(t *testing.T) {
 	data, err := RunSweep(smallS1())
 	if err != nil {
@@ -26,7 +27,7 @@ func TestEvaluateSweepParallelMatchesSequential(t *testing.T) {
 		}
 		for i := range seq.Steps {
 			a, b := res.Steps[i], seq.Steps[i]
-			if a.Rate != b.Rate || a.Skipped != b.Skipped {
+			if a.Rate != b.Rate || a.Skipped != b.Skipped || a.Reason != b.Reason || a.Hedges != b.Hedges {
 				t.Fatalf("step %d: rate/skip mismatch: %+v vs %+v", i, a, b)
 			}
 			for _, pair := range [][2][]float64{
@@ -34,10 +35,7 @@ func TestEvaluateSweepParallelMatchesSequential(t *testing.T) {
 			} {
 				for k := range pair[0] {
 					x, y := pair[0][k], pair[1][k]
-					if math.IsNaN(x) && math.IsNaN(y) {
-						continue
-					}
-					if math.Abs(x-y) > 1e-12 {
+					if math.Float64bits(x) != math.Float64bits(y) {
 						t.Errorf("step %d sla %d: parallel %v, sequential %v", i, k, x, y)
 					}
 				}
