@@ -57,8 +57,8 @@ func (s *SystemModel) Diagnose(sla float64) ([]DeviceDiagnosis, error) {
 			Device:          j,
 			Rate:            d.Rate(),
 			Utilization:     d.Utilization(),
-			MeanWTA:         d.WTA().Mean,
-			MeanBackend:     d.Backend().Mean,
+			MeanWTA:         d.meanWa,
+			MeanBackend:     d.meanSbe,
 			SLAContribution: miss,
 		}
 		totalMisses += miss

@@ -128,7 +128,8 @@ func TestDiagnoseMatchesPerDeviceCDF(t *testing.T) {
 	misses := make([]float64, len(devs))
 	total := 0.0
 	for j, d := range devs {
-		tr := lst.Convolve(sys.Frontend().Sojourn(), d.WTA(), d.Backend())
+		c := mustClosures(t, d)
+		tr := lst.Convolve(sys.Frontend().Sojourn(), c.wa, c.sbe)
 		misses[j] = d.Rate() * (1 - lst.CDF(inv, tr, sla))
 		total += misses[j]
 	}

@@ -25,12 +25,12 @@ type DeviceModel struct {
 	metrics OnlineMetrics
 	opts    Options
 
-	union lst.Transform // Bbe: union operation service time (read class)
-	wbe   lst.Transform // waiting time of the request processing queue
-	sbe   lst.Transform // backend response time (Eq. 1)
-	wa    lst.Transform // waiting time for being accept()-ed
+	// Means of the waiting time of the request processing queue Wbe, the
+	// waiting time for being accept()-ed Wa, the backend response time Sbe
+	// (Eq. 1) and the write replica response Swr.
+	meanWbe, meanWa, meanSbe, meanSwr float64
 
-	// Write-class pipeline, populated when OnlineMetrics.WriteRate > 0.
+	// Write class, populated when OnlineMetrics.WriteRate > 0.
 	// A PUT replica sub-request is parse + index write + WriteChunks
 	// data-chunk writes + metadata write, all reaching the disk (no cache
 	// shortcut) — but the event loop does not serve it as one operation.
@@ -40,30 +40,23 @@ type DeviceModel struct {
 	// (one data-chunk write each) and a tail operation (final chunk +
 	// metadata write), each a separate FCFS arrival to the same
 	// per-process queue as reads.
-	writeOp   lst.Transform // total write work (all ops convolved)
-	swr       lst.Transform // write replica response: per-op sojourns convolved
 	writeRate float64
 	writePW   float64 // mean middle-chunk ops per write (WriteChunks-1)
 	// Normalized service-mixture weights of the shared queue over the
 	// four operation streams [read union, write head, write middle chunk,
-	// write tail]; their arithmetic mirrors lst.Mix exactly so the node
-	// evaluators reproduce the queue's service value bit-for-bit.
+	// write tail].
 	fracRead, fracHead, fracMid, fracTail float64
 
-	// effective per-operation latency transforms (cache-mixed), kept for
-	// introspection and tests.
-	opIndex, opMeta, opData lst.Transform
-	procRate                float64 // per-process arrival rate r/Nbe
+	procRate float64 // per-process operation arrival rate
 
-	// Shared-subexpression state for responseNode: the flattened form of
-	// the transform pipeline above, letting the evaluation engine compute
-	// Wa(s) and Sbe(s) at one frequency with each leaf transform evaluated
-	// exactly once (union, wbe and sbe all share the parse/op factors).
+	// The leaf transforms, from which responseNode and writeNode compute
+	// Wa(s), Sbe(s) and Swr(s) at one frequency with each leaf evaluated
+	// exactly once.
 	parse                    lst.Transform // backend parse latency
-	unionQ                   queueing.MG1  // per-process union-operation queue
+	unionQ                   queueing.MG1  // per-process queue; its service is serviceAt
 	rawIdx, rawMeta, rawData lst.Transform // raw disk latency per class
 	rawShared                bool          // one disk transform stands in for all three classes
-	missIdx, missMeta        float64       // effective (ODOPR-adjusted, clamped) miss ratios
+	missIdx, missMeta        float64       // effective (ODOPR-adjusted) miss ratios
 	missData                 float64
 	extraVal                 func(pd complex128) complex128 // extra-reads factor given the opData value
 }
@@ -84,7 +77,9 @@ func NewDeviceModel(props DeviceProperties, m OnlineMetrics, opts Options) (*Dev
 	return d, nil
 }
 
-// build assembles the transform pipeline following Section III-B.
+// build sets up the leaves, the queue and the means following Section
+// III-B. Each mean is the sum of its factors' means, left to right in the
+// order the factors appear in the node evaluators.
 func (d *DeviceModel) build() error {
 	m := d.metrics
 	// Step 1: effective raw disk-latency transforms per operation.
@@ -94,31 +89,28 @@ func (d *DeviceModel) build() error {
 	}
 	d.rawIdx, d.rawMeta, d.rawData, d.rawShared = idx, meta, data, shared
 	// Step 2: cache-aware operation latencies
-	// index(t) = indexd(t)·m + δ(t)(1-m), etc.
-	mi, mm, md := m.MissIndex, m.MissMeta, m.MissData
+	// index(s) = m·indexd(s) + (1-m), etc. (leafValues); Validate keeps
+	// the miss ratios in [0,1].
+	d.missIdx, d.missMeta, d.missData = m.MissIndex, m.MissMeta, m.MissData
 	p := m.ExtraReads()
 	if d.opts.ODOPR {
 		// Baseline: at most one disk operation per request — index,
 		// metadata and extra data reads all "hit".
-		mi, mm, p = 0, 0, 0
+		d.missIdx, d.missMeta, p = 0, 0, 0
 	}
-	d.opIndex = lst.HitOrMiss(idx, mi)
-	d.opMeta = lst.HitOrMiss(meta, mm)
-	d.opData = lst.HitOrMiss(data, md)
-	d.missIdx, d.missMeta, d.missData = clampUnit(mi), clampUnit(mm), clampUnit(md)
 	d.parse = lst.FromDist(d.props.ParseBE)
+	// The cache-mixed operation means E[index], E[meta], E[data].
+	idxMean, metaMean, dataMean := d.missIdx*idx.Mean, d.missMeta*meta.Mean, d.missData*data.Mean
 
 	// Step 3: the union operation. Each union operation is one request's
 	// parse + index + meta + data plus a random number of extra data
 	// chunk reads belonging to other requests, interleaved by the event
-	// loop. extraVal mirrors the compound transform's arithmetic exactly
-	// so responseNode reproduces extra.F from an already-computed opData
-	// value.
-	var extra lst.Transform
+	// loop: a compound of the opData factor pd with p reads on average.
+	extraMean := p * dataMean
 	switch d.opts.Compound {
 	case CompoundFixed:
 		n := int(math.Round(p))
-		extra = lst.FixedCompound(d.opData, n)
+		extraMean = float64(n) * dataMean
 		d.extraVal = func(pd complex128) complex128 {
 			if n <= 0 {
 				return 1
@@ -126,7 +118,6 @@ func (d *DeviceModel) build() error {
 			return cmplx.Pow(pd, complex(float64(n), 0))
 		}
 	case CompoundGeometric:
-		extra = lst.GeometricCompound(d.opData, p)
 		q := p / (1 + p)
 		d.extraVal = func(pd complex128) complex128 {
 			if p <= 0 {
@@ -135,7 +126,6 @@ func (d *DeviceModel) build() error {
 			return complex(1-q, 0) / (1 - complex(q, 0)*pd)
 		}
 	default:
-		extra = lst.PoissonCompound(d.opData, p)
 		d.extraVal = func(pd complex128) complex128 {
 			if p <= 0 {
 				return 1
@@ -143,7 +133,7 @@ func (d *DeviceModel) build() error {
 			return cmplx.Exp(complex(p, 0) * (pd - 1))
 		}
 	}
-	d.union = lst.Convolve(d.parse, d.opIndex, d.opMeta, d.opData, extra)
+	unionMean := d.parse.Mean + idxMean + metaMean + dataMean + extraMean
 
 	// Step 4: the M/G/1 queue of union operations, per process. With
 	// write traffic the same FCFS queue serves both classes, so write
@@ -158,79 +148,56 @@ func (d *DeviceModel) build() error {
 	// Pollaczek–Khinchin the waiting of every class — several-fold, so
 	// the queue's service is the rate-weighted mixture over the four
 	// operation streams and its arrival rate counts operations, not
-	// replicas. A zero write rate leaves the read-only pipeline
-	// structurally unchanged.
+	// replicas. A zero write rate leaves the read-only model unchanged.
 	d.writeRate = m.WriteRate
-	svc := d.union
+	svcMean := unionMean
 	totalRate := m.Rate
-	var wHead, wTail lst.Transform
+	var headMean, tailMean float64
 	if m.WriteRate > 0 {
 		// The middle-chunk count is Poisson with mean WriteChunks-1,
 		// mirroring the read path's extra-reads treatment of a
 		// size-dependent operation count. Every write op reaches the
 		// disk — no cache shortcut.
-		pw := m.WriteChunks - 1
-		d.writePW = pw
-		wHead = lst.Convolve(d.parse, d.rawIdx)
-		wTail = lst.Convolve(d.rawData, d.rawMeta)
-		d.writeOp = lst.Convolve(d.parse, d.rawIdx, d.rawMeta, d.rawData,
-			lst.PoissonCompound(d.rawData, pw))
-		weights := []float64{m.Rate, m.WriteRate, m.WriteRate * pw, m.WriteRate}
-		svc = lst.Mix([]lst.Transform{d.union, wHead, d.rawData, wTail}, weights)
-		// Accumulate the total in lst.Mix's order so the stored
-		// fractions equal its normalized weights bit-for-bit.
-		totalRate = 0
-		for _, w := range weights {
-			totalRate += w
-		}
+		d.writePW = m.WriteChunks - 1
+		headMean = d.parse.Mean + d.rawIdx.Mean
+		tailMean = d.rawData.Mean + d.rawMeta.Mean
+		totalRate = m.Rate + m.WriteRate + m.WriteRate*d.writePW + m.WriteRate
 		d.fracRead = m.Rate / totalRate
 		d.fracHead = m.WriteRate / totalRate
-		d.fracMid = m.WriteRate * pw / totalRate
+		d.fracMid = m.WriteRate * d.writePW / totalRate
 		d.fracTail = m.WriteRate / totalRate
+		svcMean = d.fracRead*unionMean + d.fracHead*headMean + d.fracMid*d.rawData.Mean + d.fracTail*tailMean
 	}
 	d.procRate = totalRate / float64(m.Procs)
-	q, err := queueing.NewMG1(d.procRate, svc)
+	q, err := queueing.NewMG1(d.procRate, lst.Transform{F: d.serviceAt, Mean: svcMean})
 	if err != nil {
 		return fmt.Errorf("%w: device union queue: %v", ErrOverload, err)
 	}
 	d.unionQ = q
-	d.wbe = q.WaitingLST()
+	// The P-K mean reads the service's second moment off serviceAt.
+	d.meanWbe = q.WaitingLST().Mean
 
 	// Step 5: backend response time, Eq. 1:
 	// Sbe = Wbe ∗ parse ∗ index ∗ meta ∗ data.
-	d.sbe = lst.Convolve(d.wbe, d.parse, d.opIndex, d.opMeta, d.opData)
+	d.meanSbe = d.meanWbe + d.parse.Mean + idxMean + metaMean + dataMean
 	if m.WriteRate > 0 {
 		// Write replica response: each of the replica's operations
 		// queues behind the shared waiting independently, so the
 		// response is the convolution of per-operation sojourns —
 		// head, a Poisson-compound number of middle-chunk ops, and
-		// tail.
-		d.swr = lst.Convolve(
-			lst.Convolve(d.wbe, wHead),
-			lst.PoissonCompound(lst.Convolve(d.wbe, d.rawData), d.writePW),
-			lst.Convolve(d.wbe, wTail),
-		)
+		// tail (writeNode).
+		midMean := d.writePW * (d.meanWbe + d.rawData.Mean)
+		d.meanSwr = (d.meanWbe + headMean) + midMean + (d.meanWbe + tailMean)
 	}
 
-	// Step 6: waiting time for being accept()-ed.
+	// Step 6: waiting time for being accept()-ed (waValue).
 	switch d.opts.WTA {
 	case WTANone:
-		d.wa = lst.One()
+		d.meanWa = 0
 	case WTAExact:
-		// Wa = U·Wbe (see WTAExact): Wa(s) = ∫₀¹ Wbe(u·s) du.
-		wbe := d.wbe
-		d.wa = lst.Transform{
-			F: func(s complex128) complex128 {
-				var sum complex128
-				for j, u := range wtaNodes {
-					sum += complex(wtaWeights[j], 0) * wbe.F(complex(u, 0)*s)
-				}
-				return sum
-			},
-			Mean: wbe.Mean / 2,
-		}
+		d.meanWa = d.meanWbe / 2
 	default:
-		d.wa = d.wbe
+		d.meanWa = d.meanWbe
 	}
 	return nil
 }
@@ -330,17 +297,28 @@ func (d *DeviceModel) scaledServiceMeans() (bi, bm, bd float64) {
 	return pi * x, pm * x, pd * x
 }
 
-// Union returns the union-operation service transform Bbe.
-func (d *DeviceModel) Union() lst.Transform { return d.union }
-
 // Waiting returns the request-processing-queue waiting transform Wbe.
-func (d *DeviceModel) Waiting() lst.Transform { return d.wbe }
+func (d *DeviceModel) Waiting() lst.Transform {
+	return lst.Transform{F: func(s complex128) complex128 {
+		return d.waitingValue(s, d.parse.F(s))
+	}, Mean: d.meanWbe}
+}
 
 // Backend returns the backend response transform Sbe (Eq. 1).
-func (d *DeviceModel) Backend() lst.Transform { return d.sbe }
+func (d *DeviceModel) Backend() lst.Transform {
+	return lst.Transform{F: func(s complex128) complex128 {
+		_, sbe := d.responseNode(s, d.parse.F(s))
+		return sbe
+	}, Mean: d.meanSbe}
+}
 
 // WTA returns the accept-waiting transform Wa.
-func (d *DeviceModel) WTA() lst.Transform { return d.wa }
+func (d *DeviceModel) WTA() lst.Transform {
+	return lst.Transform{F: func(s complex128) complex128 {
+		wa, _ := d.responseNode(s, d.parse.F(s))
+		return wa
+	}, Mean: d.meanWa}
+}
 
 // Utilization returns the per-process union-operation utilization ρ (both
 // traffic classes when write traffic is modeled).
@@ -353,47 +331,46 @@ func (d *DeviceModel) Rate() float64 { return d.metrics.Rate }
 // read-only workload).
 func (d *DeviceModel) WriteRate() float64 { return d.metrics.WriteRate }
 
-// WriteOp returns the total write-work transform — every operation of one
-// PUT replica convolved (the zero Transform when no write traffic is
-// modeled). The queue serves these as separate operations; this is the
-// summed service, for introspection.
-func (d *DeviceModel) WriteOp() lst.Transform { return d.writeOp }
-
 // WriteResponse returns the write replica response transform Swr: the
 // convolution of the per-operation sojourns (Wbe ∗ head) ∗
 // compound(Wbe ∗ chunk) ∗ (Wbe ∗ tail) — the zero Transform when no write
 // traffic is modeled.
-func (d *DeviceModel) WriteResponse() lst.Transform { return d.swr }
-
-// BackendCDF evaluates the backend response-latency CDF at t.
-func (d *DeviceModel) BackendCDF(t float64) float64 {
-	return lst.CDF(d.opts.inverter(), d.sbe, t)
+func (d *DeviceModel) WriteResponse() lst.Transform {
+	if d.writeRate <= 0 {
+		return lst.Transform{}
+	}
+	return lst.Transform{F: func(s complex128) complex128 {
+		_, swr := d.writeNode(s, d.parse.F(s))
+		return swr
+	}, Mean: d.meanSwr}
 }
 
-// clampUnit clamps a miss ratio to [0,1], matching lst.HitOrMiss.
-func clampUnit(v float64) float64 {
-	if v < 0 {
-		return 0
+// BackendCDF evaluates the backend response-latency CDF at t. An invalid
+// inversion walks the configured fallback inverters as the system engine
+// does (validCDF); if none recovers it, the error wraps
+// numeric.ErrNumerical.
+func (d *DeviceModel) BackendCDF(t float64) (float64, error) {
+	if t <= 0 {
+		return 0, nil
 	}
-	if v > 1 {
-		return 1
+	raw := func(inv numeric.Inverter) float64 {
+		return numeric.Invert(inv, func(s complex128) complex128 {
+			_, sbe := d.responseNode(s, d.parse.F(s))
+			return sbe / s
+		}, t)
 	}
-	return v
+	return validCDF(d.opts, raw(d.opts.inverter()), t, raw)
 }
 
 // responseNode evaluates the accept-waiting transform Wa and the backend
 // response transform Sbe at one inversion frequency s, sharing every leaf
-// evaluation between them. The nested Transform closures built in build()
-// would evaluate the parse/index/meta/data factors up to three times each
-// per frequency (once inside the union service time feeding the P-K waiting
-// term, once in Sbe's own convolution, and once more through Wa = Wbe);
-// here each leaf is evaluated exactly once, and in multi-process mode the
-// shared disk-sojourn transform once for all three operation classes. The
-// arithmetic mirrors the closure pipeline term for term, so results agree
-// with Transform.F to floating-point associativity (well below 1e-12).
-// pr is the backend-parse factor at s (the caller evaluates it once for
-// every device sharing the ParseBE). It is safe for concurrent use: all
-// receiver state is immutable after build().
+// evaluation between them: the parse/index/meta/data factors enter the
+// union service time feeding the P-K waiting term, Sbe's own convolution
+// and Wa = Wbe, yet each leaf is evaluated exactly once, and in
+// multi-process mode the shared disk-sojourn transform once for all three
+// operation classes. pr is the backend-parse factor at s (the caller
+// evaluates it once for every device sharing the ParseBE). It is safe for
+// concurrent use: all receiver state is immutable after build().
 func (d *DeviceModel) responseNode(s, pr complex128) (wa, sbe complex128) {
 	pi, pm, pd, ri, rm, rd := d.leafValues(s)
 	union := pr * pi * pm * pd * d.extraVal(pd)
@@ -426,16 +403,22 @@ func (d *DeviceModel) writeNode(s, pr complex128) (wa, swr complex128) {
 	}
 	pi, pm, pd, ri, rm, rd := d.leafValues(s)
 	union := pr * pi * pm * pd * d.extraVal(pd)
-	head := pr * ri
-	tail := rd * rm
-	svc := complex(d.fracRead, 0)*union + complex(d.fracHead, 0)*head +
-		complex(d.fracMid, 0)*rd + complex(d.fracTail, 0)*tail
-	w := d.unionQ.WaitingValue(s, svc)
-	swr = (w * head) * (w * tail)
+	w := d.unionQ.WaitingValue(s, d.serviceValue(union, pr, ri, rm, rd))
+	swr = (w * (pr * ri)) * (w * (rd * rm))
 	if d.writePW > 0 {
 		swr *= cmplx.Exp(complex(d.writePW, 0) * (w*rd - 1))
 	}
 	return d.waValue(s, w), swr
+}
+
+// serviceAt is the shared queue's service transform B(s), composed from the
+// leaf transforms at s. It is unionQ's service, so the P-K mean E[Wbe]
+// (lst.SecondMomentNumeric) probes the same arithmetic the node evaluators
+// use.
+func (d *DeviceModel) serviceAt(s complex128) complex128 {
+	pr := d.parse.F(s)
+	pi, pm, pd, ri, rm, rd := d.leafValues(s)
+	return d.serviceValue(pr*pi*pm*pd*d.extraVal(pd), pr, ri, rm, rd)
 }
 
 // leafValues evaluates the device's own leaf transforms at one frequency:
@@ -461,8 +444,8 @@ func (d *DeviceModel) leafValues(s complex128) (pi, pm, pd, ri, rm, rd complex12
 
 // serviceValue composes the shared queue's service-transform value from the
 // read union-operation value (and, with write traffic, the three write
-// operation streams): the rate-weighted mixture, mirroring the lst.Mix
-// arithmetic in build() term for term.
+// operation streams: head parse·index, middle chunk, tail chunk·meta): the
+// rate-weighted mixture.
 func (d *DeviceModel) serviceValue(union, pr, ri, rm, rd complex128) complex128 {
 	if d.writeRate <= 0 {
 		return union
@@ -473,7 +456,7 @@ func (d *DeviceModel) serviceValue(union, pr, ri, rm, rd complex128) complex128 
 
 // waValue maps the shared waiting value onto the configured WTA mode. The
 // exact WTA, Wa(s) = Σ_j w_j·Wbe(u_j·s), evaluates each Wbe(u_j·s) through
-// the leaf transforms, not the closure pipeline behind d.wa.
+// the leaf transforms.
 func (d *DeviceModel) waValue(s, w complex128) complex128 {
 	switch d.opts.WTA {
 	case WTANone:

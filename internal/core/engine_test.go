@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"math/cmplx"
 	"sync"
 	"testing"
 
@@ -75,14 +77,15 @@ func TestEngineMatchesLegacyClosures(t *testing.T) {
 			// closures, bit for bit.
 			mean := 0.0
 			for _, d := range engine.devices {
-				mean += d.Rate() * lst.Convolve(engine.frontend.Sojourn(), d.WTA(), d.Backend()).Mean
+				c := mustClosures(t, d)
+				mean += d.Rate() * lst.Convolve(engine.frontend.Sojourn(), c.wa, c.sbe).Mean
 			}
 			if got, want := engine.MeanResponse(), mean/engine.totalRate; got != want {
 				t.Errorf("MeanResponse %v, composed closures %v", got, want)
 			}
 			for _, q := range []Query{{}, backendQ} {
 				for _, x := range ts {
-					got, want := mustEvalAt(t, engine, q, x), closureCDF(engine, q.Tier == TierBackend, x)
+					got, want := mustEvalAt(t, engine, q, x), closureCDF(t, engine, q.Tier == TierBackend, x)
 					if math.Abs(got-want) > 1e-12 {
 						t.Errorf("%+v at %v: engine %v, legacy %v (diff %g)", q, x, got, want, got-want)
 					}
@@ -92,22 +95,99 @@ func TestEngineMatchesLegacyClosures(t *testing.T) {
 	}
 }
 
-// closureCDF is the legacy-closure oracle of a plain read: every mixture
-// group's composed transform — lst.Convolve of the frontend sojourn, the
-// device's accept wait and its backend response, or the backend response
-// alone — inverted independently with numeric.InvertCDF and rate-weighted
-// in group order.
-func closureCDF(sys *SystemModel, backend bool, x float64) float64 {
+// closureCDF is the closure oracle of a plain read: every mixture group's
+// composed transform (closuresOf) — lst.Convolve of the frontend sojourn,
+// the device's accept wait and its backend response, or the backend
+// response alone — inverted independently with numeric.InvertCDF and
+// rate-weighted in group order.
+func closureCDF(t *testing.T, sys *SystemModel, backend bool, x float64) float64 {
 	inv := sys.opts.inverter()
 	total := 0.0
 	for _, g := range sys.groups {
-		tr := lst.Convolve(sys.frontend.Sojourn(), g.dev.WTA(), g.dev.Backend())
+		c := mustClosures(t, g.dev)
+		tr := lst.Convolve(sys.frontend.Sojourn(), c.wa, c.sbe)
 		if backend {
-			tr = g.dev.Backend()
+			tr = c.sbe
 		}
 		total += g.weight * numeric.InvertCDF(inv, tr.F, x)
 	}
 	return numeric.Clamp01(total / sys.totalRate)
+}
+
+// TestDeviceNodesMatchClosurePipeline pins the device model — its node
+// evaluators and the means summed at build — to the closure composition of
+// the same leaves (closuresOf) over every option variant, Nbe ∈ {1, 4} and
+// read-only or write traffic (one or 3.5 chunks per PUT): the utilization
+// and the means of Wbe, Wa, Sbe and Swr bit for bit, and responseNode and
+// writeNode within 1e-12 relative of the closures' transforms at every
+// Euler and Talbot inversion node of three thresholds.
+func TestDeviceNodesMatchClosurePipeline(t *testing.T) {
+	variants := []struct {
+		name string
+		opts Options
+	}{
+		{"default", Options{}},
+		{"odopr", Options{ODOPR: true}},
+		{"noWTA", Options{WTA: WTANone}},
+		{"exactWTA", Options{WTA: WTAExact}},
+		{"fixedCompound", Options{Compound: CompoundFixed}},
+		{"geomCompound", Options{Compound: CompoundGeometric}},
+		{"diskMG1", Options{DiskQueue: DiskMG1}},
+	}
+	writes := []struct{ rate, chunks float64 }{{0, 0}, {3, 1}, {3, 3.5}}
+	inverters := []numeric.Inverter{numeric.NewEuler(), numeric.NewTalbot()}
+	for _, v := range variants {
+		for _, procs := range []int{1, 4} {
+			for _, w := range writes {
+				t.Run(fmt.Sprintf("%s/Nbe=%d/writes=%v×%v", v.name, procs, w.rate, w.chunks), func(t *testing.T) {
+					m := testMetrics()
+					m.DataRate = 2.7 * m.Rate // 1.7 extra reads: a fixed compound of 2
+					m.Procs = procs
+					m.WriteRate, m.WriteChunks = w.rate, w.chunks
+					d, err := NewDeviceModel(testProps(), m, v.opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					c := mustClosures(t, d)
+					for _, mean := range []struct {
+						name      string
+						got, want float64
+					}{
+						{"utilization", d.Utilization(), c.utilization},
+						{"E[Wbe]", d.meanWbe, c.wbe.Mean},
+						{"E[Wa]", d.meanWa, c.wa.Mean},
+						{"E[Sbe]", d.meanSbe, c.sbe.Mean},
+						{"E[Swr]", d.meanSwr, c.swr.Mean},
+					} {
+						if math.Float64bits(mean.got) != math.Float64bits(mean.want) {
+							t.Errorf("%s = %v, closures %v", mean.name, mean.got, mean.want)
+						}
+					}
+					near := func(what string, s, got, want complex128) {
+						if cmplx.Abs(got-want) > 1e-12*cmplx.Abs(want) {
+							t.Errorf("%s(%v) = %v, closures %v", what, s, got, want)
+						}
+					}
+					for _, inv := range inverters {
+						for _, x := range []float64{0.005, 0.03, 0.2} {
+							nodes, _ := inv.AppendNodes(nil, nil, x)
+							for _, s := range nodes {
+								pr := d.parse.F(s)
+								wa, sbe := d.responseNode(s, pr)
+								near("Wa", s, wa, c.wa.F(s))
+								near("Sbe", s, sbe, c.sbe.F(s))
+								if w.rate > 0 {
+									wa, swr := d.writeNode(s, pr)
+									near("write Wa", s, wa, c.wa.F(s))
+									near("Swr", s, swr, c.swr.F(s))
+								}
+							}
+						}
+					}
+				})
+			}
+		}
+	}
 }
 
 // TestParallelMatchesSequentialCDF is the determinism property test: the

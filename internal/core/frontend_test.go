@@ -96,7 +96,7 @@ func TestSystemBackendCDF(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sla := range []float64{0.01, 0.05, 0.1} {
-		want := (a.Rate()*a.BackendCDF(sla) + b.Rate()*b.BackendCDF(sla)) / (a.Rate() + b.Rate())
+		want := (a.Rate()*mustBackendCDF(t, a, sla) + b.Rate()*mustBackendCDF(t, b, sla)) / (a.Rate() + b.Rate())
 		if got := mustEvalAt(t, sys, backendQ, sla); math.Abs(got-want) > 1e-12 {
 			t.Errorf("backend CDF(%v) = %v, want %v", sla, got, want)
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 
@@ -99,6 +100,16 @@ func TestExtraReadsClamped(t *testing.T) {
 	}
 }
 
+// mustBackendCDF is DeviceModel.BackendCDF failing the test on error.
+func mustBackendCDF(t *testing.T, d *DeviceModel, x float64) float64 {
+	t.Helper()
+	v, err := d.BackendCDF(x)
+	if err != nil {
+		t.Fatalf("BackendCDF(%v): %v", x, err)
+	}
+	return v
+}
+
 func TestDeviceModelBasics(t *testing.T) {
 	d, err := NewDeviceModel(testProps(), testMetrics(), Options{})
 	if err != nil {
@@ -111,7 +122,7 @@ func TestDeviceModelBasics(t *testing.T) {
 	prev := -1.0
 	mean := d.Backend().Mean
 	for x := mean / 10; x < 10*mean; x *= 1.3 {
-		c := d.BackendCDF(x)
+		c := mustBackendCDF(t, d, x)
 		if c < -1e-9 || c > 1+1e-9 {
 			t.Fatalf("CDF(%v) = %v", x, c)
 		}
@@ -120,8 +131,40 @@ func TestDeviceModelBasics(t *testing.T) {
 		}
 		prev = c
 	}
-	if c := d.BackendCDF(10 * mean); c < 0.95 {
+	if c := mustBackendCDF(t, d, 10*mean); c < 0.95 {
 		t.Errorf("CDF(10·mean) = %v", c)
+	}
+}
+
+// TestBackendCDFSurfacesInvalidInversion: a NaN primary inversion with no
+// fallback is an error wrapping numeric.ErrNumerical, not a CDF of 0; with
+// the default chain it is recovered by the first fallback (Euler), whose
+// value it returns, and OnFallback reports the switch.
+func TestBackendCDFSurfacesInvalidInversion(t *testing.T) {
+	poisoned, err := NewDeviceModel(testProps(), testMetrics(), Options{Inverter: nanInverter{}, Fallbacks: []numeric.Inverter{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := poisoned.BackendCDF(0.02); !errors.Is(err, numeric.ErrNumerical) {
+		t.Errorf("BackendCDF = %v, %v; want ErrNumerical", v, err)
+	}
+	var switched []string
+	recovered, err := NewDeviceModel(testProps(), testMetrics(), Options{
+		Inverter:   nanInverter{},
+		OnFallback: func(from, to string) { switched = append(switched, from+"->"+to) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	euler, err := NewDeviceModel(testProps(), testMetrics(), Options{Inverter: numeric.NewEuler()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := mustBackendCDF(t, recovered, 0.02), mustBackendCDF(t, euler, 0.02); got != want {
+		t.Errorf("recovered BackendCDF = %v, Euler %v", got, want)
+	}
+	if len(switched) != 1 || switched[0] != "nan->"+numeric.NewEuler().Name() {
+		t.Errorf("OnFallback calls %v, want one nan->euler", switched)
 	}
 }
 
@@ -147,7 +190,7 @@ func TestDeviceModelReducesToMG1(t *testing.T) {
 	}
 	want := q.SojournLST()
 	for _, x := range []float64{0.005, 0.01, 0.02, 0.05, 0.1} {
-		got := d.BackendCDF(x)
+		got := mustBackendCDF(t, d, x)
 		ref := lst.CDF(inv, want, x)
 		if math.Abs(got-ref) > 1e-6 {
 			t.Errorf("CDF(%v) = %v, want %v", x, got, ref)
@@ -177,11 +220,12 @@ func TestODOPRIsOptimistic(t *testing.T) {
 	// Ignoring index/meta/extra-read disk traffic can only make latency
 	// look better.
 	for _, sla := range []float64{0.01, 0.05, 0.1} {
-		if odopr.BackendCDF(sla) < our.BackendCDF(sla)-1e-6 {
+		if mustBackendCDF(t, odopr, sla) < mustBackendCDF(t, our, sla)-1e-6 {
 			t.Errorf("ODOPR CDF(%v) below full model", sla)
 		}
 	}
-	if odopr.Union().Mean >= our.Union().Mean {
+	// Same arrival rate, so utilization orders the union means.
+	if odopr.Utilization() >= our.Utilization() {
 		t.Error("ODOPR union mean should be smaller")
 	}
 }
@@ -309,7 +353,7 @@ func TestMultiProcessModel(t *testing.T) {
 		}
 		prev := -1.0
 		for x := 1e-3; x < 20*mean; x *= 1.5 {
-			c := d.BackendCDF(x)
+			c := mustBackendCDF(t, d, x)
 			if c < -1e-9 || c > 1+1e-9 || c < prev-1e-6 {
 				t.Fatalf("Nbe=%d: bad CDF(%v) = %v (prev %v)", nbe, x, c, prev)
 			}
@@ -354,7 +398,7 @@ func TestMultiProcessNoDiskTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Everything cached: response is parse-dominated and fast.
-	if c := d.BackendCDF(0.01); c < 0.99 {
+	if c := mustBackendCDF(t, d, 0.01); c < 0.99 {
 		t.Errorf("all-hit CDF(10ms) = %v", c)
 	}
 }
@@ -367,16 +411,127 @@ func TestCompoundModes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("mode %d: %v", mode, err)
 		}
-		if d.Union().Mean <= 0 {
-			t.Fatalf("mode %d: union mean %v", mode, d.Union().Mean)
+		if rho := d.Utilization(); rho <= 0 {
+			t.Fatalf("mode %d: utilization %v", mode, rho)
 		}
 	}
 	// All modes share the same union mean (same expected extra reads),
 	// except Fixed which rounds.
 	pois, _ := NewDeviceModel(props, m, Options{Compound: CompoundPoisson})
 	geo, _ := NewDeviceModel(props, m, Options{Compound: CompoundGeometric})
-	if math.Abs(pois.Union().Mean-geo.Union().Mean) > 1e-12 {
+	if math.Abs(pois.Utilization()-geo.Utilization()) > 1e-12 {
 		t.Error("Poisson and geometric compounds should share the union mean")
+	}
+}
+
+// extraReadsDevice builds the test device with p extra data reads per
+// union operation under the given compound mode.
+func extraReadsDevice(t *testing.T, p float64, mode CompoundMode) *DeviceModel {
+	t.Helper()
+	m := testMetrics()
+	m.DataRate = (1 + p) * m.Rate
+	d, err := NewDeviceModel(testProps(), m, Options{Compound: mode})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// opDataAt is the device's cache-mixed data-read factor at s.
+func opDataAt(d *DeviceModel, s complex128) complex128 {
+	_, _, pd, _, _, _ := d.leafValues(s)
+	return pd
+}
+
+// TestExtraValPoissonMatchesSeries validates the Poisson extra-reads
+// factor e^{p(pd-1)} against the truncated series Σ p^j e^{-p}/j! pd^j the
+// paper writes out.
+func TestExtraValPoissonMatchesSeries(t *testing.T) {
+	d := extraReadsDevice(t, 1.7, CompoundPoisson)
+	p := d.metrics.ExtraReads()
+	for _, s := range []complex128{complex(50, 20), complex(400, -300)} {
+		pd := opDataAt(d, s)
+		var series complex128
+		term := math.Exp(-p) // p^0 e^-p / 0!
+		pow := complex(1, 0)
+		for j := 0; j < 60; j++ {
+			series += complex(term, 0) * pow
+			term *= p / float64(j+1)
+			pow *= pd
+		}
+		if got := d.extraVal(pd); cmplx.Abs(got-series) > 1e-12 {
+			t.Errorf("s=%v: compound %v, series %v", s, got, series)
+		}
+	}
+	if got := d.extraVal(1); cmplx.Abs(got-1) > 1e-15 {
+		t.Errorf("factor at s=0: %v", got)
+	}
+}
+
+// TestExtraValGeometricMatchesSeries validates the geometric extra-reads
+// factor (1-q)/(1-q·pd), q = p/(1+p), against its series Σ (1-q) q^j pd^j.
+func TestExtraValGeometricMatchesSeries(t *testing.T) {
+	d := extraReadsDevice(t, 1.7, CompoundGeometric)
+	p := d.metrics.ExtraReads()
+	q := p / (1 + p)
+	for _, s := range []complex128{complex(50, 20), complex(400, -300)} {
+		pd := opDataAt(d, s)
+		var series complex128
+		pow := complex(1-q, 0)
+		for j := 0; j < 200; j++ {
+			series += pow
+			pow *= complex(q, 0) * pd
+		}
+		if got := d.extraVal(pd); cmplx.Abs(got-series) > 1e-12 {
+			t.Errorf("s=%v: compound %v, series %v", s, got, series)
+		}
+	}
+	if got := d.extraVal(1); cmplx.Abs(got-1) > 1e-15 {
+		t.Errorf("factor at s=0: %v", got)
+	}
+}
+
+// TestExtraValFixedIsPower checks the fixed extra-reads factor: pd^n with
+// n = round(p) copies, and no factor at all when p rounds to zero.
+func TestExtraValFixedIsPower(t *testing.T) {
+	for _, c := range []struct {
+		p float64
+		n int
+	}{{1.7, 2}, {2.4, 2}, {0.4, 0}} {
+		d := extraReadsDevice(t, c.p, CompoundFixed)
+		for _, s := range []complex128{complex(50, 20), complex(400, -300)} {
+			pd := opDataAt(d, s)
+			want := complex(1, 0)
+			for range c.n {
+				want *= pd
+			}
+			if got := d.extraVal(pd); cmplx.Abs(got-want) > 1e-12*cmplx.Abs(want) {
+				t.Errorf("p=%v s=%v: factor %v, pd^%d = %v", c.p, s, got, c.n, want)
+			}
+		}
+	}
+}
+
+// TestExtraReadsMean checks the extra reads' share of the union-operation
+// mean: p·E[opData] for the Poisson and geometric compounds, round(p)·
+// E[opData] for the fixed one. The share is the utilization gained over the
+// same device with no extra reads, divided by the per-process rate.
+func TestExtraReadsMean(t *testing.T) {
+	m := testMetrics()
+	opData := m.MissData * testProps().DataDisk.Mean()
+	for _, mode := range []CompoundMode{CompoundPoisson, CompoundGeometric, CompoundFixed} {
+		base := extraReadsDevice(t, 0, mode)
+		for _, p := range []float64{0.4, 1.7} {
+			d := extraReadsDevice(t, p, mode)
+			n := d.metrics.ExtraReads()
+			if mode == CompoundFixed {
+				n = math.Round(n)
+			}
+			got := (d.Utilization() - base.Utilization()) / d.procRate
+			if want := n * opData; math.Abs(got-want) > 1e-12*math.Max(want, opData) {
+				t.Errorf("mode %d p=%v: extra-reads mean %v, want %v", mode, p, got, want)
+			}
+		}
 	}
 }
 
@@ -500,7 +655,8 @@ func TestSystemModelMixture(t *testing.T) {
 	}
 	devs := []*DeviceModel{dFast, dSlow}
 	deviceCDF := func(j int, sla float64) float64 {
-		return lst.CDF(inv, lst.Convolve(fe.Sojourn(), devs[j].WTA(), devs[j].Backend()), sla)
+		c := mustClosures(t, devs[j])
+		return lst.CDF(inv, lst.Convolve(fe.Sojourn(), c.wa, c.sbe), sla)
 	}
 	for _, sla := range []float64{0.01, 0.05, 0.1} {
 		want := (20*deviceCDF(0, sla) + 60*deviceCDF(1, sla)) / 80

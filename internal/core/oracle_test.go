@@ -3,11 +3,14 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/cmplx"
 	"testing"
 
 	"cosmodel/internal/coscode"
+	"cosmodel/internal/lst"
 	"cosmodel/internal/numeric"
+	"cosmodel/internal/queueing"
 )
 
 // Shorthand queries for the tests.
@@ -210,4 +213,182 @@ func mustOracle(t *testing.T, sys *SystemModel, q Query, x float64) float64 {
 		t.Fatalf("oracle(%+v, %v): %v", q, x, err)
 	}
 	return v
+}
+
+// closureModel is the device model composed as nested lst.Transform
+// closures: the reference the node evaluators (responseNode, writeNode,
+// waitingValue) and the stored means are pinned against. It is built by
+// closuresOf, an independent composition of the same leaves.
+type closureModel struct {
+	union lst.Transform // Bbe: union operation service time (read class)
+	wbe   lst.Transform // waiting time of the request processing queue
+	sbe   lst.Transform // backend response time (Eq. 1)
+	wa    lst.Transform // waiting time for being accept()-ed
+	swr   lst.Transform // write replica response (zero without writes)
+	// utilization is the union queue's per-process ρ.
+	utilization float64
+}
+
+// closuresOf composes d's model from its disk leaves (d.rawIdx, d.rawMeta,
+// d.rawData, Section III-B step 1) as transform closures, following
+// steps 2–6: cache-aware operations, the union operation with its
+// compound extra reads, the shared M/G/1 queue over the read and write
+// operation streams, Sbe (Eq. 1) and Swr, and the WTA.
+func closuresOf(d *DeviceModel) (closureModel, error) {
+	var c closureModel
+	m := d.metrics
+	idx, meta, data := d.rawIdx, d.rawMeta, d.rawData
+	// Step 2: cache-aware operation latencies
+	// index(t) = indexd(t)·m + δ(t)(1-m), etc.
+	mi, mm, md := m.MissIndex, m.MissMeta, m.MissData
+	p := m.ExtraReads()
+	if d.opts.ODOPR {
+		mi, mm, p = 0, 0, 0
+	}
+	opIndex := hitOrMiss(idx, mi)
+	opMeta := hitOrMiss(meta, mm)
+	opData := hitOrMiss(data, md)
+	parse := lst.FromDist(d.props.ParseBE)
+
+	// Step 3: the union operation.
+	var extra lst.Transform
+	switch d.opts.Compound {
+	case CompoundFixed:
+		extra = fixedCompound(opData, int(math.Round(p)))
+	case CompoundGeometric:
+		extra = geometricCompound(opData, p)
+	default:
+		extra = poissonCompound(opData, p)
+	}
+	c.union = lst.Convolve(parse, opIndex, opMeta, opData, extra)
+
+	// Step 4: the M/G/1 queue of union operations, per process, its
+	// service the rate-weighted mixture over the read union and the
+	// write head, middle-chunk and tail operations.
+	svc := c.union
+	totalRate := m.Rate
+	var wHead, wTail lst.Transform
+	pw := m.WriteChunks - 1
+	if m.WriteRate > 0 {
+		wHead = lst.Convolve(parse, idx)
+		wTail = lst.Convolve(data, meta)
+		weights := []float64{m.Rate, m.WriteRate, m.WriteRate * pw, m.WriteRate}
+		svc = lst.Mix([]lst.Transform{c.union, wHead, data, wTail}, weights)
+		totalRate = 0
+		for _, w := range weights {
+			totalRate += w
+		}
+	}
+	q, err := queueing.NewMG1(totalRate/float64(m.Procs), svc)
+	if err != nil {
+		return c, err
+	}
+	c.utilization = q.Utilization()
+	c.wbe = q.WaitingLST()
+
+	// Step 5: Sbe = Wbe ∗ parse ∗ index ∗ meta ∗ data, and the write
+	// replica response, the convolution of per-operation sojourns.
+	c.sbe = lst.Convolve(c.wbe, parse, opIndex, opMeta, opData)
+	if m.WriteRate > 0 {
+		c.swr = lst.Convolve(
+			lst.Convolve(c.wbe, wHead),
+			poissonCompound(lst.Convolve(c.wbe, data), pw),
+			lst.Convolve(c.wbe, wTail),
+		)
+	}
+
+	// Step 6: waiting time for being accept()-ed.
+	switch d.opts.WTA {
+	case WTANone:
+		c.wa = lst.One()
+	case WTAExact:
+		wbe := c.wbe
+		c.wa = lst.Transform{
+			F: func(s complex128) complex128 {
+				var sum complex128
+				for j, u := range wtaNodes {
+					sum += complex(wtaWeights[j], 0) * wbe.F(complex(u, 0)*s)
+				}
+				return sum
+			},
+			Mean: wbe.Mean / 2,
+		}
+	default:
+		c.wa = c.wbe
+	}
+	return c, nil
+}
+
+// mustClosures is closuresOf failing the test on error.
+func mustClosures(t *testing.T, d *DeviceModel) closureModel {
+	t.Helper()
+	c, err := closuresOf(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// hitOrMiss is the transform of the cache-aware operation latency: disk
+// latency with probability miss, zero otherwise,
+// index(s) = miss·disk(s) + (1-miss).
+func hitOrMiss(disk lst.Transform, miss float64) lst.Transform {
+	if miss < 0 {
+		miss = 0
+	}
+	if miss > 1 {
+		miss = 1
+	}
+	f := disk.F
+	return lst.Transform{
+		F: func(s complex128) complex128 {
+			return complex(miss, 0)*f(s) + complex(1-miss, 0)
+		},
+		Mean: miss * disk.Mean,
+	}
+}
+
+// poissonCompound is the transform of Σ_{i=1}^{N} Xᵢ with N Poisson of
+// mean p and the Xᵢ iid with transform t: e^{p·(t(s)-1)}.
+func poissonCompound(t lst.Transform, p float64) lst.Transform {
+	if p <= 0 {
+		return lst.One()
+	}
+	f := t.F
+	return lst.Transform{
+		F: func(s complex128) complex128 {
+			return cmplx.Exp(complex(p, 0) * (f(s) - 1))
+		},
+		Mean: p * t.Mean,
+	}
+}
+
+// geometricCompound is the transform of Σ_{i=1}^{N} Xᵢ with N geometric on
+// {0,1,2,…} with mean p: (1/(1+p)) / (1 - (p/(1+p))·t(s)).
+func geometricCompound(t lst.Transform, p float64) lst.Transform {
+	if p <= 0 {
+		return lst.One()
+	}
+	q := p / (1 + p)
+	f := t.F
+	return lst.Transform{
+		F: func(s complex128) complex128 {
+			return complex(1-q, 0) / (1 - complex(q, 0)*f(s))
+		},
+		Mean: p * t.Mean,
+	}
+}
+
+// fixedCompound is the transform of n iid copies: t(s)^n.
+func fixedCompound(t lst.Transform, n int) lst.Transform {
+	if n <= 0 {
+		return lst.One()
+	}
+	f := t.F
+	return lst.Transform{
+		F: func(s complex128) complex128 {
+			return cmplx.Pow(f(s), complex(float64(n), 0))
+		},
+		Mean: float64(n) * t.Mean,
+	}
 }

@@ -242,24 +242,33 @@ func nodeValue(sh shape, fe []complex128, k int, wa, sbe complex128) complex128 
 	}
 }
 
-// groupCDF validates a raw per-group inversion value and walks the fallback
-// inverter chain on an invalid one. A recovered value fires
-// Options.OnFallback; exhaustion returns a *numeric.InversionError.
+// groupCDF validates a raw per-group inversion value through validCDF,
+// re-evaluating group i with each fallback inverter.
 func (s *SystemModel) groupCDF(v float64, i int, t float64, mode evalMode) (float64, error) {
+	return validCDF(s.opts, v, t, func(inv numeric.Inverter) float64 {
+		return s.groupEvaluator(inv, t, mode)(i)
+	})
+}
+
+// validCDF validates v, the primary inverter's raw CDF value at t, and
+// walks opts' fallback inverter chain on an invalid one, raw evaluating the
+// same CDF with a given inverter. A recovered value fires
+// Options.OnFallback; exhaustion returns a *numeric.InversionError.
+func validCDF(opts Options, v, t float64, raw func(numeric.Inverter) float64) (float64, error) {
 	reason := numeric.CheckCDF(v)
 	if reason == "" {
 		return numeric.Clamp01(v), nil
 	}
-	primary := s.opts.inverter().Name()
+	primary := opts.inverter().Name()
 	tried := []string{primary}
-	for _, fb := range s.opts.fallbacks() {
+	for _, fb := range opts.fallbacks() {
 		if fb == nil || fb.Name() == primary {
 			continue
 		}
 		tried = append(tried, fb.Name())
-		fv := s.groupEvaluator(fb, t, mode)(i)
+		fv := raw(fb)
 		if numeric.CheckCDF(fv) == "" {
-			if cb := s.opts.OnFallback; cb != nil {
+			if cb := opts.OnFallback; cb != nil {
 				cb(primary, fb.Name())
 			}
 			return numeric.Clamp01(fv), nil
@@ -270,13 +279,12 @@ func (s *SystemModel) groupCDF(v float64, i int, t float64, mode evalMode) (floa
 }
 
 // MeanResponse returns the rate-weighted mean response latency, from the
-// component means of each device's Sq ∗ Wa ∗ Sbe (summed in lst.Convolve's
-// order, so it equals the convolved transform's mean exactly).
+// component means of each device's Sq ∗ Wa ∗ Sbe.
 func (s *SystemModel) MeanResponse() float64 {
 	sq := s.frontend.Sojourn().Mean
 	total := 0.0
 	for _, d := range s.devices {
-		total += d.Rate() * (sq + d.WTA().Mean + d.Backend().Mean)
+		total += d.Rate() * (sq + d.meanWa + d.meanSbe)
 	}
 	return total / s.totalRate
 }
@@ -292,7 +300,7 @@ func (s *SystemModel) meanWriteResponse() float64 {
 	total := 0.0
 	for _, g := range s.groups {
 		if g.writeWeight > 0 {
-			total += g.writeWeight * (sq + g.dev.WTA().Mean + g.dev.WriteResponse().Mean)
+			total += g.writeWeight * (sq + g.dev.meanWa + g.dev.meanSwr)
 		}
 	}
 	return total / s.totalWriteRate

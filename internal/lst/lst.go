@@ -1,14 +1,13 @@
 // Package lst provides the Laplace–Stieltjes transform algebra the analytic
 // model is built on. A Transform carries both the transform function
 // E[e^{-sX}] and the analytic mean of the underlying nonnegative random
-// variable, so that convolution, mixing and Poisson compounding propagate
-// means without numerical differentiation. CDFs are recovered by numerical
+// variable, so that convolution and mixing propagate means without
+// numerical differentiation. CDFs are recovered by numerical
 // inversion (package numeric).
 package lst
 
 import (
 	"math"
-	"math/cmplx"
 
 	"cosmodel/internal/dist"
 	"cosmodel/internal/numeric"
@@ -92,113 +91,26 @@ func Mix(ts []Transform, weights []float64) Transform {
 	}
 }
 
-// HitOrMiss returns the transform of the paper's cache-aware operation
-// latency: disk latency with probability miss, zero otherwise.
-// index(s) = miss·disk(s) + (1-miss).
-func HitOrMiss(disk Transform, miss float64) Transform {
-	if miss < 0 {
-		miss = 0
-	}
-	if miss > 1 {
-		miss = 1
-	}
-	f := disk.F
-	return Transform{
-		F: func(s complex128) complex128 {
-			return complex(miss, 0)*f(s) + complex(1-miss, 0)
-		},
-		Mean: miss * disk.Mean,
-	}
-}
-
-// PoissonCompound returns the transform of Σ_{i=1}^{N} Xᵢ where N is Poisson
-// with mean p and the Xᵢ are iid with transform t:
-// E[e^{-sΣX}] = e^{p·(t(s)-1)}.
-// This is the paper's "extra data reads per union operation" term.
-func PoissonCompound(t Transform, p float64) Transform {
-	if p <= 0 {
-		return One()
-	}
-	f := t.F
-	return Transform{
-		F: func(s complex128) complex128 {
-			return cmplx.Exp(complex(p, 0) * (f(s) - 1))
-		},
-		Mean: p * t.Mean,
-	}
-}
-
-// GeometricCompound returns the transform of Σ_{i=1}^{N} Xᵢ with N geometric
-// on {0,1,2,…} with mean p (success prob 1/(1+p)):
-// E[e^{-sΣX}] = (1/(1+p)) / (1 - (p/(1+p))·t(s)).
-// Provided as an ablation alternative to Poisson compounding.
-func GeometricCompound(t Transform, p float64) Transform {
-	if p <= 0 {
-		return One()
-	}
-	q := p / (1 + p)
-	f := t.F
-	return Transform{
-		F: func(s complex128) complex128 {
-			return complex(1-q, 0) / (1 - complex(q, 0)*f(s))
-		},
-		Mean: p * t.Mean,
-	}
-}
-
-// FixedCompound returns the transform of a deterministic number n of iid
-// copies: t(s)^n. Provided as an ablation alternative ("fixed mean reads").
-func FixedCompound(t Transform, n int) Transform {
-	if n <= 0 {
-		return One()
-	}
-	f := t.F
-	return Transform{
-		F: func(s complex128) complex128 {
-			return cmplx.Pow(f(s), complex(float64(n), 0))
-		},
-		Mean: float64(n) * t.Mean,
-	}
-}
-
 // CDF evaluates the CDF of the random variable behind t at time x using the
 // given inverter, clamped to [0,1].
 func CDF(inv numeric.Inverter, t Transform, x float64) float64 {
 	return numeric.InvertCDF(inv, t.F, x)
 }
 
-// CDFAtNodes evaluates a CDF from precomputed inversion nodes and weights
-// (see numeric.Inverter): Σ_k Re(w_k · f(s_k)/s_k), clamped to [0,1].
-// Given nodes for time x it equals CDF(inv, Transform{F: f}, x); sharing the
-// nodes lets an evaluation engine invert many transforms with common factors
-// without re-deriving the quadrature.
-func CDFAtNodes(s, w []complex128, f numeric.TransformFunc) float64 {
-	var sum float64
-	for k := range s {
-		sum += real(w[k] * (f(s[k]) / s[k]))
-	}
-	return numeric.Clamp01(sum)
-}
-
-// CDFBatch inverts the CDF behind t at every threshold in ts, reusing one
-// node/weight buffer across all thresholds, so evaluating a whole SLA grid
-// pays the slice setup once; each entry equals CDF(inv, t, ts[i]) exactly.
+// CDFBatch inverts the CDF behind t at every threshold in ts: entry i is
+// CDF(inv, t, ts[i]).
 func CDFBatch(inv numeric.Inverter, t Transform, ts []float64) []float64 {
 	out := make([]float64, len(ts))
-	var nodes, ws []complex128
 	for i, x := range ts {
-		if x <= 0 {
-			continue // out[i] stays 0, matching CDF
-		}
-		nodes, ws = inv.AppendNodes(nodes[:0], ws[:0], x)
-		out[i] = CDFAtNodes(nodes, ws, t.F)
+		out[i] = CDF(inv, t, x)
 	}
 	return out
 }
 
-// SecondMomentNumeric estimates E[X²] from the transform by central second
-// differences at a step scaled to the mean. Useful for diagnostics (e.g.
-// P-K mean waiting); the model itself never requires it.
+// SecondMomentNumeric estimates E[X²] from the transform by second
+// differences at a step scaled to the mean. The Pollaczek–Khinchin mean
+// waiting (queueing.MG1.WaitingLST) reads it, so every modeled E[Wbe], and
+// through it each device's mean response, comes from this estimate.
 func SecondMomentNumeric(t Transform) float64 {
 	scale := math.Max(t.Mean, 1e-12)
 	h := 1e-4 / scale

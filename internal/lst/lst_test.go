@@ -90,97 +90,6 @@ func TestMix(t *testing.T) {
 	}
 }
 
-func TestHitOrMissMatchesDistMixture(t *testing.T) {
-	disk := dist.Gamma{Shape: 2, Rate: 100}
-	mix, err := dist.HitOrMiss(disk, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := HitOrMiss(FromDist(disk), 0.3)
-	if math.Abs(tr.Mean-mix.Mean()) > 1e-15 {
-		t.Errorf("mean = %v, want %v", tr.Mean, mix.Mean())
-	}
-	s := complex(5, 3)
-	if got, want := tr.F(s), mix.LST(s); math.Abs(real(got-want)) > 1e-14 {
-		t.Errorf("LST mismatch: %v vs %v", got, want)
-	}
-	// Clamping.
-	if got := HitOrMiss(FromDist(disk), 1.7); math.Abs(got.Mean-disk.Mean()) > 1e-15 {
-		t.Errorf("clamped miss mean = %v", got.Mean)
-	}
-	if got := HitOrMiss(FromDist(disk), -0.5); got.Mean != 0 {
-		t.Errorf("clamped miss mean = %v", got.Mean)
-	}
-}
-
-func TestPoissonCompoundMean(t *testing.T) {
-	x := FromDist(dist.Gamma{Shape: 2, Rate: 10}) // mean .2
-	c := PoissonCompound(x, 2.5)
-	if math.Abs(c.Mean-0.5) > 1e-12 {
-		t.Errorf("mean = %v, want 0.5", c.Mean)
-	}
-	if got := PoissonCompound(x, 0); got.Mean != 0 {
-		t.Errorf("p=0 should be One, mean = %v", got.Mean)
-	}
-	// LST value at 0 must be 1.
-	if got := c.F(0); math.Abs(real(got)-1) > 1e-12 {
-		t.Errorf("F(0) = %v", got)
-	}
-}
-
-// TestPoissonCompoundMatchesSeries validates e^{p(t(s)-1)} against the
-// truncated series Σ p^j e^{-p}/j! t(s)^j the paper writes out.
-func TestPoissonCompoundMatchesSeries(t *testing.T) {
-	x := FromDist(dist.Exponential{Rate: 8})
-	p := 1.7
-	c := PoissonCompound(x, p)
-	s := complex(2, 1)
-	var series complex128
-	term := math.Exp(-p) // p^0 e^-p / 0!
-	pow := complex(1, 0)
-	for j := 0; j < 60; j++ {
-		series += complex(term, 0) * pow
-		term *= p / float64(j+1)
-		pow *= x.F(s)
-	}
-	got := c.F(s)
-	if math.Abs(real(got-series)) > 1e-12 || math.Abs(imag(got-series)) > 1e-12 {
-		t.Errorf("compound = %v, series = %v", got, series)
-	}
-}
-
-func TestGeometricCompound(t *testing.T) {
-	x := FromDist(dist.Exponential{Rate: 4}) // mean .25
-	c := GeometricCompound(x, 3)
-	if math.Abs(c.Mean-0.75) > 1e-12 {
-		t.Errorf("mean = %v, want 0.75", c.Mean)
-	}
-	if got := c.F(0); math.Abs(real(got)-1) > 1e-12 {
-		t.Errorf("F(0) = %v", got)
-	}
-	if got := GeometricCompound(x, 0); got.Mean != 0 {
-		t.Errorf("p=0 mean = %v", got.Mean)
-	}
-}
-
-func TestFixedCompound(t *testing.T) {
-	x := FromDist(dist.Exponential{Rate: 4})
-	c := FixedCompound(x, 3)
-	if math.Abs(c.Mean-0.75) > 1e-12 {
-		t.Errorf("mean = %v, want 0.75", c.Mean)
-	}
-	// Exp^3 = Gamma(3, 4).
-	g := dist.Gamma{Shape: 3, Rate: 4}
-	for _, xx := range []float64{0.2, 0.8, 1.5} {
-		if got, want := CDF(inv, c, xx), g.CDF(xx); math.Abs(got-want) > 1e-6 {
-			t.Errorf("CDF(%v) = %v, want %v", xx, got, want)
-		}
-	}
-	if got := FixedCompound(x, 0); got.Mean != 0 {
-		t.Errorf("n=0 mean = %v", got.Mean)
-	}
-}
-
 func TestSecondMomentNumeric(t *testing.T) {
 	e := FromDist(dist.Exponential{Rate: 2}) // E[X²] = 2/λ² = 0.5
 	got := SecondMomentNumeric(e)
@@ -189,12 +98,19 @@ func TestSecondMomentNumeric(t *testing.T) {
 	}
 }
 
-func TestCDFMonotoneProperty(t *testing.T) {
-	u := Convolve(
-		HitOrMiss(FromDist(dist.Gamma{Shape: 2, Rate: 100}), 0.4),
+// cacheFixture is a union-operation-like transform with atoms: a cache
+// hit-or-miss disk read (zero with probability 0.6), a fixed delay, and a
+// chunk read that is absent with probability 0.55.
+func cacheFixture() Transform {
+	return Convolve(
+		Mix([]Transform{FromDist(dist.Gamma{Shape: 2, Rate: 100}), One()}, []float64{0.4, 0.6}),
 		delay(0.001),
-		PoissonCompound(FromDist(dist.Gamma{Shape: 1.5, Rate: 80}), 0.6),
+		Mix([]Transform{FromDist(dist.Gamma{Shape: 1.5, Rate: 80}), One()}, []float64{0.45, 0.55}),
 	)
+}
+
+func TestCDFMonotoneProperty(t *testing.T) {
+	u := cacheFixture()
 	f := func(rawA, rawB float64) bool {
 		a := math.Mod(math.Abs(rawA), 0.3)
 		b := math.Mod(math.Abs(rawB), 0.3)
@@ -210,21 +126,16 @@ func TestCDFMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestCDFAtNodesMatchesCDF(t *testing.T) {
-	u := Convolve(
-		HitOrMiss(FromDist(dist.Gamma{Shape: 2, Rate: 100}), 0.4),
-		delay(0.001),
-		PoissonCompound(FromDist(dist.Gamma{Shape: 1.5, Rate: 80}), 0.6),
-	)
-	for _, x := range []float64{0.005, 0.02, 0.1, 0.3} {
-		s, w := inv.AppendNodes(nil, nil, x)
-		got := CDFAtNodes(s, w, u.F)
-		want := CDF(inv, u, x)
-		if math.Abs(got-want) > 1e-12 {
-			t.Errorf("CDFAtNodes(%v) = %v, CDF = %v", x, got, want)
+func TestCDFBatchMatchesCDF(t *testing.T) {
+	u := cacheFixture()
+	ts := []float64{0.005, 0.02, 0.1, 0.3, 0, -1}
+	got := CDFBatch(inv, u, ts)
+	for i, x := range ts {
+		if want := CDF(inv, u, x); math.Float64bits(got[i]) != math.Float64bits(want) {
+			t.Errorf("CDFBatch[%d] (t=%v) = %v, CDF = %v", i, x, got[i], want)
 		}
 	}
-	if got := CDFAtNodes(nil, nil, u.F); got != 0 {
-		t.Errorf("CDFAtNodes with no nodes = %v, want 0", got)
+	if got[4] != 0 || got[5] != 0 {
+		t.Errorf("CDFBatch at t <= 0 = %v, %v, want 0", got[4], got[5])
 	}
 }
